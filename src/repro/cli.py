@@ -287,10 +287,11 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8077,
                      help="listen port (0 picks a free one)")
-    srv.add_argument("--batch-window-ms", type=float, default=2.0,
-                     help="micro-batch coalescing window: concurrent "
-                          "/select requests arriving within this long "
-                          "of each other share one batched evaluate "
+    srv.add_argument("--batch-window-ms", type=float, default=0.0,
+                     help="extra wait before a micro-batch flushes; the "
+                          "default 0 flushes as soon as the batcher is "
+                          "free, and /select requests arriving during a "
+                          "flush share the next batched evaluate "
                           "(responses are bit-identical either way)")
     srv.add_argument("--max-batch", type=int, default=64,
                      help="flush a micro-batch early at this size")

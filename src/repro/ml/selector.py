@@ -16,13 +16,13 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..core.table import SweepTable, _write_npz
-from .forest import RandomForestRegressor
+from .forest import ForestStack, RandomForestRegressor
 from .knn import KNeighborsRegressor
 from .linear import LinearRegression, RidgeRegression
 
 __all__ = [
     "FormatSelector", "SelectionReport", "SelectorVersionError",
-    "SELECTOR_SCHEMA_VERSION",
+    "SELECTOR_SCHEMA_VERSION", "choose_formats",
 ]
 
 SELECTOR_SCHEMA_VERSION = 1
@@ -131,6 +131,20 @@ def _table_key_column(table: SweepTable) -> str:
     )
 
 
+def choose_formats(scores: Dict[str, np.ndarray]) -> List[str]:
+    """The chosen format per sample of ``{format: predicted GFLOPS}``.
+
+    ``np.argmax`` over the stacked (format, sample) score matrix: ties
+    go to the earliest format and a NaN score beats every number.
+    Every path that picks a format (``select``, ``select_batch``,
+    ``evaluate`` and the service's ``/select``) chooses through this
+    rule, so they agree on every input, NaN included.
+    """
+    names = list(scores)
+    stacked = np.stack([np.atleast_1d(scores[f]) for f in names])
+    return [names[i] for i in np.argmax(stacked, axis=0)]
+
+
 class SelectionReport(dict):
     """Evaluation summary: accuracy + performance retained vs oracle."""
 
@@ -172,6 +186,7 @@ class FormatSelector:
             lambda: RandomForestRegressor(n_estimators=25, random_state=0)
         )
         self._models: Dict[str, object] = {}
+        self._stack: Optional[ForestStack] = None
 
     # ------------------------------------------------------------------
     def _vector(self, features: dict) -> np.ndarray:
@@ -242,6 +257,7 @@ class FormatSelector:
             raise ValueError("no training rows")
         keys = list(by_matrix)
         X = self._matrix([by_matrix[k] for k in keys])
+        self._stack = None
         for fmt in self.formats:
             y = np.array([perf[k].get(fmt, 0.0) for k in keys])
             self._models[fmt] = self._factory().fit(X, y)
@@ -254,6 +270,7 @@ class FormatSelector:
         fmt_codes = table.codes("format")
         fmt_cats = table.categories("format")
         gflops = table.column("gflops")
+        self._stack = None
         for fmt in self.formats:
             y = np.zeros(len(X))
             if fmt in fmt_cats:
@@ -275,44 +292,54 @@ class FormatSelector:
         }
 
     def select(self, features: dict) -> str:
-        """The format with the highest predicted GFLOPS."""
-        scores = self.predict_gflops(features)
-        return max(scores, key=scores.get)
+        """The format with the highest predicted GFLOPS
+        (:func:`choose_formats`)."""
+        return choose_formats(self.predict_gflops(features))[0]
 
     # ------------------------------------------------------------------
+    def _scores(self, X: np.ndarray) -> np.ndarray:
+        """Predicted GFLOPS as a (format, sample) matrix.
+
+        Forests of one tree count route together through one
+        :class:`~repro.ml.forest.ForestStack`, built on first use after
+        each fit; any other models predict one format at a time.
+        """
+        if self._stack is None:
+            models = list(self._models.values())
+            if all(
+                isinstance(m, RandomForestRegressor) for m in models
+            ) and len({len(m.trees_) for m in models}) == 1:
+                self._stack = ForestStack([m.trees_ for m in models])
+        if self._stack is not None:
+            return self._stack.predict(X)
+        return np.stack([
+            np.asarray(model.predict(X), dtype=np.float64)
+            for model in self._models.values()
+        ])
+
     def predict_gflops_batch(
         self, features_seq: Sequence[dict]
     ) -> Dict[str, np.ndarray]:
         """Predicted GFLOPS for every format over many instances.
 
-        One ``model.predict`` call per format over the whole batch;
-        entry ``[fmt][i]`` equals ``predict_gflops(features_seq[i])[fmt]``
-        bit for bit (per-sample tree routing and the per-format model are
-        independent of batch size).
+        Entry ``[fmt][i]`` equals ``predict_gflops(features_seq[i])[fmt]``
+        bit for bit: tree routing is per sample, and the trees of a
+        forest are summed in the same order at every batch size.
         """
         if not self._models:
             raise RuntimeError("selector not fitted")
         X = self._matrix(list(features_seq))
-        return {
-            fmt: np.asarray(model.predict(X), dtype=np.float64)
-            for fmt, model in self._models.items()
-        }
+        return dict(zip(self._models, self._scores(X)))
 
     def select_batch(self, features_seq: Sequence[dict]) -> List[str]:
-        """Best predicted format per instance (batch :meth:`select`).
-
-        Ties resolve to the earliest fitted format, exactly as the
-        scalar ``max`` over the prediction dict does.
-        """
+        """Best predicted format per instance (batch :meth:`select`,
+        same :func:`choose_formats` rule)."""
         features_seq = list(features_seq)
         if not features_seq:
             if not self._models:
                 raise RuntimeError("selector not fitted")
             return []
-        scores = self.predict_gflops_batch(features_seq)
-        names = list(scores)
-        stacked = np.stack([scores[f] for f in names])
-        return [names[i] for i in np.argmax(stacked, axis=0)]
+        return choose_formats(self.predict_gflops_batch(features_seq))
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -382,15 +409,9 @@ class FormatSelector:
         g, keys, X = self._table_groups(table)
         n_groups = len(keys)
         if batch:
-            preds = {
-                fmt: np.asarray(model.predict(X), dtype=np.float64)
-                for fmt, model in self._models.items()
-            }
-            names = list(preds)
-            stacked = np.stack([preds[f] for f in names])
-            chosen_names = [
-                names[i] for i in np.argmax(stacked, axis=0)
-            ]
+            chosen_names = choose_formats(
+                dict(zip(self._models, self._scores(X)))
+            )
         else:
             chosen_names = []
             for i in range(n_groups):
@@ -398,7 +419,7 @@ class FormatSelector:
                     fmt: float(model.predict(X[i:i + 1])[0])
                     for fmt, model in self._models.items()
                 }
-                chosen_names.append(max(scores, key=scores.get))
+                chosen_names.append(choose_formats(scores)[0])
 
         fmt_codes = table.codes("format")
         fmt_cats = table.categories("format")

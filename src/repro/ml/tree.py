@@ -32,11 +32,24 @@ class _Node:
         return self.left is None
 
 
+def _threshold(lo: float, hi: float) -> float:
+    """Split threshold between consecutive distinct sorted values.
+
+    The midpoint, unless it rounds onto ``hi`` (``lo`` and ``hi`` are
+    adjacent floats, or their sum overflows): then ``X <= threshold``
+    would send every row left and leave an empty right child, whose
+    mean is NaN.  ``lo`` separates the same rows.
+    """
+    mid = (lo + hi) / 2.0
+    return mid if mid < hi else lo
+
+
 def _best_split(X, y, min_leaf):
     """Best (feature, threshold, sse) over all features, or None.
 
-    For each feature, candidates are midpoints between consecutive distinct
-    sorted values; split SSE is computed from prefix sums.
+    For each feature, candidates split between consecutive distinct
+    sorted values (:func:`_threshold`); split SSE is computed from
+    prefix sums.
     """
     n, d = X.shape
     total = y.sum()
@@ -64,7 +77,8 @@ def _best_split(X, y, min_leaf):
         sse = np.where(valid, sse, np.inf)
         i = int(np.argmin(sse))
         if np.isfinite(sse[i]) and (best is None or sse[i] < best[0]):
-            best = (float(sse[i]), j, float((xs[i] + xs[i + 1]) / 2.0))
+            best = (float(sse[i]), j,
+                    _threshold(float(xs[i]), float(xs[i + 1])))
     return best
 
 
@@ -104,7 +118,8 @@ def _best_split_presorted(X, y, idx, sorted_idx, feats, min_leaf):
         sse = np.where(valid, sse, np.inf)
         i = int(np.argmin(sse))
         if np.isfinite(sse[i]) and (best is None or sse[i] < best[0]):
-            best = (float(sse[i]), j_local, float((xs[i] + xs[i + 1]) / 2.0))
+            best = (float(sse[i]), j_local,
+                    _threshold(float(xs[i]), float(xs[i + 1])))
     return best
 
 
@@ -132,6 +147,7 @@ class DecisionTreeRegressor:
         self.presort = presort
         self._root: Optional[_Node] = None
         self._flat: Optional[dict] = None
+        self._stack = None
         self.n_features_: int = 0
 
     def fit(self, X, y) -> "DecisionTreeRegressor":
@@ -141,6 +157,7 @@ class DecisionTreeRegressor:
             raise ValueError("bad training shapes")
         self.n_features_ = X.shape[1]
         self._flat = None
+        self._stack = None
         rng = np.random.default_rng(self.random_state)
         if self.presort:
             # One stable argsort per feature for the whole fit; nodes
@@ -238,60 +255,32 @@ class DecisionTreeRegressor:
         return node
 
     def predict(self, X) -> np.ndarray:
-        """Leaf values of the rows of ``X``.
-
-        Routing runs over the flattened node arrays (:meth:`to_arrays`):
-        at most ``depth`` vectorised steps regardless of batch width, so
-        a single-row query costs the same handful of NumPy calls as a
-        64-row micro-batch.  Every row takes exactly the comparisons the
-        node walk (:meth:`_predict_walk`, kept as the reference oracle)
-        would take and lands on the same leaf, so the outputs are
-        bit-identical for every batch size.
-        """
+        """Leaf values of the rows of ``X``, routed by the stacked
+        router (:class:`~repro.ml.forest.ForestStack`) over this tree's
+        flattened node arrays: at most ``depth`` vectorised steps per
+        block of rows, so every row gets the same leaf at any batch
+        size."""
         if self._root is None:
             raise RuntimeError("model not fitted")
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise ValueError("bad predict shape")
-        flat = self._flat
-        if flat is None:
-            flat = self._flat = self._flatten()
-        feature, threshold = flat["feature"], flat["threshold"]
-        left, right, value = flat["left"], flat["right"], flat["value"]
-        node = np.zeros(len(X), dtype=np.int64)
-        while True:
-            feat = feature[node]
-            live = feat >= 0  # internal nodes; leaves store -1
-            if not live.any():
-                break
-            rows = np.nonzero(live)[0]
-            at = node[rows]
-            go_left = X[rows, feat[rows]] <= threshold[at]
-            node[rows] = np.where(go_left, left[at], right[at])
-        return value[node]
+        if self._stack is None:
+            from .forest import ForestStack
 
-    def _predict_walk(self, X) -> np.ndarray:
-        """Node-object routing via index partitions (reference oracle)."""
+            self._stack = ForestStack([[self]])
+        return self._stack.leaves(X)[0]
+
+    # -- flattened node arrays (stacked routing + serialisation) -------
+    def _flat_arrays(self) -> dict:
+        """The flattened node arrays, built once per fit (shared, not
+        copied: callers must not modify them)."""
         if self._root is None:
             raise RuntimeError("model not fitted")
-        X = np.asarray(X, dtype=np.float64)
-        if X.ndim != 2 or X.shape[1] != self.n_features_:
-            raise ValueError("bad predict shape")
-        out = np.empty(len(X), dtype=np.float64)
-        stack = [(self._root, np.arange(len(X)))]
-        while stack:
-            node, idx = stack.pop()
-            if len(idx) == 0:
-                continue
-            if node.is_leaf:
-                out[idx] = node.value
-                continue
-            mask = X[idx, node.feature] <= node.threshold
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        return out
+        if self._flat is None:
+            self._flat = self._flatten()
+        return self._flat
 
-    # -- flattened node arrays (predict fast path + serialisation) -----
     def _flatten(self) -> dict:
         """Preorder node arrays: ``feature`` (-1 marks a leaf),
         ``threshold``, ``left``/``right`` child indices, ``value``."""
@@ -327,12 +316,7 @@ class DecisionTreeRegressor:
         ``left``/``right``/``value`` + ``n_features``), the inverse of
         :meth:`from_arrays`; thresholds and leaf values round-trip
         exactly, so a reloaded tree predicts bit-identically."""
-        if self._root is None:
-            raise RuntimeError("model not fitted")
-        flat = self._flat
-        if flat is None:
-            flat = self._flat = self._flatten()
-        out = {k: v.copy() for k, v in flat.items()}
+        out = {k: v.copy() for k, v in self._flat_arrays().items()}
         out["n_features"] = np.int64(self.n_features_)
         return out
 

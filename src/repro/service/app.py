@@ -22,7 +22,7 @@ import numpy as np
 
 from ..core.generator import MatrixSpec
 from ..core.table import SweepTable
-from ..ml.selector import FormatSelector
+from ..ml.selector import FormatSelector, choose_formats
 from .batcher import MicroBatcher
 from .stats import ServiceStats
 
@@ -262,7 +262,7 @@ class ServiceApp:
         selector: FormatSelector,
         table: SweepTable,
         micro_batch: bool = True,
-        window_ms: float = 2.0,
+        window_ms: float = 0.0,
         max_batch: int = 64,
         stats: Optional[ServiceStats] = None,
     ) -> None:
@@ -286,27 +286,23 @@ class ServiceApp:
             OrderedDict()
         )
         self._sweep_lock = threading.Lock()
-        # Warm the predict path (flattens every tree) so the first
-        # request is not the one paying the one-off setup cost.
+        # Warm the predict path (builds the selector's stacked router)
+        # so the first request is not the one paying the one-off cost.
         self.selector.predict_gflops_batch(
             [{k: 0.0 for k in self.selector.feature_keys}]
         )
 
     # -- /select -------------------------------------------------------
     def _evaluate_batch(self, features_seq: Sequence[dict]) -> List[dict]:
-        """One batched evaluate; entry ``i`` is exactly what a direct
-        scalar ``select``/``predict_gflops`` pair would return for
+        """One batched evaluate; entry ``i`` is exactly what direct
+        ``select_batch``/``predict_gflops_batch`` calls return for
         ``features_seq[i]`` (the selector's batch paths are
-        bit-identical per entry, ties resolve to the earliest fitted
-        format in both)."""
+        bit-identical per entry, and the format is picked by the same
+        :func:`~repro.ml.selector.choose_formats` rule)."""
         scores = self.selector.predict_gflops_batch(features_seq)
-        names = list(scores)
         out = []
-        for i in range(len(features_seq)):
-            per_format = {
-                fmt: float(scores[fmt][i]) for fmt in names
-            }
-            chosen = max(per_format, key=per_format.get)
+        for i, chosen in enumerate(choose_formats(scores)):
+            per_format = {fmt: float(col[i]) for fmt, col in scores.items()}
             out.append({
                 "format": chosen,
                 "predicted_gflops": per_format[chosen],

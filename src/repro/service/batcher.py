@@ -1,9 +1,11 @@
 """Micro-batching request coalescer.
 
 Concurrent ``/select`` requests land here one at a time; the batcher
-gathers everything that arrives within a short window (or until a max
-batch size) and issues **one** batched evaluate per flush, demuxing the
-per-request results back to the waiting handler threads.
+issues **one** batched evaluate per flush over everything queued (up to
+a max batch size), demuxing the per-request results back to the
+waiting handler threads.  By default a flush starts as soon as the
+flusher is free, and requests that arrive during a flush form the next
+batch; an optional window holds each batch open a little longer.
 
 The contract that makes this safe is the library's: the selector's
 batch paths are bit-identical per entry to the scalar calls for every
@@ -41,8 +43,9 @@ class MicroBatcher:
         len(items)`` and result ``i`` depending only on item ``i``.
     window_s:
         After the first request of a batch arrives, wait at most this
-        long for company before flushing (0 flushes immediately with
-        whatever has queued up — still a batch under concurrency).
+        long for company before flushing.  The default 0 flushes
+        immediately with whatever has queued up — still a batch under
+        concurrency, since requests queue while a flush runs.
     max_batch:
         Flush early once this many requests are waiting.
     stats:
@@ -53,7 +56,7 @@ class MicroBatcher:
     def __init__(
         self,
         evaluate: Callable[[Sequence], List],
-        window_s: float = 0.002,
+        window_s: float = 0.0,
         max_batch: int = 64,
         stats=None,
     ) -> None:

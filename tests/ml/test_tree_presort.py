@@ -125,3 +125,31 @@ def test_presort_selector_run_identical(all_archetypes):
         ref_model = selectors[False]._models[fmt]
         for a, b in zip(model.trees_, ref_model.trees_):
             assert _signature(a._root) == _signature(b._root)
+
+
+def _adjacent_pair_rounding_up():
+    """Adjacent floats ``lo < hi`` whose midpoint rounds onto ``hi``."""
+    lo = np.log1p(1e4)
+    while (lo + np.nextafter(lo, np.inf)) / 2.0 != np.nextafter(lo, np.inf):
+        lo = np.nextafter(lo, np.inf)
+    return lo, np.nextafter(lo, np.inf)
+
+
+@pytest.mark.parametrize("presort", [True, False])
+def test_adjacent_float_split_leaves_no_empty_child(presort):
+    lo, hi = _adjacent_pair_rounding_up()
+    X = np.array([[lo]] * 4 + [[hi]] * 4)
+    y = np.array([0.0] * 4 + [1.0] * 4)
+    tree = DecisionTreeRegressor(
+        max_depth=1, min_samples_leaf=4, presort=presort
+    ).fit(X, y)
+    assert not tree._root.is_leaf
+    assert tree._root.threshold == lo
+    values = tree.to_arrays()["value"]
+    assert not np.isnan(values).any()
+    # Each child holds exactly its own side of the split.
+    np.testing.assert_array_equal(tree.predict(X), y)
+    ref = DecisionTreeRegressor(
+        max_depth=1, min_samples_leaf=4, presort=not presort
+    ).fit(X, y)
+    assert _signature(tree._root) == _signature(ref._root)

@@ -4,8 +4,10 @@ import json
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 
+from repro.ml import FormatSelector
 from repro.service import ReproService, ServiceApp
 
 from .conftest import feature_payloads
@@ -207,3 +209,37 @@ class TestAppWithoutBatcher:
         finally:
             direct.close()
             batched.close()
+
+
+class _Constant:
+    """Stub regressor predicting one value everywhere."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def fit(self, X, y):
+        return self
+
+    def predict(self, X):
+        return np.full(len(X), self.value)
+
+
+class TestChoiceRule:
+    def test_nan_score_picks_what_select_batch_picks(self, corpus_table):
+        values = iter([1.0, float("nan"), 2.0])
+        selector = FormatSelector(
+            ["A", "B", "C"], model_factory=lambda: _Constant(next(values))
+        ).fit(corpus_table)
+        features = feature_payloads(1, seed=3)[0]
+        want = selector.select_batch([features])[0]
+        assert want == selector.select(features)
+        for micro_batch in (True, False):
+            app = ServiceApp(selector, corpus_table, micro_batch=micro_batch)
+            with ReproService(app) as svc:
+                status, reply = _post_json(
+                    svc, "/select", {"features": features}
+                )
+            assert status == 200
+            assert reply["format"] == want
+            assert reply["gflops"]["A"] == 1.0
+            assert np.isnan(reply["gflops"]["B"])
