@@ -2,23 +2,29 @@
 
 The resilient worker crew (per-chunk deadlines, retry bookkeeping,
 journal hooks, crash detection) must be essentially free when nothing
-goes wrong.  This bench times fault-free fused sweeps under both
-dispatch engines — legs interleaved and order-alternated so machine
-speed drift cancels, best-of-``REPEATS`` per engine — asserts the
-tables row-identical to each other and to a serial reference, gates the
-resilient overhead at ``MAX_OVERHEAD``, and writes the numbers to
-``benchmarks/results/BENCH_resilience.json`` (mirrored to the repo-root
-snapshot) alongside the other bench floors.
+goes wrong.  This bench times fault-free fused sweeps on the crew
+against the plain ``multiprocessing.Pool`` oracle
+(``tests/oracles/dispatch.py``) — legs interleaved and order-alternated
+so machine speed drift cancels, best-of-``REPEATS`` per engine —
+asserts the tables row-identical to each other and to a serial
+reference, gates the resilient overhead at ``MAX_OVERHEAD``, and writes
+the numbers to ``benchmarks/results/BENCH_resilience.json`` (mirrored
+to the repo-root snapshot) alongside the other bench floors.
 """
 
 import json
+import sys
 import time
+from pathlib import Path
 
 from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
+
+sys.path.append(str(Path(__file__).resolve().parent.parent))
+from tests.oracles.dispatch import pool_sweep  # noqa: E402
 
 BENCH_PATH = RESULTS_DIR / "BENCH_resilience.json"
 # Committed snapshot at the repo root (also a CI artifact).
@@ -38,8 +44,9 @@ REPEATS = 3
 
 def _timed_sweep(specs, dispatch):
     ds = Dataset(specs, max_nnz=MAX_NNZ, name=SCALE)
+    run = pool_sweep if dispatch == "pool" else sweep
     t0 = time.perf_counter()
-    table = sweep(ds, DEVICES, jobs=JOBS, fused=True, dispatch=dispatch)
+    table = run(ds, DEVICES, jobs=JOBS, fused=True)
     return time.perf_counter() - t0, table
 
 

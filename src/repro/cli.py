@@ -96,11 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--cache-dir", default=None,
                    help="persistent instance cache directory; warm "
                         "re-sweeps skip matrix generation")
-    w.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="score chunks through the vectorised grid "
-                        "simulator (default; --no-batch keeps the scalar "
-                        "reference loop — output is identical)")
     w.add_argument("--fused", action=argparse.BooleanOptionalAction,
                    default=False,
                    help="fused cold path: score spec chunks straight "
@@ -129,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "deadline)")
     w.add_argument("--max-retries", type=int, default=None,
                    help="retries per chunk before it degrades to an "
-                        "in-process serial re-execution (default 2)")
+                        "in-process re-execution (default 2)")
     w.add_argument("--faults", default=None, metavar="SPEC",
                    help="deterministic fault injection for chaos "
                         "testing, e.g. 'crash@2,hang@5;seed=7' "
@@ -139,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the RunReport (retries, timeouts, "
                         "degraded chunks, quarantined cache entries, "
                         "per-phase wall-clock) as JSON")
-    w.add_argument("--dispatch", default=None,
-                   choices=("resilient", "pool"),
-                   help="parallel dispatch engine (default resilient; "
-                        "pool is the plain no-retry baseline)")
     w.add_argument("--pack-shards", action="store_true",
                    help="journal chunk shards into a single "
                         "shards.rpak pack instead of one file per "
@@ -200,10 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "results are identical to --jobs 1)")
     e.add_argument("--cache-dir", default=None,
                    help="persistent instance cache directory")
-    e.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="score the sweep through the vectorised grid "
-                        "simulator (default; results identical either way)")
     e.add_argument("--out", default=None,
                    help="write results to a .json (full, deterministic) "
                         "or .csv (per-fold summary) file")
@@ -456,13 +443,11 @@ def _cmd_sweep(args) -> int:
         # parallel runs alike.
         table = sweep(
             dataset, devices, best_only=not args.all_formats,
-            jobs=args.jobs, cache_dir=args.cache_dir, batch=args.batch,
-            fused=args.fused,
+            jobs=args.jobs, cache_dir=args.cache_dir, fused=args.fused,
             run_dir=run_dir, resume=bool(args.resume),
             pack_shards=args.pack_shards,
             faults=args.faults, chunk_timeout=args.chunk_timeout,
             max_retries=args.max_retries, report=report,
-            dispatch=args.dispatch,
             progress=lambda i, n: print(f"\r  {i}/{n}", end="",
                                         flush=True),
         )
@@ -598,7 +583,7 @@ def _cmd_experiment(args) -> int:
             f"seed={spec.seed}) ..."
         )
     result = run_experiment(
-        spec, jobs=args.jobs, cache_dir=args.cache_dir, batch=args.batch,
+        spec, jobs=args.jobs, cache_dir=args.cache_dir,
         progress=lambda i, n: print(f"\r  sweep {i}/{n}", end="",
                                     flush=True),
         table=table,

@@ -7,11 +7,11 @@ A :class:`Dataset` owns a list of specs and materialises
 returns a columnar :class:`~repro.core.table.SweepTable` that the
 analysis, ml and experiment layers consume directly.
 
-:func:`spec_rows` (scalar, dict rows) and :func:`grid_spec_rows`
-(batched, dict rows) remain the reference paths the agreement suites
-compare against; :func:`grid_spec_table` is the production path — it
-assembles the table's columns straight from the grid simulator's
-structured array, without materialising a dict per row.
+:func:`grid_spec_table` and :func:`fused_spec_table` are the two ways a
+chunk is scored: both assemble the table's columns straight from the
+grid simulator's structured array, without materialising a dict per
+row.  The dict-row scalar reference the agreement suites compare
+against lives in ``tests/oracles/sweep.py``.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from ..devices.base import Device
 from .generator import MatrixSpec
 from .table import SweepTable
 
-__all__ = ["Dataset", "sweep", "spec_rows", "grid_spec_rows",
-           "grid_spec_table", "fused_spec_table", "SweepTable"]
+__all__ = ["Dataset", "sweep", "grid_spec_table", "fused_spec_table",
+           "SweepTable"]
 
 DEFAULT_MAX_NNZ = 100_000
 
@@ -78,141 +78,11 @@ class Dataset:
         self._instances.clear()
 
 
-def _base_row(dataset: Dataset, i: int) -> dict:
-    """Per-spec columns shared by every measurement row of spec ``i``
-    (features at declared scale + requested grid coordinates).  Both the
-    scalar :func:`spec_rows` loop and the batched :func:`grid_spec_rows`
-    path build on this, which keeps their row schemas identical."""
-    inst = dataset.instance(i)
-    feats = inst.features
-    return {
-        "matrix": inst.name,
-        "spec_index": i,
-        "mem_footprint_mb": feats.mem_footprint_mb,
-        "avg_nnz_per_row": feats.avg_nnz_per_row,
-        "skew_coeff": feats.skew_coeff,
-        "cross_row_similarity": feats.cross_row_similarity,
-        "avg_num_neighbours": feats.avg_num_neighbours,
-        "nnz": feats.nnz,
-        "n_rows": feats.n_rows,
-        # requested (grid) coordinates, for exact binning
-        "req_footprint_mb": dataset.specs[i].mem_footprint_mb,
-        "req_avg_nnz": dataset.specs[i].avg_nnz_per_row,
-        "req_skew": dataset.specs[i].skew_coeff,
-        "req_sim": dataset.specs[i].cross_row_sim,
-        "req_neigh": dataset.specs[i].avg_num_neigh,
-    }
-
-
-def spec_rows(
-    dataset: Dataset,
-    i: int,
-    devices: Sequence[Device],
-    best_only: bool = True,
-    formats: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    precision: str = "fp64",
-) -> List[dict]:
-    """Measurement rows for spec ``i`` across ``devices`` — the scalar
-    reference path.
-
-    This is the unit of work of a sweep; the batched engine
-    (:func:`grid_spec_rows`, the :mod:`repro.pipeline` default) produces
-    row-for-row identical output through the vectorised grid simulator,
-    a property the grid agreement suite locks down.
-    """
-    from ..formats.base import FormatError
-    from ..perfmodel.simulator import simulate_best, simulate_spmv
-
-    inst = dataset.instance(i)
-    base = _base_row(dataset, i)
-    rows: List[dict] = []
-    for dev in devices:
-        names = list(formats) if formats else list(dev.formats)
-        if best_only:
-            m = simulate_best(inst, dev, formats=names, seed=seed,
-                              precision=precision)
-            if m is None:
-                continue
-            rows.append(
-                {**base, "device": dev.name, "format": m.format,
-                 "gflops": m.gflops, "watts": m.watts,
-                 "gflops_per_watt": m.gflops_per_watt,
-                 "bottleneck": m.bottleneck}
-            )
-        else:
-            for fmt in names:
-                try:
-                    m = simulate_spmv(inst, fmt, dev, seed=seed,
-                                      precision=precision)
-                except FormatError:
-                    continue
-                rows.append(
-                    {**base, "device": dev.name, "format": fmt,
-                     "gflops": m.gflops, "watts": m.watts,
-                     "gflops_per_watt": m.gflops_per_watt,
-                     "bottleneck": m.bottleneck}
-                )
-    return rows
-
-
-def grid_spec_rows(
-    dataset: Dataset,
-    lo: int,
-    hi: int,
-    devices: Sequence[Device],
-    best_only: bool = True,
-    formats: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    precision: str = "fp64",
-) -> List[dict]:
-    """Measurement rows for specs ``lo..hi`` via the batched grid
-    simulator — row-for-row identical to calling :func:`spec_rows` per
-    spec, but all (spec, device, format) cells are scored in one
-    vectorised pass."""
-    from ..perfmodel.batch import STATUS_OK, simulate_grid
-    from ..perfmodel.simulator import BOTTLENECKS
-
-    indices = list(range(lo, hi))
-    instances = [dataset.instance(i) for i in indices]
-    grid = simulate_grid(instances, devices, formats=formats, seed=seed,
-                         precisions=(precision,))
-
-    def measurement(idx: int) -> dict:
-        rec = grid.data[idx]
-        return {
-            "device": grid.device_names[rec["device"]],
-            "format": grid.format_names[rec["format"]],
-            "gflops": float(rec["gflops"]),
-            "watts": float(rec["watts"]),
-            "gflops_per_watt": float(rec["gflops_per_watt"]),
-            "bottleneck": BOTTLENECKS[rec["bottleneck"]],
-        }
-
-    rows: List[dict] = []
-    best = grid.best_per()[0] if best_only else None
-    for ci, i in enumerate(indices):
-        base = _base_row(dataset, i)
-        for d in range(len(devices)):
-            if best_only:
-                idx = int(best[ci, d])
-                if idx < 0:
-                    continue
-                rows.append({**base, **measurement(idx)})
-            else:
-                f_lo, f_hi = grid.device_slices[d]
-                for off in range(f_lo, f_hi):
-                    idx = grid.cell_index(0, ci, off)
-                    if grid.data[idx]["status"] != STATUS_OK:
-                        continue
-                    rows.append({**base, **measurement(idx)})
-    return rows
-
-
 def _first_seen_codes(values: np.ndarray, labels: Sequence[str]):
     """Categorical (codes, categories) with categories ordered by first
     appearance in ``values`` — the same encoding ``SweepTable.from_rows``
-    produces from dict rows, so both engines emit identical tables."""
+    produces from dict rows, so the columnar tables equal the dict-row
+    reference's."""
     uniq, first, inverse = np.unique(
         values, return_index=True, return_inverse=True
     )
@@ -324,10 +194,11 @@ def grid_spec_table(
     """Columnar measurement table for specs ``lo..hi`` — the production
     sweep path.
 
-    Row-for-row identical (via ``to_rows()``) to :func:`grid_spec_rows`
-    plus a constant ``precision`` column, but the columns are gathered
-    straight from the grid simulator's structured array and the
-    per-instance feature/spec scalars — no dict per row, ever.
+    Row-for-row identical (via ``to_rows()``) to the scalar
+    ``simulate_spmv`` loop plus a constant ``precision`` column, but the
+    columns are gathered straight from the grid simulator's structured
+    array and the per-instance feature/spec scalars — no dict per row,
+    ever.
     ``instances`` lets a caller that already materialised the chunk (the
     pipeline engine, which also owns cache write-back) pass it in; the
     default materialises through ``dataset.instance``.
@@ -390,7 +261,6 @@ def sweep(
     progress: Optional[Callable[[int, int], None]] = None,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    batch: bool = True,
     precision: str = "fp64",
     fused: bool = False,
     run_dir: Optional[str] = None,
@@ -400,7 +270,6 @@ def sweep(
     chunk_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     report=None,
-    dispatch: Optional[str] = None,
 ) -> SweepTable:
     """Simulate the dataset on every device.
 
@@ -411,36 +280,34 @@ def sweep(
     result is a columnar :class:`~repro.core.table.SweepTable`
     (``.rows`` gives the historical dict-row projection).
 
-    ``jobs`` selects the execution engine: 1 (the default) stays serial
-    and in-process, ``jobs > 1`` shards over a process pool and 0
+    ``jobs`` sets the parallelism: 1 (the default) runs every chunk in
+    this process, ``jobs > 1`` shards over a worker crew and 0
     auto-detects the core count.  ``cache_dir`` enables the persistent
-    instance cache.  ``batch`` (the default) scores each chunk through
-    the vectorised grid simulator; ``batch=False`` keeps the scalar
-    per-triple loop.  ``precision`` scores every cell at fp64 (the
-    default) or fp32.  ``fused`` scores chunks straight from the specs
-    (structure generation + batched analytic stats, no instances and no
-    cache traffic) — the cold-sweep fast path.  Output is row-for-row
-    identical across all engines, cache states, batch and fused modes;
-    every path funnels through :func:`repro.pipeline.run_sweep`.
+    instance cache.  Every chunk is scored through the vectorised grid
+    simulator.  ``precision`` scores every cell at fp64 (the default) or
+    fp32.  ``fused`` scores chunks straight from the specs (structure
+    generation + batched analytic stats, no instances and no cache
+    traffic) — the cold-sweep fast path.  Output is row-for-row
+    identical across ``jobs``, cache states and fused mode; every path
+    funnels through :func:`repro.pipeline.run_sweep`.
 
     Resilience controls pass straight through to the engine: ``run_dir``
     journals completed chunks (``resume=True`` skips them on a rerun,
     ``pack_shards`` stores them in a single ``shards.rpak`` pack),
     ``chunk_timeout``/``max_retries`` set the per-chunk deadline and
     retry budget, ``faults`` arms a deterministic
-    :class:`~repro.pipeline.faults.FaultPlan`, ``report`` receives a
-    filled :class:`~repro.pipeline.report.RunReport` and ``dispatch``
-    selects the resilient crew (default) or the plain pool baseline —
-    none of them change the merged rows.
+    :class:`~repro.pipeline.faults.FaultPlan` and ``report`` receives a
+    filled :class:`~repro.pipeline.report.RunReport` — none of them
+    change the merged rows.
     """
     from ..pipeline.engine import run_sweep
 
     return run_sweep(
         dataset, devices, best_only=best_only, formats=formats,
         seed=seed, jobs=jobs, cache_dir=cache_dir, progress=progress,
-        batch=batch, precision=precision, fused=fused,
+        precision=precision, fused=fused,
         run_dir=run_dir, resume=resume, pack_shards=pack_shards,
         faults=faults,
         chunk_timeout=chunk_timeout, max_retries=max_retries,
-        report=report, dispatch=dispatch,
+        report=report,
     )

@@ -7,9 +7,8 @@ protocol's deterministic folds, trains one
 :class:`~repro.ml.FormatSelector` per fold and evaluates it batched on
 the held-out slice.  Everything downstream of the sweep is pure
 book-keeping, so the result is a deterministic function of the spec:
-same seed, byte-identical result JSON — across ``jobs`` counts, cache
-states and batch modes (the sweep engines are row-identical by
-construction).
+same seed, byte-identical result JSON — across ``jobs`` counts and
+cache states (sweeps are row-identical by construction).
 
 Protocols
 ---------
@@ -190,15 +189,14 @@ def run_experiment(
     spec: ExperimentSpec,
     jobs: int = 1,
     cache_dir: Optional[str] = None,
-    batch: bool = True,
     progress: Optional[Callable[[int, int], None]] = None,
     table: Optional[SweepTable] = None,
 ) -> ExperimentResult:
     """Run one cross-validated selector experiment end-to-end.
 
-    ``jobs``/``cache_dir``/``batch`` tune the sweep engine only — they
-    never change the result (row-identical engines, bit-identical
-    batched selector scoring).  ``progress`` receives the sweep's
+    ``jobs``/``cache_dir`` tune the sweep engine only — they never
+    change the result (row-identical sweeps, bit-identical batched
+    selector scoring).  ``progress`` receives the sweep's
     (done, total) callbacks.
 
     ``table`` skips the sweep entirely and runs the protocol over a
@@ -233,7 +231,7 @@ def run_experiment(
         table = sweep(
             dataset, devices, best_only=False,
             formats=list(spec.formats) if spec.formats else None,
-            seed=spec.seed, jobs=jobs, cache_dir=cache_dir, batch=batch,
+            seed=spec.seed, jobs=jobs, cache_dir=cache_dir,
             precision=spec.precision, progress=progress,
         )
     if spec.protocol == "kfold":

@@ -2,9 +2,10 @@
 
 The pipeline industrialises the dataset sweep that every figure/table
 bench and the CLI run: :func:`run_sweep` partitions specs into chunks,
-executes them serially or across a self-healing worker crew (per-chunk
-deadlines, capped-backoff retries, pool-death detection, in-process
-degradation), and merges results deterministically;
+runs them through one chunk loop — in-process at ``jobs=1``, across a
+self-healing worker crew otherwise (per-chunk deadlines, capped-backoff
+retries, pool-death detection, in-process degradation) — and merges
+results deterministically;
 :class:`InstanceCache` content-keys each
 :class:`~repro.core.generator.MatrixSpec` and persists materialised
 instances (CSR arrays, features, row profiles, per-format statistics)

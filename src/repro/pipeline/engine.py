@@ -2,29 +2,23 @@
 
 :func:`run_sweep` is the dataset-scale execution engine behind
 :func:`repro.core.dataset.sweep`: it partitions spec indices into
-contiguous chunks, fans the chunks out over worker processes
-(``jobs=1`` stays fully in-process) and merges the per-chunk results
-back in index order.  Chunks are columnar
+contiguous chunks, runs them through one chunk loop — in-process at
+``jobs=1``, on a self-managed worker crew at ``jobs > 1`` — and merges
+the per-chunk results back in index order.  Chunks are columnar
 :class:`~repro.core.table.SweepTable` slices — workers ship typed
 column arrays, not dict lists — and the merge is
 :meth:`SweepTable.concat`, which preserves first-seen category order
 across chunk boundaries, so the merged table is row-for-row identical
-to a serial sweep regardless of ``jobs``, cache state, faults or
-resume history.
+regardless of ``jobs``, cache state, faults or resume history.
 
-Two dispatch modes execute the parallel chunks:
-
-* ``resilient`` (the default) — a self-managed worker crew with
-  per-chunk deadlines, capped exponential-backoff retries on respawned
-  workers, pool-death detection and graceful degradation: a chunk that
-  keeps failing is re-executed in-process serially, so one poisoned
-  chunk slows the sweep instead of aborting it.  Chunk execution is a
-  pure function of ``(dataset, bounds, args)``, so every retry and
-  fallback produces the same chunk table — the golden resilience suite
-  pins bit-identity under every injected-fault scenario.
-* ``pool`` — the plain ``multiprocessing.Pool`` path (the ≤5%%-overhead
-  baseline for ``benchmarks/bench_resilience.py``); it has no retry,
-  timeout or journal support and assumes a healthy pool.
+The crew has per-chunk deadlines, capped exponential-backoff retries
+on respawned workers, pool-death detection and graceful degradation: a
+chunk that keeps failing is re-executed in-process by the same function
+that runs every chunk at ``jobs=1``, so one poisoned chunk slows the
+sweep instead of aborting it.  Chunk execution is a pure function of
+``(dataset, bounds, args)``, so every retry and fallback produces the
+same chunk table — the golden resilience suite pins bit-identity under
+every injected-fault scenario.
 
 ``run_dir`` makes a run resumable: completed chunks are journalled with
 atomic table shards (:mod:`repro.pipeline.journal`) and
@@ -44,16 +38,16 @@ rematerialised, never trusted.
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
-import threading
 import time
 from collections import deque
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from ..core.dataset import (
-    Dataset, SweepTable, fused_spec_table, grid_spec_table, spec_rows,
+    Dataset, SweepTable, fused_spec_table, grid_spec_table,
 )
 from ..devices.base import Device
 from .cache import InstanceCache
@@ -67,14 +61,14 @@ __all__ = ["run_sweep", "resolve_jobs"]
 # large enough to amortise task dispatch.
 _CHUNKS_PER_JOB = 4
 
-# Serial chunk size: specs scored per vectorised grid evaluation when
-# ``jobs == 1`` — large enough to amortise the batch setup, small enough
-# for responsive progress reporting.
-_SERIAL_CHUNK = 16
+# Sub-chunk size: specs scored per vectorised grid evaluation — large
+# enough to amortise the batch setup, small enough for responsive
+# progress reporting.
+_SUB_CHUNK = 16
 
 # Resilient dispatch policy defaults.  Retries are per chunk, across all
 # incident kinds; after ``max_retries`` re-dispatches the chunk degrades
-# to an in-process serial re-execution.
+# to an in-process re-execution.
 _DEFAULT_MAX_RETRIES = 2
 _BACKOFF_BASE = 0.05   # seconds; doubled per retry of the same chunk
 _BACKOFF_CAP = 2.0
@@ -86,17 +80,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs is None or jobs <= 0:
         return max(os.cpu_count() or 1, 1)
     return jobs
-
-
-def resolve_dispatch(dispatch: Optional[str]) -> str:
-    """Normalise a dispatch request (``None`` → ``REPRO_DISPATCH`` env →
-    ``resilient``)."""
-    mode = dispatch or os.environ.get("REPRO_DISPATCH") or "resilient"
-    if mode not in ("resilient", "pool"):
-        raise ValueError(
-            f"unknown dispatch mode {mode!r}; available: resilient, pool"
-        )
-    return mode
 
 
 def _chunk_bounds(n: int, n_chunks: int) -> List[tuple]:
@@ -111,7 +94,7 @@ def _chunk_bounds(n: int, n_chunks: int) -> List[tuple]:
     return bounds
 
 
-def _sweep_range(
+def _chunk_table(
     dataset: Dataset,
     lo: int,
     hi: int,
@@ -120,123 +103,50 @@ def _sweep_range(
     formats,
     seed: int,
     cache: Optional[InstanceCache],
-    batch: bool = True,
-    precision: str = "fp64",
-    fused: bool = False,
+    precision: str,
+    fused: bool,
+    progress_put: Optional[Callable[[int], None]] = None,
 ) -> SweepTable:
-    """Columnar chunk table for specs ``lo..hi`` with cache write-back.
+    """Columnar table for specs ``lo..hi`` with cache write-back, scored
+    in ``_SUB_CHUNK``-sized vectorised grid passes.
 
-    With ``batch`` (the default) the chunk is scored in one vectorised
-    :func:`~repro.perfmodel.batch.simulate_grid` pass and the columns
-    are gathered straight from the grid arrays; the scalar loop stays
-    available as the reference engine (``batch=False``), its dict rows
-    lifted into the same table schema.  ``fused`` (batch only) skips
-    instances entirely — specs go straight to structure arrays and
-    batched analytic stats, and the instance cache is neither read nor
-    written (there is nothing materialised to persist).  All engines
-    produce identical tables — the grid and fused agreement suites
-    enforce it.
+    Each sub-chunk goes through one
+    :func:`~repro.perfmodel.batch.simulate_grid` pass and its columns are
+    gathered straight from the grid arrays.  ``fused`` skips instances
+    entirely — specs go straight to structure arrays and batched
+    analytic stats, and the instance cache is neither read nor written
+    (there is nothing materialised to persist).  Crew workers and the
+    in-process path share this function verbatim, so a chunk's table is
+    identical no matter where (or how many times) it executes.
     """
-    if fused:
-        return fused_spec_table(
-            dataset, lo, hi, devices,
-            best_only=best_only, formats=formats, seed=seed,
-            precision=precision,
-        )
-    if batch:
-        # Materialise the chunk once; scoring and cache write-back reuse
-        # these exact objects (a second dataset.instance() round-trip
-        # used to re-consult the cache layer per spec).
-        insts = [dataset.instance(i) for i in range(lo, hi)]
-        table = grid_spec_table(
-            dataset, lo, hi, devices,
-            best_only=best_only, formats=formats, seed=seed,
-            precision=precision, instances=insts,
-        )
-        if cache is not None:
-            # Store after scoring so the persisted entries carry the
-            # derived state (features, profiles, format stats) the grid
-            # evaluation just computed — warm sweeps reload it all.
-            for i, inst in zip(range(lo, hi), insts):
-                cache.store(dataset.specs[i], dataset.max_nnz, inst)
-        return table
-    rows: List[dict] = []
-    for i in range(lo, hi):
-        rows.extend(
-            spec_rows(
-                dataset, i, devices,
+    parts: List[SweepTable] = []
+    for sub_lo in range(lo, hi, _SUB_CHUNK):
+        sub_hi = min(sub_lo + _SUB_CHUNK, hi)
+        if fused:
+            part = fused_spec_table(
+                dataset, sub_lo, sub_hi, devices,
                 best_only=best_only, formats=formats, seed=seed,
                 precision=precision,
             )
-        )
-        if cache is not None:
-            cache.store(dataset.specs[i], dataset.max_nnz,
-                        dataset.instance(i))
-    if not rows:
-        return SweepTable({})
-    return SweepTable.from_rows(rows).with_constant("precision", precision)
-
-
-def _chunk_table(
-    dataset: Dataset,
-    lo: int,
-    hi: int,
-    devices,
-    best_only,
-    formats,
-    seed,
-    cache,
-    batch,
-    precision,
-    fused,
-    progress_put: Optional[Callable[[int], None]] = None,
-) -> SweepTable:
-    """One pool chunk scored in ``_SERIAL_CHUNK``-sized grid passes.
-
-    Shared verbatim by pool workers, resilient-crew workers and the
-    in-process degradation fallback, so a chunk's table is identical no
-    matter where (or how many times) it executes.
-    """
-    step = _SERIAL_CHUNK if batch else 1
-    parts: List[SweepTable] = []
-    for sub_lo in range(lo, hi, step):
-        sub_hi = min(sub_lo + step, hi)
-        parts.append(
-            _sweep_range(
-                dataset, sub_lo, sub_hi, devices, best_only,
-                formats, seed, cache, batch, precision, fused,
+        else:
+            # Materialise the sub-chunk once; scoring and cache
+            # write-back reuse these exact objects.
+            insts = [dataset.instance(i) for i in range(sub_lo, sub_hi)]
+            part = grid_spec_table(
+                dataset, sub_lo, sub_hi, devices,
+                best_only=best_only, formats=formats, seed=seed,
+                precision=precision, instances=insts,
             )
-        )
+            if cache is not None:
+                # Store after scoring so the persisted entries carry the
+                # derived state (features, profiles, format stats) the
+                # grid evaluation just computed — warm sweeps reload it.
+                for i, inst in zip(range(sub_lo, sub_hi), insts):
+                    cache.store(dataset.specs[i], dataset.max_nnz, inst)
+        parts.append(part)
         if progress_put is not None:
             progress_put(sub_hi - sub_lo)
     return parts[0] if len(parts) == 1 else SweepTable.concat(parts)
-
-
-# -- worker-side state (initialised once per pool process) ------------------
-_WORKER: dict = {}
-
-
-def _init_worker(specs, max_nnz, name, devices, best_only, formats, seed,
-                 cache_dir, batch, precision, fused,
-                 progress_queue=None) -> None:
-    cache = InstanceCache(cache_dir) if cache_dir else None
-    _WORKER["dataset"] = Dataset(
-        specs, max_nnz=max_nnz, name=name, cache=cache
-    )
-    _WORKER["args"] = (
-        devices, best_only, formats, seed, cache, batch, precision, fused
-    )
-    _WORKER["progress_queue"] = progress_queue
-
-
-def _run_chunk(task):
-    chunk_id, (lo, hi) = task
-    args = _WORKER["args"]
-    queue = _WORKER.get("progress_queue")
-    put = queue.put if queue is not None else None
-    table = _chunk_table(_WORKER["dataset"], lo, hi, *args,
-                         progress_put=put)
-    return chunk_id, table, hi - lo
 
 
 # -- resilient dispatch ------------------------------------------------------
@@ -246,11 +156,10 @@ def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
     send ``("ok", ...)``/``("error", ...)`` results (plus ``progress``
     ticks) back on a dedicated pipe.  ``None`` is the shutdown sentinel.
     """
-    _init_worker(*init_args)
-    dataset = _WORKER["dataset"]
-    args = _WORKER["args"]
-    cache = args[4]
-    cache_dir = init_args[7]
+    (specs, max_nnz, name, devices, best_only, formats, seed, cache_dir,
+     precision, fused) = init_args
+    cache = InstanceCache(cache_dir) if cache_dir else None
+    dataset = Dataset(specs, max_nnz=max_nnz, name=name, cache=cache)
     plan = FaultPlan.from_spec(fault_spec)
     while True:
         try:
@@ -276,7 +185,9 @@ def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
             if want_progress:
                 def put(count, _cid=chunk_id):
                     result_conn.send(("progress", _cid, count))
-            table = _chunk_table(dataset, lo, hi, *args, progress_put=put)
+            table = _chunk_table(dataset, lo, hi, devices, best_only,
+                                 formats, seed, cache, precision, fused,
+                                 progress_put=put)
             quarantined = cache.quarantined if cache is not None else 0
             result_conn.send(("ok", chunk_id, table, quarantined))
         except (KeyboardInterrupt, SystemExit):
@@ -400,7 +311,7 @@ class _ResilientDispatch:
 
     def __init__(self, ctx, jobs, init_args, plan, want_progress,
                  chunk_timeout, max_retries, report, meter,
-                 serial_fallback, on_chunk_done,
+                 run_local, on_chunk_done,
                  backoff_base=_BACKOFF_BASE, backoff_cap=_BACKOFF_CAP):
         self.ctx = ctx
         self.jobs = jobs
@@ -411,7 +322,7 @@ class _ResilientDispatch:
         self.max_retries = max_retries
         self.report = report
         self.meter = meter
-        self.serial_fallback = serial_fallback
+        self.run_local = run_local
         self.on_chunk_done = on_chunk_done
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
@@ -472,8 +383,8 @@ class _ResilientDispatch:
             pending.append(state)
 
     # -- message handling ------------------------------------------------
-    def _drain(self, worker: _CrewWorker, results: dict,
-               pending: deque, degraded: List[_ChunkState]) -> None:
+    def _drain(self, worker: _CrewWorker, pending: deque,
+               degraded: List[_ChunkState]) -> None:
         """Consume every buffered message from one worker's pipe."""
         while True:
             try:
@@ -487,14 +398,11 @@ class _ResilientDispatch:
                 _, chunk_id, count = message
                 self.meter.add(chunk_id, count)
             elif tag == "ok":
-                _, chunk_id, table, quarantined = message
+                _, _, table, quarantined = message
                 self._quarantine[worker.uid] = int(quarantined)
                 state = worker.chunk
                 worker.chunk = None
                 worker.deadline = None
-                results[chunk_id] = table
-                self.report.chunks_completed += 1
-                self.meter.complete(chunk_id)
                 self.on_chunk_done(state, table)
             elif worker.chunk is not None:
                 # "error": the worker caught a chunk exception and
@@ -503,8 +411,9 @@ class _ResilientDispatch:
                 self._fail(worker, "error", detail, pending, degraded)
 
     # -- main loop -------------------------------------------------------
-    def run(self, states: List[_ChunkState]) -> Dict[int, SweepTable]:
-        results: Dict[int, SweepTable] = {}
+    def run(self, states: List[_ChunkState]) -> None:
+        """Run ``states`` to completion; every finished chunk goes to
+        ``on_chunk_done``."""
         pending: deque = deque(sorted(states, key=lambda s: s.chunk_id))
         degraded: List[_ChunkState] = []
         try:
@@ -551,13 +460,13 @@ class _ResilientDispatch:
                 for conn in ready:
                     worker = by_conn.get(conn)
                     if worker is not None:
-                        self._drain(worker, results, pending, degraded)
+                        self._drain(worker, pending, degraded)
                 # Crash detection: an assigned worker that died mid-chunk.
                 # Buffered messages are drained first — the result may
                 # have made it out before the process died.
                 for worker in list(self.workers):
                     if worker.chunk is not None and not worker.alive():
-                        self._drain(worker, results, pending, degraded)
+                        self._drain(worker, pending, degraded)
                         if worker.chunk is not None:
                             self._fail(
                                 worker, "crash",
@@ -582,19 +491,14 @@ class _ResilientDispatch:
                             )
                             self._retire(worker)
             # Graceful degradation: chunks that failed every retry run
-            # in-process serially — same chunk function, same table.
+            # in-process — same chunk function, same table.
             if degraded:
                 with self.report.phase("degraded"):
                     for state in sorted(degraded,
                                         key=lambda s: s.chunk_id):
-                        table = self.serial_fallback(state)
-                        results[state.chunk_id] = table
-                        self.report.chunks_completed += 1
-                        self.meter.complete(state.chunk_id)
-                        self.on_chunk_done(state, table)
+                        self.on_chunk_done(state, self.run_local(state))
         finally:
             self.close()
-        return results
 
 
 def run_sweep(
@@ -607,7 +511,6 @@ def run_sweep(
     cache_dir: Optional[str] = None,
     cache: Optional[InstanceCache] = None,
     progress: Optional[Callable[[int, int], None]] = None,
-    batch: bool = True,
     precision: str = "fp64",
     fused: bool = False,
     run_dir: Optional[str] = None,
@@ -617,39 +520,36 @@ def run_sweep(
     chunk_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     report: Optional[RunReport] = None,
-    dispatch: Optional[str] = None,
 ) -> SweepTable:
     """Sharded, cached, fault-tolerant sweep (see module docstring).
 
     ``cache`` takes precedence over ``cache_dir``; with ``jobs != 1`` the
     cache must be directory-backed, so pass ``cache_dir`` (each worker
-    opens its own handle onto the shared directory).  ``batch`` routes
-    chunk scoring through the vectorised grid simulator (identical rows,
-    one NumPy pass per chunk); ``batch=False`` keeps the scalar loop.
-    ``fused`` (requires ``batch``) scores chunks straight from the specs
-    — structure generation, batched analytic stats and grid scoring in
-    one pass, with no instance materialisation and no cache traffic.
-    ``precision`` scores every cell at fp64 (default) or fp32 — the
-    experiment runner sweeps one precision slice at a time.
+    opens its own handle onto the shared directory).  ``fused`` scores
+    chunks straight from the specs — structure generation, batched
+    analytic stats and grid scoring in one pass, with no instance
+    materialisation and no cache traffic.  ``precision`` scores every
+    cell at fp64 (default) or fp32 — the experiment runner sweeps one
+    precision slice at a time.
 
-    Resilience controls (resilient dispatch only): ``run_dir`` journals
-    completed chunks for ``resume=True`` (``pack_shards`` stores them in
-    a single ``shards.rpak`` pack instead of one file per chunk; resume
-    always follows the layout journalled at create time, so the flag is
-    ignored when resuming); ``chunk_timeout`` is the
-    per-chunk deadline in seconds (``None`` → no deadline);
+    Resilience controls: ``run_dir`` journals completed chunks for
+    ``resume=True`` (``pack_shards`` stores them in a single
+    ``shards.rpak`` pack instead of one file per chunk; resume always
+    follows the layout journalled at create time, so the flag is
+    ignored when resuming); ``chunk_timeout`` is the per-chunk deadline
+    in seconds for crew workers (``None`` → no deadline);
     ``max_retries`` caps re-dispatches per chunk before the in-process
-    serial fallback; ``faults`` arms a deterministic
-    :class:`FaultPlan` (spec string or instance; default: the
-    ``REPRO_FAULTS`` environment variable); ``report`` is a
-    :class:`RunReport` filled in place.  ``dispatch`` selects
-    ``resilient`` (default, also via ``REPRO_DISPATCH``) or the plain
-    ``pool`` baseline.
+    fallback; ``faults`` arms a deterministic :class:`FaultPlan` (spec
+    string or instance; default: the ``REPRO_FAULTS`` environment
+    variable) — crew workers fire every kind, the in-process path only
+    ``stop``; ``report`` is a :class:`RunReport` filled in place.  A
+    ``pack_shards`` without ``run_dir``, a non-positive
+    ``chunk_timeout`` or a negative ``max_retries`` raises
+    :class:`ValueError` before any work starts.
 
-    ``progress`` fires monotonically as specs complete — per spec when
-    serial, per completed ``_SERIAL_CHUNK``-sized sub-chunk under
-    ``jobs > 1`` (and never goes backwards across retries); the callback
-    must tolerate being invoked from the dispatch loop.
+    ``progress`` fires monotonically as specs complete — per completed
+    ``_SUB_CHUNK``-sized sub-chunk, and never backwards across retries;
+    the callback must tolerate being invoked from the dispatch loop.
     """
     rep = report if report is not None else RunReport()
     journal_holder: List[Optional[RunJournal]] = [None]
@@ -657,9 +557,9 @@ def run_sweep(
         with rep.phase("total"):
             table = _run_sweep_inner(
                 dataset, devices, best_only, formats, seed, jobs,
-                cache_dir, cache, progress, batch, precision, fused,
+                cache_dir, cache, progress, precision, fused,
                 run_dir, resume, pack_shards, faults, chunk_timeout,
-                max_retries, rep, dispatch, journal_holder,
+                max_retries, rep, journal_holder,
             )
         rep.status = "complete"
         if journal_holder[0] is not None:
@@ -679,17 +579,28 @@ def run_sweep(
 
 def _run_sweep_inner(
     dataset, devices, best_only, formats, seed, jobs, cache_dir, cache,
-    progress, batch, precision, fused, run_dir, resume, pack_shards,
-    faults, chunk_timeout, max_retries, rep, dispatch, journal_holder,
+    progress, precision, fused, run_dir, resume, pack_shards, faults,
+    chunk_timeout, max_retries, rep, journal_holder,
 ) -> SweepTable:
-    if fused and not batch:
-        raise ValueError("fused sweeps require batch=True")
-    n = len(dataset)
-    jobs = resolve_jobs(jobs)
-    jobs = min(jobs, max(n, 1))
-    dispatch = resolve_dispatch(dispatch)
+    if resume and run_dir is None:
+        raise ValueError("resume=True requires run_dir")
+    if pack_shards and run_dir is None:
+        raise ValueError(
+            "pack_shards (--pack-shards) requires run_dir (--run-dir)"
+        )
+    if chunk_timeout is not None and not chunk_timeout > 0:
+        raise ValueError(
+            "chunk_timeout (--chunk-timeout) must be a positive number "
+            f"of seconds, got {chunk_timeout}"
+        )
     if max_retries is None:
         max_retries = _DEFAULT_MAX_RETRIES
+    elif max_retries < 0:
+        raise ValueError(
+            f"max_retries (--max-retries) must be >= 0, got {max_retries}"
+        )
+    n = len(dataset)
+    jobs = min(resolve_jobs(jobs), max(n, 1))
     if cache is None and cache_dir is not None:
         cache = InstanceCache(cache_dir)
     if isinstance(faults, FaultPlan):
@@ -698,19 +609,10 @@ def _run_sweep_inner(
         plan = FaultPlan.from_spec(
             faults or os.environ.get("REPRO_FAULTS")
         )
-    if dispatch == "pool" and (run_dir is not None or plan is not None
-                               or chunk_timeout is not None):
-        raise ValueError(
-            "dispatch='pool' is the plain baseline: it supports no "
-            "run_dir/resume, faults or chunk_timeout — use the default "
-            "resilient dispatch"
-        )
-    if resume and run_dir is None:
-        raise ValueError("resume=True requires run_dir")
     rep.engine = {
-        "dispatch": dispatch, "jobs": jobs, "batch": bool(batch),
-        "fused": bool(fused), "precision": precision, "n_specs": n,
-        "max_retries": max_retries, "chunk_timeout": chunk_timeout,
+        "jobs": jobs, "fused": bool(fused), "precision": precision,
+        "n_specs": n, "max_retries": max_retries,
+        "chunk_timeout": chunk_timeout,
         "journalled": run_dir is not None, "resumed": bool(resume),
         "shards": (
             None if run_dir is None
@@ -718,13 +620,13 @@ def _run_sweep_inner(
         ),
     }
 
-    # -- journal / resume ------------------------------------------------
+    # -- chunk bounds: journalled on resume, fresh otherwise -------------
     journal: Optional[RunJournal] = None
     completed: Dict[int, SweepTable] = {}
-    bounds: Optional[List[tuple]] = None
+    bounds = _chunk_bounds(n, jobs * _CHUNKS_PER_JOB)
     if run_dir is not None:
         config = sweep_config(dataset, devices, best_only, formats, seed,
-                              precision, batch, fused)
+                              precision, fused)
         if resume:
             journal = RunJournal.load(run_dir)
             journal.check_config(config)
@@ -734,14 +636,28 @@ def _run_sweep_inner(
                 completed = journal.completed_chunks()
             rep.chunks_resumed = len(completed)
         else:
-            bounds = _chunk_bounds(n, jobs * _CHUNKS_PER_JOB)
             journal = RunJournal.create(
                 run_dir, config, bounds,
                 shard_store="pack" if pack_shards else "dir",
             )
         journal_holder[0] = journal
+    rep.chunks_total = len(bounds)
+    states = [
+        _ChunkState(chunk_id, lo, hi)
+        for chunk_id, (lo, hi) in enumerate(bounds)
+        if chunk_id not in completed
+    ]
+    base = sum(hi - lo for cid, (lo, hi) in enumerate(bounds)
+               if cid in completed)
+    meter = _ProgressMeter({s.chunk_id: s.size for s in states}, n, base,
+                           progress)
+    results: Dict[int, SweepTable] = dict(completed)
 
     def on_chunk_done(state: _ChunkState, table: SweepTable) -> None:
+        """Every finished chunk, wherever it ran, lands here."""
+        results[state.chunk_id] = table
+        rep.chunks_completed += 1
+        meter.complete(state.chunk_id)
         if journal is not None:
             journal.write_shard(state.chunk_id, table)
             journal.record_chunk(
@@ -752,115 +668,50 @@ def _run_sweep_inner(
                 f"injected stop after chunk {state.chunk_id}"
             )
 
-    # -- serial ----------------------------------------------------------
-    if jobs == 1 or n == 0:
-        serial_dataset = dataset
-        if cache is not None and dataset.cache is None and not fused:
-            # Attach the cache for reads without mutating the caller's
-            # dataset; instances shared through the cache's memory layer.
-            serial_dataset = Dataset(
-                dataset.specs, max_nnz=dataset.max_nnz,
-                name=dataset.name, cache=cache,
-            )
-        if journal is None:
-            chunks: List[SweepTable] = []
-            step = _SERIAL_CHUNK if batch else 1
-            rep.chunks_total = max((n + step - 1) // step, 0)
-            for lo in range(0, n, step):
-                hi = min(lo + step, n)
-                chunks.append(
-                    _sweep_range(
-                        serial_dataset, lo, hi, devices, best_only,
-                        formats, seed, cache, batch, precision, fused,
-                    )
-                )
-                rep.chunks_completed += 1
-                if progress is not None:
-                    # Per-spec callbacks (the documented granularity),
-                    # fired once the chunk they belong to is scored.
-                    for i in range(lo, hi):
-                        progress(i + 1, n)
-            if cache is not None:
-                rep.cache_quarantined += cache.quarantined
-            return SweepTable.concat(chunks)
-        # Journalled serial run: execute at the journalled chunk
-        # granularity so shards/resume are jobs-independent.
-        rep.chunks_total = len(bounds)
-        done = 0
-        tables: List[SweepTable] = []
-        for chunk_id, (lo, hi) in enumerate(bounds):
-            if chunk_id in completed:
-                tables.append(completed[chunk_id])
+    local = dataset
+    if cache is not None and dataset.cache is None:
+        # Attach the cache for reads without mutating the caller's
+        # dataset, whose instances stay shared across its sweeps.
+        local = Dataset(dataset.specs, max_nnz=dataset.max_nnz,
+                        name=dataset.name, cache=cache)
+
+    def run_local(state: _ChunkState) -> SweepTable:
+        return _chunk_table(
+            local, state.lo, state.hi, devices, best_only, formats, seed,
+            cache, precision, fused,
+            progress_put=functools.partial(meter.add, state.chunk_id),
+        )
+
+    try:
+        with rep.phase("dispatch"):
+            if jobs == 1:
+                for state in states:
+                    on_chunk_done(state, run_local(state))
             else:
-                state = _ChunkState(chunk_id, lo, hi)
-                table = _chunk_table(
-                    serial_dataset, lo, hi, devices, best_only, formats,
-                    seed, cache, batch, precision, fused,
+                if cache is not None and cache_dir is None:
+                    cache_dir = str(cache.root)
+                # ``fork`` keeps start-up cheap where available; ``spawn``
+                # elsewhere.
+                methods = multiprocessing.get_all_start_methods()
+                ctx = multiprocessing.get_context(
+                    "fork" if "fork" in methods else "spawn"
                 )
-                rep.chunks_completed += 1
-                tables.append(table)
-                on_chunk_done(state, table)
-            done += hi - lo
-            if progress is not None:
-                progress(done, n)
+                init_args = (
+                    dataset.specs, dataset.max_nnz, dataset.name,
+                    list(devices), best_only, formats, seed, cache_dir,
+                    precision, fused,
+                )
+                _ResilientDispatch(
+                    ctx, jobs, init_args, plan, progress is not None,
+                    chunk_timeout, max_retries, rep, meter, run_local,
+                    on_chunk_done,
+                ).run(states)
+    finally:
+        # The parent handle serves the in-process path and degraded crew
+        # chunks; crew workers report their own counts.
         if cache is not None:
             rep.cache_quarantined += cache.quarantined
-        return SweepTable.concat(tables)
 
-    # -- parallel --------------------------------------------------------
-    if cache is not None and cache_dir is None:
-        cache_dir = str(cache.root)
-    if bounds is None:
-        bounds = _chunk_bounds(n, jobs * _CHUNKS_PER_JOB)
-    rep.chunks_total = len(bounds)
-
-    # ``fork`` keeps start-up cheap where available; ``spawn`` elsewhere.
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn"
-    )
-    init_args = (
-        dataset.specs, dataset.max_nnz, dataset.name, list(devices),
-        best_only, formats, seed, cache_dir, batch, precision, fused,
-    )
-    states = [
-        _ChunkState(chunk_id, lo, hi)
-        for chunk_id, (lo, hi) in enumerate(bounds)
-        if chunk_id not in completed
-    ]
-
-    if dispatch == "pool":
-        results = _run_pool(ctx, jobs, init_args, bounds, progress, n)
-    else:
-        sizes = {s.chunk_id: s.size for s in states}
-        base = sum(hi - lo for cid, (lo, hi) in enumerate(bounds)
-                   if cid in completed)
-        meter = _ProgressMeter(sizes, n, base, progress)
-
-        fallback_dataset: List[Optional[Dataset]] = [None]
-
-        def serial_fallback(state: _ChunkState) -> SweepTable:
-            if fallback_dataset[0] is None:
-                fallback_dataset[0] = Dataset(
-                    dataset.specs, max_nnz=dataset.max_nnz,
-                    name=dataset.name,
-                    cache=cache if not fused else None,
-                )
-            return _chunk_table(
-                fallback_dataset[0], state.lo, state.hi, devices,
-                best_only, formats, seed,
-                cache if not fused else None, batch, precision, fused,
-            )
-
-        crew = _ResilientDispatch(
-            ctx, jobs, init_args, plan, progress is not None,
-            chunk_timeout, max_retries, rep, meter, serial_fallback,
-            on_chunk_done,
-        )
-        with rep.phase("dispatch"):
-            results = crew.run(states)
-
-    results.update(completed)
     missing = [cid for cid in range(len(bounds)) if cid not in results]
     if missing:
         raise ChunkFailedError(
@@ -871,51 +722,3 @@ def _run_sweep_inner(
         return SweepTable.concat(
             [results[chunk_id] for chunk_id in sorted(results)]
         )
-
-
-def _run_pool(ctx, jobs, init_args, bounds, progress, n) -> dict:
-    """The plain ``multiprocessing.Pool`` baseline dispatch.
-
-    No retries, deadlines or journal — but teardown is unconditional:
-    the pool is terminated and joined and the progress drain thread is
-    unblocked by its sentinel in a ``finally``, so a worker exception or
-    Ctrl-C never leaves a zombie pool or a dangling thread behind.
-    """
-    progress_queue = ctx.Queue() if progress is not None else None
-    pool_init_args = init_args + (progress_queue,)
-
-    drainer = None
-    if progress_queue is not None:
-        def _drain() -> None:
-            # Exits when every spec is accounted for; the ``None``
-            # sentinel unblocks it on abnormal shutdown.
-            done = 0
-            while done < n:
-                count = progress_queue.get()
-                if count is None:
-                    return
-                done += count
-                progress(done, n)
-
-        drainer = threading.Thread(target=_drain, daemon=True)
-        drainer.start()
-
-    results: dict = {}
-    pool = ctx.Pool(processes=jobs, initializer=_init_worker,
-                    initargs=pool_init_args)
-    try:
-        for chunk_id, chunk, _count in pool.imap_unordered(
-            _run_chunk, list(enumerate(bounds))
-        ):
-            results[chunk_id] = chunk
-    finally:
-        # Unconditional teardown: terminate + join reaps every worker
-        # even when imap raised (worker exception, Ctrl-C), and the
-        # sentinel releases the drain thread before we join it.
-        pool.terminate()
-        pool.join()
-        if progress_queue is not None:
-            progress_queue.put(None)
-            drainer.join()
-            progress_queue.close()
-    return results

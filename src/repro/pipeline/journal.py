@@ -61,13 +61,13 @@ SHARD_STORES = ("dir", "pack")
 
 
 def sweep_config(dataset, devices, best_only, formats, seed, precision,
-                 batch, fused) -> dict:
+                 fused) -> dict:
     """The configuration fingerprint journalled with a run.
 
     Everything that changes the merged table is in here (specs via their
     content keys, devices, seed, precision, engine mode); everything
-    proven not to (jobs, cache state, dispatch mode) is not, so a run
-    can be resumed with different parallelism on a different machine.
+    proven not to (jobs, cache state) is not, so a run can be resumed
+    with different parallelism on a different machine.
     """
     digest = hashlib.sha256()
     for spec in dataset.specs:
@@ -83,7 +83,9 @@ def sweep_config(dataset, devices, best_only, formats, seed, precision,
         "formats": list(formats) if formats else None,
         "seed": int(seed),
         "precision": precision,
-        "batch": bool(batch),
+        # Always true; kept so run dirs journalled when it could vary
+        # still pass the resume check.
+        "batch": True,
         "fused": bool(fused),
     }
 

@@ -88,7 +88,6 @@ class TestDeterminism:
         spec = ExperimentSpec(devices=("INTEL-XEON",), n_splits=2, **SMOKE)
         reference = run_experiment(spec).to_json()
         assert run_experiment(spec, jobs=2).to_json() == reference
-        assert run_experiment(spec, batch=False).to_json() == reference
         cache = str(tmp_path / "cache")
         assert run_experiment(spec, cache_dir=cache).to_json() == reference
         # warm cache

@@ -12,7 +12,7 @@ the exact coordinates.
 import numpy as np
 import pytest
 
-from repro.core.dataset import Dataset, grid_spec_rows, spec_rows, sweep
+from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
@@ -30,6 +30,8 @@ from repro.perfmodel.batch import (
     STATUS_OK,
 )
 from repro.perfmodel.simulator import BOTTLENECKS
+
+from tests.oracles.sweep import grid_spec_rows, scalar_sweep, spec_rows
 
 PRECISIONS = ("fp64", "fp32")
 DEVICES = list(TESTBEDS.values())
@@ -214,8 +216,8 @@ def test_grid_rows_schema_and_order(grid):
 
 class TestSweepEngines:
     """The pipeline's batched chunk scoring is row-for-row identical to
-    the scalar spec_rows reference — the property that lets the batch
-    path be the default engine."""
+    the scalar ``spec_rows`` reference in ``tests/oracles/sweep.py`` —
+    the property that lets the grid path be the only sweep engine."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
@@ -238,8 +240,8 @@ class TestSweepEngines:
 
     def test_sweep_batch_equals_scalar_engine(self, dataset):
         devices = [TESTBEDS["INTEL-XEON"]]
-        batch = sweep(dataset, devices, batch=True)
-        scalar = sweep(dataset, devices, batch=False)
+        batch = sweep(dataset, devices)
+        scalar = scalar_sweep(dataset, devices)
         assert batch.rows == scalar.rows
 
 

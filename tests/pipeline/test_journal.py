@@ -24,8 +24,7 @@ def dataset(specs=None):
 
 def config(**overrides):
     kwargs = dict(dataset=dataset(), devices=DEVICES, best_only=True,
-                  formats=None, seed=0, precision="fp64", batch=True,
-                  fused=False)
+                  formats=None, seed=0, precision="fp64", fused=False)
     kwargs.update(overrides)
     return sweep_config(**kwargs)
 
@@ -47,9 +46,15 @@ class TestConfigFingerprint:
                 != base["dataset_sha"])
 
     def test_parallelism_knobs_are_not_fingerprinted(self):
-        # jobs / cache / dispatch are proven not to change the table, so
-        # a run may be resumed with different parallelism elsewhere.
+        # jobs / cache are proven not to change the table, so a run may
+        # be resumed with different parallelism elsewhere.
         assert {"jobs", "cache_dir", "dispatch"} & set(config()) == set()
+
+
+    def test_batch_key_kept_for_older_journals(self):
+        # Run dirs journalled when ``batch`` was a knob resume only if the
+        # fingerprint still carries it.
+        assert config()["batch"] is True
 
 
 class TestJournalLifecycle:

@@ -220,7 +220,7 @@ class TestConcurrentQuarantine:
 class TestPackShards:
     def config(self):
         return sweep_config(
-            dataset(), DEVICES, True, None, 0, "fp64", True, False
+            dataset(), DEVICES, True, None, 0, "fp64", False
         )
 
     def test_journalled_pack_sweep_and_resume(self, golden_and_packed_cache,

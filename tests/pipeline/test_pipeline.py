@@ -16,6 +16,8 @@ from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
 from repro.pipeline import InstanceCache, run_sweep, resolve_jobs, spec_key
 
+from tests.oracles.sweep import scalar_sweep
+
 DEVICES = [TESTBEDS["AMD-EPYC-24"], TESTBEDS["Tesla-A100"]]
 MAX_NNZ = 6_000
 
@@ -63,15 +65,15 @@ class TestParallelDeterminism:
         assert par.rows == serial_table.rows
 
     def test_precision_threads_through_every_engine(self, serial_table):
-        """``precision`` reaches the scalar and batched paths in serial
-        and parallel runs alike — identical rows, different from fp64."""
+        """``precision`` reaches the in-process and crew paths alike and
+        matches the scalar oracle — identical rows, different from fp64."""
         fp32 = sweep(tiny_dataset(), DEVICES, precision="fp32")
         assert fp32.rows != serial_table.rows
         assert sweep(
             tiny_dataset(), DEVICES, precision="fp32", jobs=2
         ).rows == fp32.rows
-        assert sweep(
-            tiny_dataset(), DEVICES, precision="fp32", batch=False
+        assert scalar_sweep(
+            tiny_dataset(), DEVICES, precision="fp32"
         ).rows == fp32.rows
 
     def test_progress_reports_monotonic_totals(self):

@@ -91,3 +91,21 @@ class TestQuarantine:
         assert_bit_identical(table, golden)
         assert rep.cache_quarantined >= 1
         assert list((cache_dir / "quarantine").iterdir())
+
+    def test_degraded_chunk_quarantine_counted(self, golden_and_warm_cache,
+                                               tmp_path):
+        """A chunk that exhausts its retries re-runs in-process; the
+        corrupt entry it meets there is quarantined by the parent's cache
+        handle, and that count reaches the RunReport too."""
+        golden, warm = golden_and_warm_cache
+        cache_dir = tmp_path / "cache"
+        shutil.copytree(warm, cache_dir)
+        rep = RunReport()
+        table = run_sweep(dataset(), DEVICES, jobs=2,
+                          faults="corrupt@0,error@0x*;seed=3",
+                          max_retries=1, cache_dir=str(cache_dir),
+                          report=rep)
+        assert_bit_identical(table, golden)
+        assert rep.chunks_degraded == [0]
+        assert len(list((cache_dir / "quarantine").iterdir())) == 2
+        assert rep.cache_quarantined == 1

@@ -25,8 +25,8 @@ from repro.devices import TESTBEDS
 from repro.pipeline import (
     FaultPlan, ResumeError, RunJournal, RunReport, run_sweep,
 )
-from repro.pipeline.engine import resolve_dispatch
 
+from tests.oracles.dispatch import pool_sweep
 from tests.pipeline.golden import assert_bit_identical
 
 DEVICES = [TESTBEDS["Tesla-A100"]]
@@ -138,6 +138,25 @@ class TestResume:
                           resume=True)
         assert_bit_identical(table, golden)
 
+    def test_serial_stop_then_parallel_resume(self, golden, tmp_path):
+        run_dir = tmp_path / "run"
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(dataset(), DEVICES, jobs=1, run_dir=run_dir,
+                      faults="stop@1")
+        journal = RunJournal.load(run_dir)
+        assert journal.ended == "interrupted"
+        assert sorted(journal.completed_chunks()) == [0, 1]
+        rep = RunReport()
+        table = run_sweep(dataset(), DEVICES, jobs=2, run_dir=run_dir,
+                          resume=True, report=rep)
+        assert_bit_identical(table, golden)
+        assert rep.chunks_resumed == 2
+        assert rep.chunks_completed == rep.chunks_total - 2
+
+    def test_stop_fault_fires_without_journal(self):
+        with pytest.raises(KeyboardInterrupt):
+            run_sweep(dataset(), DEVICES, faults="stop@0")
+
     def test_fresh_journalled_serial_run(self, golden, tmp_path):
         rep = RunReport()
         table = run_sweep(dataset(), DEVICES, jobs=1,
@@ -184,7 +203,6 @@ class TestResume:
         src = str(Path(repro.__file__).resolve().parents[1])
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         env.pop("REPRO_FAULTS", None)
-        env.pop("REPRO_DISPATCH", None)
         proc = subprocess.Popen(
             [sys.executable, "-c", script, str(run_dir)],
             env=env, start_new_session=True,
@@ -218,28 +236,30 @@ class TestResume:
 
 class TestDispatchModes:
     def test_pool_baseline_parity(self, golden):
+        assert_bit_identical(pool_sweep(dataset(), DEVICES, jobs=2),
+                             golden)
+
+
+class TestBadArguments:
+    """Bad resilience controls fail before any work starts."""
+
+    @pytest.mark.parametrize("kwargs, flag", [
+        ({"pack_shards": True}, "pack_shards"),
+        ({"chunk_timeout": 0}, "chunk_timeout"),
+        ({"chunk_timeout": -1.0}, "chunk_timeout"),
+        ({"chunk_timeout": float("nan")}, "chunk_timeout"),
+        ({"max_retries": -1}, "max_retries"),
+    ])
+    def test_rejected_before_work(self, tmp_path, kwargs, flag):
+        cache_dir, run_dir = tmp_path / "cache", tmp_path / "run"
+        if not kwargs.get("pack_shards"):
+            kwargs = {**kwargs, "run_dir": run_dir}
         rep = RunReport()
-        table = run_sweep(dataset(), DEVICES, jobs=2, dispatch="pool",
-                          report=rep)
-        assert_bit_identical(table, golden)
-        assert rep.engine["dispatch"] == "pool"
-
-    def test_pool_rejects_resilience_controls(self, tmp_path):
-        for kwargs in ({"run_dir": tmp_path / "r"},
-                       {"faults": "crash@0"},
-                       {"chunk_timeout": 5.0}):
-            with pytest.raises(ValueError, match="pool"):
-                run_sweep(dataset(), DEVICES, jobs=2, dispatch="pool",
-                          **kwargs)
-
-    def test_resolve_dispatch(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DISPATCH", raising=False)
-        assert resolve_dispatch(None) == "resilient"
-        assert resolve_dispatch("pool") == "pool"
-        monkeypatch.setenv("REPRO_DISPATCH", "pool")
-        assert resolve_dispatch(None) == "pool"
-        with pytest.raises(ValueError, match="dispatch"):
-            resolve_dispatch("carrier-pigeon")
+        with pytest.raises(ValueError, match=flag):
+            run_sweep(dataset(), DEVICES, jobs=2, cache_dir=str(cache_dir),
+                      report=rep, **kwargs)
+        assert rep.chunks_completed == 0
+        assert not cache_dir.exists() and not run_dir.exists()
 
 
 class TestRunReport:

@@ -101,17 +101,22 @@ class TestBadArguments:
         assert rc == 2
         assert "already exists" in capsys.readouterr().err
 
-    def test_pool_dispatch_rejects_faults(self, tmp_path, capsys):
-        rc = main(BASE + ["--jobs", "2", "--dispatch", "pool",
-                          "--faults", "crash@0",
-                          "--out", str(tmp_path / "t.npz")])
-        assert rc == 2
-        assert "pool" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, flags", [
+        ("--pack-shards", ["--pack-shards"]),
+        ("--chunk-timeout", ["--jobs", "2", "--chunk-timeout", "-1"]),
+        ("--max-retries", ["--max-retries", "-1"]),
+    ])
+    def test_bad_resilience_control_exits_2(self, tmp_path, capsys, flag,
+                                            flags):
+        out = tmp_path / "t.npz"
+        assert main(BASE + flags + ["--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
-
-class TestDispatchFlag:
-    def test_pool_dispatch_parity(self, tmp_path, clean_table):
-        out = tmp_path / "pool.npz"
-        assert main(BASE + ["--jobs", "2", "--dispatch", "pool",
-                            "--out", str(out)]) == 0
-        assert_bit_identical(SweepTable.from_npz(out), clean_table)
+    @pytest.mark.parametrize("flags", [
+        ["--no-batch"], ["--batch"], ["--dispatch", "pool"],
+    ])
+    def test_engine_selection_flags_are_unknown(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(BASE + flags + ["--out", str(tmp_path / "t.npz")])
+        assert exc.value.code == 2

@@ -2,9 +2,9 @@
 
 The whole chain — dataset materialisation, grid scoring, selector
 training, batched evaluation — must produce *identical* results across
-every execution engine: serial vs parallel sweeps, batched vs scalar
-grid scoring, analytic vs materialised format stats, batched vs scalar
-selector evaluation.  Any drift in any layer shows up here as a
+every execution engine: serial vs parallel sweeps, grid scoring vs the
+scalar sweep oracle, analytic vs materialised format stats, batched vs
+scalar selector evaluation.  Any drift in any layer shows up here as a
 field-level diff of the SelectionReport (and of the raw measurement
 rows, checked first for a sharper failure signal).
 """
@@ -16,6 +16,8 @@ from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.ml import FormatSelector, KNeighborsRegressor
+
+from tests.oracles.sweep import scalar_sweep
 
 N_SPECS = 8
 MAX_NNZ = 20_000
@@ -29,7 +31,7 @@ def _dataset():
     )
 
 
-def _chain(jobs=1, batch=True, stats_engine="analytic", eval_batch=True,
+def _chain(jobs=1, scalar=False, stats_engine="analytic", eval_batch=True,
            cache_dir=None):
     """One full sweep -> fit -> evaluate pass; returns (rows, report)."""
     from repro.perfmodel.instance import MatrixInstance
@@ -42,10 +44,14 @@ def _chain(jobs=1, batch=True, stats_engine="analytic", eval_batch=True,
         assert jobs == 1
         for i in range(len(dataset)):
             dataset.instance(i).stats_engine = stats_engine
-    table = sweep(
-        dataset, [TESTBEDS[DEVICE]], best_only=False, seed=0,
-        jobs=jobs, batch=batch, cache_dir=cache_dir,
-    )
+    if scalar:
+        table = scalar_sweep(dataset, [TESTBEDS[DEVICE]], best_only=False,
+                             seed=0)
+    else:
+        table = sweep(
+            dataset, [TESTBEDS[DEVICE]], best_only=False, seed=0,
+            jobs=jobs, cache_dir=cache_dir,
+        )
     rows = table.rows
     names = sorted({r["matrix"] for r in rows})
     train = [r for r in rows if r["matrix"] in names[: N_SPECS // 2]]
@@ -88,7 +94,7 @@ class TestGoldenChain:
         assert report == golden[1]
 
     def test_scalar_grid_matches_batched(self, golden):
-        rows, report = _chain(batch=False)
+        rows, report = _chain(scalar=True)
         assert rows == golden[0]
         assert report == golden[1]
 
@@ -113,7 +119,6 @@ class TestGoldenExperiment:
         )
         reference = run_experiment(spec).to_json()
         assert run_experiment(spec, jobs=2).to_json() == reference
-        assert run_experiment(spec, batch=False).to_json() == reference
         cache = str(tmp_path / "cache")
         assert run_experiment(spec, cache_dir=cache).to_json() == reference
         assert run_experiment(spec, cache_dir=cache).to_json() == reference
