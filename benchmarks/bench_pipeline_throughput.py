@@ -1,12 +1,15 @@
-"""Pipeline throughput — cold/fused/warm sweeps, generator engines.
+"""Pipeline throughput — cold/default/warm sweeps, generator engines.
 
-Times the sweep execution engine end-to-end (cold materialisation vs
-the fused spec-to-grid path vs a warm on-disk instance cache, at
-``REPRO_JOBS`` workers) and the three matrix-generation engines at ~1M
-nnz, then writes the numbers to
+Times the sweep execution engine end-to-end — the instance cold path
+(the oracle in ``tests/oracles/sweep.py``: materialise every instance,
+then score) vs the default sweep path (fused spec-to-grid scoring,
+writing the record cache) vs a warm re-sweep from those records, all
+in-process so the ratios compare engines, not parallelism — and the
+three matrix-generation engines at ~1M nnz, then writes the numbers to
 ``benchmarks/results/BENCH_pipeline.json`` (mirrored to the repo-root
 ``BENCH_pipeline.json`` snapshot) so the repo's performance trajectory
-is machine-readable run over run.
+is machine-readable run over run.  The JSON keys keep their names:
+``cold`` is the instance oracle and ``fused`` the default path.
 
 Sweeps are seconds-long single-shot workloads, so this bench times them
 directly with ``perf_counter`` instead of pytest-benchmark's repeat loop;
@@ -15,7 +18,9 @@ warm and serial-reference runs (speed must not change results).
 """
 
 import json
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,15 +29,19 @@ from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import artificial_matrix_generation
 from repro.devices import TESTBEDS
 
-from conftest import JOBS, MAX_NNZ, RESULTS_DIR, SCALE, emit
+from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
+
+sys.path.append(str(Path(__file__).resolve().parent.parent))
+from tests.oracles.sweep import instance_sweep  # noqa: E402
 
 BENCH_PATH = RESULTS_DIR / "BENCH_pipeline.json"
 # Committed snapshot at the repo root (also a CI artifact).
 ROOT_BENCH_PATH = RESULTS_DIR.parent.parent / "BENCH_pipeline.json"
 
-# Acceptance floor: the fused spec-to-grid path must beat cold
-# instance materialisation by at least this factor.  The measured
-# speedup on the tiny preset is ~2x; the floor keeps noise margin.
+# Acceptance floor: the default (fused spec-to-grid) path, record
+# write-back included, must beat cold instance materialisation by at
+# least this factor.  The measured speedup on the tiny preset is ~2x;
+# the floor keeps noise margin.
 # A larger floor is structurally impossible while staying
 # bit-identical: the fused path is already dominated by work the cold
 # path shares one-for-one (representative structure generation,
@@ -59,7 +68,7 @@ def results():
     payload = {
         "scale": SCALE,
         "max_nnz": MAX_NNZ,
-        "jobs": JOBS,
+        "jobs": 1,
         **acc,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
@@ -72,10 +81,11 @@ def _specs():
 
 
 def test_sweep_cold_vs_warm(results, tmp_path_factory):
-    """Cold sweep materialises everything; fused skips instances; warm
-    reloads materialised state from disk.
+    """The instance oracle materialises everything; the default path
+    skips instances and writes scoring records; warm re-sweeps score
+    from those records.
 
-    The three engines run interleaved per ~30-spec slice: on shared
+    The three legs run interleaved per ~30-spec slice: on shared
     hosts the machine's speed drifts by 2-3x over minutes, so
     back-to-back whole-dataset legs compare different machines —
     adjacent slices compare the same one.
@@ -92,27 +102,29 @@ def test_sweep_cold_vs_warm(results, tmp_path_factory):
     for lo in range(0, n, chunk):
         sub = specs[lo:lo + chunk]
 
-        def timed_sweep(cache=None, fused=False):
+        def timed_sweep(run):
             ds = Dataset(sub, max_nnz=MAX_NNZ, name=f"{SCALE}:{lo}")
             t0 = time.perf_counter()
-            table = sweep(ds, SWEEP_DEVICES, jobs=JOBS, cache_dir=cache,
-                          fused=fused)
+            table = run(ds)
             return time.perf_counter() - t0, table
 
-        t, table = timed_sweep(cache=cache_dir)
+        t, table = timed_sweep(
+            lambda ds: instance_sweep(ds, SWEEP_DEVICES))
         t_cold += t
         cold_rows.extend(table.rows)
-        t, table = timed_sweep(fused=True)
+        t, table = timed_sweep(
+            lambda ds: sweep(ds, SWEEP_DEVICES, cache_dir=cache_dir))
         t_fused += t
         fused_rows.extend(table.rows)
-        # The cold leg of this slice just populated the cache.
-        t, table = timed_sweep(cache=cache_dir)
+        # The default leg of this slice just wrote its records.
+        t, table = timed_sweep(
+            lambda ds: sweep(ds, SWEEP_DEVICES, cache_dir=cache_dir))
         t_warm += t
         warm_rows.extend(table.rows)
 
     # (Row-identity of cached/parallel vs serial-reference sweeps is
     # asserted by the tier-1 pipeline tests; the bench only re-checks that
-    # fused and warm output match cold.)
+    # default and warm output match the instance oracle.)
     assert fused_rows == cold_rows
     assert warm_rows == cold_rows
 
@@ -131,11 +143,14 @@ def test_sweep_cold_vs_warm(results, tmp_path_factory):
     emit(
         "pipeline_sweep_throughput",
         f"sweep of {n} specs x {len(SWEEP_DEVICES)} devices "
-        f"(scale={SCALE}, jobs={JOBS})\n"
-        f"  cold:  {t_cold:.2f}s ({n / t_cold:.1f} specs/s)\n"
-        f"  fused: {t_fused:.2f}s ({n / t_fused:.1f} specs/s)\n"
-        f"  warm:  {t_warm:.2f}s ({n / t_warm:.1f} specs/s)\n"
-        f"  fused-vs-cold speedup: {t_cold / t_fused:.1f}x\n"
+        f"(scale={SCALE}, in-process)\n"
+        f"  cold (instance oracle):  {t_cold:.2f}s "
+        f"({n / t_cold:.1f} specs/s)\n"
+        f"  default (records written): {t_fused:.2f}s "
+        f"({n / t_fused:.1f} specs/s)\n"
+        f"  warm (from records):  {t_warm:.2f}s "
+        f"({n / t_warm:.1f} specs/s)\n"
+        f"  default-vs-cold speedup: {t_cold / t_fused:.1f}x\n"
         f"  warm-vs-cold speedup: {t_cold / t_warm:.1f}x",
     )
     # The whole point of the cache: warm sweeps skip materialisation.
@@ -144,7 +159,8 @@ def test_sweep_cold_vs_warm(results, tmp_path_factory):
     )
     # And the point of fusion: cold sweeps skip materialisation too.
     assert t_cold / t_fused >= MIN_FUSED_SPEEDUP, (
-        f"fused sweep only {t_cold / t_fused:.1f}x faster than cold"
+        f"default sweep only {t_cold / t_fused:.1f}x faster than the "
+        "instance oracle"
     )
 
 

@@ -2,7 +2,7 @@
 
 The resilient worker crew (per-chunk deadlines, retry bookkeeping,
 journal hooks, crash detection) must be essentially free when nothing
-goes wrong.  This bench times fault-free fused sweeps on the crew
+goes wrong.  This bench times fault-free uncached sweeps on the crew
 against the plain ``multiprocessing.Pool`` oracle
 (``tests/oracles/dispatch.py``) — legs interleaved and order-alternated
 so machine speed drift cancels, best-of-``REPEATS`` per engine —
@@ -46,7 +46,7 @@ def _timed_sweep(specs, dispatch):
     ds = Dataset(specs, max_nnz=MAX_NNZ, name=SCALE)
     run = pool_sweep if dispatch == "pool" else sweep
     t0 = time.perf_counter()
-    table = run(ds, DEVICES, jobs=JOBS, fused=True)
+    table = run(ds, DEVICES, jobs=JOBS)
     return time.perf_counter() - t0, table
 
 
@@ -67,9 +67,7 @@ def test_resilient_dispatch_overhead():
     # Speed must not change results: both engines, and a serial
     # reference, produce the same rows.
     assert tables["resilient"].rows == tables["pool"].rows
-    serial = sweep(
-        Dataset(specs, max_nnz=MAX_NNZ, name=SCALE), DEVICES, fused=True
-    )
+    serial = sweep(Dataset(specs, max_nnz=MAX_NNZ, name=SCALE), DEVICES)
     assert tables["resilient"].rows == serial.rows
 
     best_pool = min(times["pool"])
@@ -95,7 +93,7 @@ def test_resilient_dispatch_overhead():
 
     emit(
         "resilience_dispatch_overhead",
-        f"fused sweep of {len(specs)} specs (scale={SCALE}, "
+        f"sweep of {len(specs)} specs (scale={SCALE}, "
         f"jobs={JOBS}, best of {REPEATS})\n"
         f"  pool:      {best_pool:.2f}s  {times['pool']}\n"
         f"  resilient: {best_resilient:.2f}s  {times['resilient']}\n"

@@ -11,8 +11,9 @@ Each bench writes its regenerated rows/series to
 
 The sweeps run through the pipeline engine: ``REPRO_JOBS`` fans them out
 over worker processes (0 = auto-detect cores) and ``REPRO_CACHE_DIR``
-persists materialised instances so repeat bench runs start warm.  Both
-leave the measurement rows byte-identical to a serial, uncached sweep.
+persists per-spec scoring records so repeat bench runs start warm.
+Both leave the measurement rows byte-identical to a serial, uncached
+sweep.
 """
 
 import os
@@ -44,13 +45,7 @@ def emit(name: str, text: str) -> str:
 @pytest.fixture(scope="session")
 def paper_dataset():
     """The Table-I artificial dataset at the configured scale."""
-    specs = build_dataset_specs(SCALE)
-    cache = None
-    if CACHE_DIR:
-        from repro.pipeline import InstanceCache
-
-        cache = InstanceCache(CACHE_DIR)
-    return Dataset(specs, max_nnz=MAX_NNZ, name=SCALE, cache=cache)
+    return Dataset(build_dataset_specs(SCALE), max_nnz=MAX_NNZ, name=SCALE)
 
 
 @pytest.fixture(scope="session")

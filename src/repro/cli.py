@@ -94,15 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel sweep workers (0 = auto-detect cores; "
                         "output is identical to --jobs 1)")
     w.add_argument("--cache-dir", default=None,
-                   help="persistent instance cache directory; warm "
-                        "re-sweeps skip matrix generation")
-    w.add_argument("--fused", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="fused cold path: score spec chunks straight "
-                        "from generated CSR structure arrays (no "
-                        "instance materialisation, no cache traffic; "
-                        "output is identical — fastest when the cache "
-                        "is cold)")
+                   help="persistent cache of per-spec scoring records; "
+                        "warm re-sweeps skip matrix generation")
     w.add_argument("--all-formats", action="store_true",
                    help="one row per (matrix, device, format) instead "
                         "of the best format per (matrix, device) — "
@@ -190,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel sweep workers (0 = auto-detect cores; "
                         "results are identical to --jobs 1)")
     e.add_argument("--cache-dir", default=None,
-                   help="persistent instance cache directory")
+                   help="persistent scoring-record cache directory")
     e.add_argument("--out", default=None,
                    help="write results to a .json (full, deterministic) "
                         "or .csv (per-fold summary) file")
@@ -425,8 +418,6 @@ def _cmd_sweep(args) -> int:
     )
     jobs = resolve_jobs(args.jobs)
     engine = f"{jobs} worker{'s' if jobs != 1 else ''}"
-    if args.fused:
-        engine += ", fused"
     if args.cache_dir:
         engine += f", cache at {args.cache_dir}"
     if run_dir:
@@ -443,7 +434,7 @@ def _cmd_sweep(args) -> int:
         # parallel runs alike.
         table = sweep(
             dataset, devices, best_only=not args.all_formats,
-            jobs=args.jobs, cache_dir=args.cache_dir, fused=args.fused,
+            jobs=args.jobs, cache_dir=args.cache_dir,
             run_dir=run_dir, resume=bool(args.resume),
             pack_shards=args.pack_shards,
             faults=args.faults, chunk_timeout=args.chunk_timeout,
@@ -621,7 +612,7 @@ def _cmd_pack(args) -> int:
         )
         what = f"{entries} cache entr{'y' if entries == 1 else 'ies'}"
         if args.prune:
-            what += " (loose pairs pruned)"
+            what += " (loose records pruned)"
     else:
         if args.prune:
             raise ValueError(

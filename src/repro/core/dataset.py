@@ -1,17 +1,18 @@
-"""Dataset containers: lazily materialised matrix instances + measurements.
+"""Dataset containers and the sweep entry point.
 
-A :class:`Dataset` owns a list of specs and materialises
-:class:`~repro.perfmodel.instance.MatrixInstance` objects on demand
-(generation dominates runtime, so instances are cached).  The
-:func:`sweep` helper runs the simulator across devices/formats and
+A :class:`Dataset` owns a list of specs; :meth:`Dataset.instance`
+materialises one representative :class:`~repro.perfmodel.instance.
+MatrixInstance` on demand for callers that want the matrix itself.
+The :func:`sweep` helper runs the simulator across devices/formats and
 returns a columnar :class:`~repro.core.table.SweepTable` that the
 analysis, ml and experiment layers consume directly.
 
-:func:`grid_spec_table` and :func:`fused_spec_table` are the two ways a
-chunk is scored: both assemble the table's columns straight from the
-grid simulator's structured array, without materialising a dict per
-row.  The dict-row scalar reference the agreement suites compare
-against lives in ``tests/oracles/sweep.py``.
+:func:`fused_spec_table` is how every sweep chunk is scored: specs go
+straight to structure arrays, batched analytic stats and the grid
+simulator, and the table's columns are gathered from the scored grid
+without materialising an instance or a dict per row.  The instance
+path and the dict-row scalar reference the agreement suites compare
+against live in ``tests/oracles/sweep.py``.
 """
 
 from __future__ import annotations
@@ -24,58 +25,39 @@ from ..devices.base import Device
 from .generator import MatrixSpec
 from .table import SweepTable
 
-__all__ = ["Dataset", "sweep", "grid_spec_table", "fused_spec_table",
-           "SweepTable"]
+__all__ = ["Dataset", "sweep", "fused_spec_table", "SweepTable"]
 
 DEFAULT_MAX_NNZ = 100_000
 
 
 class Dataset:
-    """A list of matrix specs with cached instances.
-
-    ``cache`` is an optional persistent instance store (see
-    :class:`repro.pipeline.InstanceCache`): when set, :meth:`instance`
-    first consults it before materialising the matrix from its spec.
-    """
+    """A named list of matrix specs plus the representative cap."""
 
     def __init__(
         self,
         specs: Sequence[MatrixSpec],
         max_nnz: int = DEFAULT_MAX_NNZ,
         name: str = "dataset",
-        cache=None,
     ):
         self.specs = list(specs)
         self.max_nnz = max_nnz
         self.name = name
-        self.cache = cache
-        self._instances: Dict[int, "MatrixInstance"] = {}
 
     def __len__(self) -> int:
         return len(self.specs)
 
     def instance(self, i: int):
-        """The (cached) representative instance for spec ``i``."""
+        """A fresh representative instance for spec ``i``, named
+        ``<dataset>[i]`` as its sweep rows are."""
         from ..perfmodel.instance import MatrixInstance
 
-        if i not in self._instances:
-            name = f"{self.name}[{i}]"
-            inst = None
-            if self.cache is not None:
-                inst = self.cache.fetch(self.specs[i], self.max_nnz, name)
-            if inst is None:
-                inst = MatrixInstance.from_spec(
-                    self.specs[i], max_nnz=self.max_nnz, name=name
-                )
-            self._instances[i] = inst
-        return self._instances[i]
+        return MatrixInstance.from_spec(
+            self.specs[i], max_nnz=self.max_nnz, name=f"{self.name}[{i}]"
+        )
 
     def instances(self) -> Iterable:
         for i in range(len(self)):
             yield self.instance(i)
-
-    def drop_cache(self) -> None:
-        self._instances.clear()
 
 
 def _first_seen_codes(values: np.ndarray, labels: Sequence[str]):
@@ -140,8 +122,9 @@ def _grid_sweep_table(
     grid, per_inst: Dict[str, np.ndarray], best_only: bool, precision: str
 ) -> SweepTable:
     """Assemble the measurement table from a scored grid plus the chunk's
-    per-spec scalar columns — shared by the instance and fused paths, so
-    both emit byte-identical tables by construction."""
+    per-spec scalar columns — shared with the instance oracle in
+    ``tests/oracles/sweep.py``, so both emit byte-identical tables by
+    construction."""
     from ..perfmodel.batch import STATUS_OK
     from ..perfmodel.simulator import BOTTLENECKS
 
@@ -180,44 +163,6 @@ def _grid_sweep_table(
     return SweepTable(columns, categories)
 
 
-def grid_spec_table(
-    dataset: Dataset,
-    lo: int,
-    hi: int,
-    devices: Sequence[Device],
-    best_only: bool = True,
-    formats: Optional[Sequence[str]] = None,
-    seed: int = 0,
-    precision: str = "fp64",
-    instances: Optional[Sequence] = None,
-) -> SweepTable:
-    """Columnar measurement table for specs ``lo..hi`` — the production
-    sweep path.
-
-    Row-for-row identical (via ``to_rows()``) to the scalar
-    ``simulate_spmv`` loop plus a constant ``precision`` column, but the
-    columns are gathered straight from the grid simulator's structured
-    array and the per-instance feature/spec scalars — no dict per row,
-    ever.
-    ``instances`` lets a caller that already materialised the chunk (the
-    pipeline engine, which also owns cache write-back) pass it in; the
-    default materialises through ``dataset.instance``.
-    """
-    from ..perfmodel.batch import simulate_grid
-
-    indices = list(range(lo, hi))
-    if instances is None:
-        instances = [dataset.instance(i) for i in indices]
-    elif len(instances) != len(indices):
-        raise ValueError("instances must cover exactly specs lo..hi")
-    grid = simulate_grid(instances, devices, formats=formats, seed=seed,
-                         precisions=(precision,))
-    per_inst = _per_inst_columns(
-        indices, dataset.specs, lambda ci: instances[ci].features
-    )
-    return _grid_sweep_table(grid, per_inst, best_only, precision)
-
-
 def fused_spec_table(
     dataset: Dataset,
     lo: int,
@@ -227,15 +172,20 @@ def fused_spec_table(
     formats: Optional[Sequence[str]] = None,
     seed: int = 0,
     precision: str = "fp64",
+    records: Optional[list] = None,
 ) -> SweepTable:
-    """Measurement table for specs ``lo..hi`` via the fused cold path.
+    """Measurement table for specs ``lo..hi`` — how every sweep chunk
+    is scored.
 
     Specs go straight to CSR structure arrays, batched analytic format
     statistics and grid scoring — no :class:`MatrixInstance`, no value
-    payloads, no cache traffic.  Output is row-for-row bit-identical to
-    :func:`grid_spec_table` over the same chunk (the fused agreement
-    suite locks this down); use it when the instance cache is cold and
-    the matrices are not needed afterwards.
+    payloads.  ``records`` (one
+    :class:`~repro.perfmodel.fused.ScoringRecord` or ``None`` per spec,
+    e.g. from the instance cache) seed the scorer's memos; ``None``
+    slots are replaced in place by the records this chunk derived, and
+    every record that grew has ``grown`` set.  Output is row-for-row
+    bit-identical to scoring materialised instances (the fused
+    agreement suite locks this down against the instance oracle).
     """
     from ..perfmodel.batch import _score_grid
     from ..perfmodel.fused import FusedSpecSource
@@ -245,7 +195,10 @@ def fused_spec_table(
         [dataset.specs[i] for i in indices],
         [f"{dataset.name}[{i}]" for i in indices],
         max_nnz=dataset.max_nnz,
+        records=records,
     )
+    if records is not None:
+        records[:] = source.records
     grid = _score_grid(source, devices, formats=formats, seed=seed,
                        precisions=(precision,))
     per_inst = _per_inst_columns(indices, dataset.specs, source.features)
@@ -262,7 +215,6 @@ def sweep(
     jobs: int = 1,
     cache_dir: Optional[str] = None,
     precision: str = "fp64",
-    fused: bool = False,
     run_dir: Optional[str] = None,
     resume: bool = False,
     pack_shards: bool = False,
@@ -283,13 +235,13 @@ def sweep(
     ``jobs`` sets the parallelism: 1 (the default) runs every chunk in
     this process, ``jobs > 1`` shards over a worker crew and 0
     auto-detects the core count.  ``cache_dir`` enables the persistent
-    instance cache.  Every chunk is scored through the vectorised grid
-    simulator.  ``precision`` scores every cell at fp64 (the default) or
-    fp32.  ``fused`` scores chunks straight from the specs (structure
-    generation + batched analytic stats, no instances and no cache
-    traffic) — the cold-sweep fast path.  Output is row-for-row
-    identical across ``jobs``, cache states and fused mode; every path
-    funnels through :func:`repro.pipeline.run_sweep`.
+    cache of per-spec scoring records, so warm re-sweeps derive only
+    what the records lack.  Every chunk is scored straight from the
+    specs (structure generation + batched analytic stats) through the
+    vectorised grid simulator.  ``precision`` scores every cell at fp64
+    (the default) or fp32.  Output is row-for-row identical across
+    ``jobs`` and cache states; every path funnels through
+    :func:`repro.pipeline.run_sweep`.
 
     Resilience controls pass straight through to the engine: ``run_dir``
     journals completed chunks (``resume=True`` skips them on a rerun,
@@ -305,7 +257,7 @@ def sweep(
     return run_sweep(
         dataset, devices, best_only=best_only, formats=formats,
         seed=seed, jobs=jobs, cache_dir=cache_dir, progress=progress,
-        precision=precision, fused=fused,
+        precision=precision,
         run_dir=run_dir, resume=resume, pack_shards=pack_shards,
         faults=faults,
         chunk_timeout=chunk_timeout, max_retries=max_retries,

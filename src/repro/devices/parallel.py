@@ -242,22 +242,28 @@ def sell_chunk_widths(
     This is the expensive half of :func:`sell_chunk_imbalance` — the
     per-window descending sort and the chunk-maximum reduction — and it
     does not depend on ``n_workers``, so callers scoring the same
-    profile at several worker counts can compute it once.
+    profile at several worker counts can compute it once.  ``sigma``
+    must be a multiple of ``C``, as with the defaults: windows then
+    start on chunk boundaries, so every chunk lies in one
+    descending-sorted window and its width is its first row, read off
+    the ascending window sort at a stride of ``C``.
     """
+    if sigma % C:
+        raise ValueError(f"sigma ({sigma}) must be a multiple of C ({C})")
     n_rows = len(row_lengths)
     if n_rows == 0:
         return np.zeros(0, dtype=np.int64)
     lengths = np.asarray(row_lengths, dtype=np.int64)
+    if lengths.max() >= 2**31:
+        raise ValueError("row lengths must be below 2**31")
+    # int32 sorts in the same order as int64, in half the bytes.
     n_windows = (n_rows + sigma - 1) // sigma
-    padded = np.full(n_windows * sigma, -1, dtype=np.int64)
+    padded = np.full(n_windows * sigma, -1, dtype=np.int32)
     padded[:n_rows] = lengths
-    srt = np.sort(padded.reshape(n_windows, sigma), axis=1)[:, ::-1]
-    srt = srt.reshape(-1)
-    srt = srt[srt >= 0]
+    asc = np.sort(padded.reshape(n_windows, sigma), axis=1)
     n_chunks = (n_rows + C - 1) // C
-    chunk_padded = np.zeros(n_chunks * C, dtype=np.int64)
-    chunk_padded[:n_rows] = srt
-    return chunk_padded.reshape(n_chunks, C).max(axis=1)
+    heads = asc[:, sigma - 1::-C].reshape(-1)[:n_chunks]
+    return heads.astype(np.int64)
 
 
 def sell_chunk_imbalance_fast(
@@ -274,6 +280,7 @@ def sell_chunk_imbalance_fast(
     reshape) instead of a Python loop over sigma-slices.  ``widths``
     optionally supplies :func:`sell_chunk_widths` precomputed for this
     profile — the deal to workers is all that varies with ``n_workers``.
+    Like the widths, it requires ``sigma`` to be a multiple of ``C``.
     """
     n_rows = len(row_lengths)
     if n_rows == 0:

@@ -351,6 +351,12 @@ class Pack:
         return e
 
     # -- reads -----------------------------------------------------------
+    def raw(self, key: str) -> memoryview:
+        """The entry's stored bytes (deflated or not), unverified — what
+        a quarantine copies out as evidence."""
+        e = self.entry(key)
+        return memoryview(self._mm)[e.offset:e.offset + e.csize]
+
     def read(self, key: str, verify: bool = True):
         """Entry payload: a zero-copy memoryview into the map for raw
         entries, bytes for compressed ones.

@@ -282,9 +282,10 @@ class _InstanceSource:
 
     The scoring kernel pulls everything about the matrix axis through this
     narrow interface — names, per-instance scalars, per-format stat
-    columns, and lazily-requested SIMD utilisation / imbalance factors —
-    so the fused cold path (:mod:`repro.perfmodel.fused`) can drive the
-    identical kernel from columnar spec data without ever materialising
+    columns, and lazily-requested SIMD utilisation / imbalance factors
+    (announced in bulk through ``prepare_memos`` first) — so the fused
+    cold path (:mod:`repro.perfmodel.fused`) can drive the identical
+    kernel from columnar spec data without ever materialising
     instances.  This adapter reproduces the historical per-instance loops
     exactly, memoisation semantics included.
     """
@@ -347,6 +348,9 @@ class _InstanceSource:
             pad[i] = stats.padding_ratio
             friendly[i] = stats.simd_friendly
         return mem, meta, stored, pad, friendly, fail, reasons
+
+    def prepare_memos(self, widths, need_w, keys, need_key) -> None:
+        """Instances derive their memos lazily; nothing to prepare."""
 
     def simd_utilisation(self, i: int, width: int) -> float:
         return self.instances[i].simd_utilisation(width)
@@ -557,15 +561,6 @@ def _score_grid(
     need_cells = friendly_df & scoreable_df
     for k in range(len(widths)):
         need_w[:, k] = need_cells[:, cell_w_pos == k].any(axis=1)
-    for i in range(n_inst):
-        for w, k in width_pos.items():
-            if need_w[i, k]:
-                util_tab[i, k] = source.simd_utilisation(i, w)
-    util_df = util_tab[:, cell_w_pos]                # (n_inst, n_df)
-    inv_w_df = d_inv_width[df_dev_arr]
-    simd_util_df = np.where(
-        friendly_df, np.maximum(util_df, inv_w_df), inv_w_df
-    )
 
     # -- per-(instance, device-format) imbalance factors ---------------
     fmt_strategy = [
@@ -588,6 +583,17 @@ def _score_grid(
     need_key = np.zeros((n_inst, len(df_keys)), dtype=bool)
     for k in range(len(df_keys)):
         need_key[:, k] = scoreable_df[:, df_key_idx == k].any(axis=1)
+
+    source.prepare_memos(widths, need_w, df_keys, need_key)
+    for i in range(n_inst):
+        for w, k in width_pos.items():
+            if need_w[i, k]:
+                util_tab[i, k] = source.simd_utilisation(i, w)
+    util_df = util_tab[:, cell_w_pos]                # (n_inst, n_df)
+    inv_w_df = d_inv_width[df_dev_arr]
+    simd_util_df = np.where(
+        friendly_df, np.maximum(util_df, inv_w_df), inv_w_df
+    )
     for i in range(n_inst):
         for k, (strategy, workers, width) in enumerate(df_keys):
             if need_key[i, k]:

@@ -1,33 +1,38 @@
-"""Fused cold-path sweeps: spec chunks scored without instances.
+"""Fused sweeps: spec chunks scored without instances.
 
-The instance cold path materialises one :class:`MatrixInstance` per spec
-(value arrays included), computes format statistics one matrix at a time
-and only then enters the vectorised grid scorer.  This module feeds the
-same scorer (:func:`repro.perfmodel.batch._score_grid`) straight from a
-chunk of :class:`~repro.core.generator.MatrixSpec`:
+Every sweep chunk feeds the vectorised grid scorer
+(:func:`repro.perfmodel.batch._score_grid`) straight from a chunk of
+:class:`~repro.core.generator.MatrixSpec`:
 
 1. :func:`~repro.core.generator.structure_batch` emits the chunk's raw
    CSR *structure* arrays (the value draw is the last RNG use of every
-   generation engine, so skipping it leaves the structure bit-identical);
+   generation engine, so skipping it leaves the structure bit-identical
+   to the matrix :meth:`MatrixSpec.build` materialises);
 2. :meth:`~repro.formats.base.SparseFormat.stats_from_csr_batch` turns
    the stacked structure into per-format stat columns — vectorised
    overrides for the closed-form formats, scalar fallback (on zero-data
    matrices) for the rest;
-3. SIMD utilisation and imbalance factors come from the shared
+3. SIMD utilisation and imbalance factors come from the declared-scale
    row-length profile through histogram/prefix-sum twins
    (:func:`~repro.devices.parallel.imbalance_for_strategy_fast`).
 
-Every expression mirrors the :class:`MatrixInstance` computation
-operation-for-operation, so the fused sweep is **row-for-row
-bit-identical** to the instance path — same measurements, same noise,
-same skip reasons, same category order.  The agreement suite in
-``tests/pipeline/test_fused_agreement.py`` locks that down.
+Everything the scorer reads about one spec is memoised in its
+:class:`ScoringRecord` — the unit the instance cache persists.  A
+source seeded with records derives only what they lack: a complete
+record generates nothing, a missing SIMD/imbalance memo regenerates that
+spec's profile, and a missing format or feature set regenerates that
+spec's structure — in one :func:`structure_batch` wave for all the
+specs that lack the same thing.  Every expression mirrors the
+:class:`~repro.perfmodel.instance.MatrixInstance` computation
+operation-for-operation, so sweeps are row-for-row bit-identical to
+scoring materialised instances; ``tests/pipeline/test_fused_agreement.py``
+locks that down against the instance oracle in ``tests/oracles/``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,25 +44,107 @@ from ..formats.base import FormatError, FormatStatsBatch, get_format
 from .instance import MAX_PROFILE_ROWS
 from .noise import component_hash
 
-__all__ = ["FusedSpecSource"]
+__all__ = ["FusedSpecSource", "ScoringRecord"]
 
 # Strategies whose fast twins share the profile's integer prefix sum.
 _CSUM_STRATEGIES = ("row_block", "nnz_row")
+
+# The per-format stat columns a record keeps, in order.
+_STAT_FIELDS = ("stored_elements", "padding_elements", "memory_bytes",
+                "metadata_bytes", "simd_friendly")
+
+# A format's record entry: its stat column values, or its refusal.
+FormatEntry = Union[Tuple[int, int, int, int, bool], str]
+
+
+@dataclass
+class ScoringRecord:
+    """Everything scoring one spec reads, memoised.
+
+    ``rows``/``nnz`` are the representative's dimensions (they fix the
+    declared scale), ``features`` the measured features at declared
+    scale, ``formats`` each format's stat column values
+    (:data:`_STAT_FIELDS`) or its :class:`FormatError` message, and
+    ``simd``/``imbalance`` the SIMD utilisation per width and the
+    imbalance factor per ``(strategy, workers, width)``.  ``grown`` is
+    set whenever a memo is added, so writers persist only records that
+    changed.  Records carry no name: one record serves every dataset
+    that holds the spec.
+    """
+
+    rows: Optional[int] = None
+    nnz: Optional[int] = None
+    features: Optional[Features] = None
+    formats: Dict[str, FormatEntry] = field(default_factory=dict)
+    simd: Dict[int, float] = field(default_factory=dict)
+    imbalance: Dict[Tuple[str, int, int], float] = field(
+        default_factory=dict
+    )
+    grown: bool = field(default=False, compare=False)
+
+    def to_dict(self) -> dict:
+        """JSON-ready form (floats round-trip exactly through JSON)."""
+        return {
+            "rows": self.rows,
+            "nnz": self.nnz,
+            "features": (
+                None if self.features is None else self.features.to_dict()
+            ),
+            "formats": {
+                name: entry if isinstance(entry, str) else list(entry)
+                for name, entry in self.formats.items()
+            },
+            "simd": {str(w): u for w, u in self.simd.items()},
+            "imbalance": {
+                f"{s}|{w}|{sw}": f
+                for (s, w, sw), f in self.imbalance.items()
+            },
+        }
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "ScoringRecord":
+        """Inverse of :meth:`to_dict`; raises on a malformed record."""
+        rec = cls(
+            rows=None if d["rows"] is None else int(d["rows"]),
+            nnz=None if d["nnz"] is None else int(d["nnz"]),
+            features=(
+                None if d["features"] is None
+                else Features(**d["features"])
+            ),
+        )
+        if (rec.features is None) != (rec.rows is None) or (
+                (rec.rows is None) != (rec.nnz is None)):
+            raise ValueError("record shape and features must come together")
+        for name, entry in d["formats"].items():
+            if isinstance(entry, str):
+                rec.formats[name] = entry
+            else:
+                stored, padding, memory, meta, friendly = entry
+                rec.formats[name] = (int(stored), int(padding), int(memory),
+                                     int(meta), bool(friendly))
+        rec.simd = {int(w): float(u) for w, u in d["simd"].items()}
+        for key, factor in d["imbalance"].items():
+            strategy, workers, width = key.rsplit("|", 2)
+            rec.imbalance[(strategy, int(workers), int(width))] = float(
+                factor
+            )
+        return rec
 
 
 class FusedSpecSource:
     """Matrix-axis source for ``_score_grid`` built from specs alone.
 
     Implements the :class:`repro.perfmodel.batch._InstanceSource`
-    protocol.  The chunk's CSR structure is generated once
-    (:func:`structure_batch`); declared-scale scalars, features, format
-    statistics, SIMD utilisation and imbalance factors are then derived
-    columnar where closed forms exist and from memoised zero-data
-    matrices where they don't — never from value payloads.
+    protocol.  ``records`` (one :class:`ScoringRecord` or ``None`` per
+    spec, e.g. from the instance cache) seed the memos and are extended
+    in place; :attr:`records` holds the chunk's records afterwards.
+    Structure is generated once, lazily and only for the specs whose
+    records lack something structural; declared-scale profiles only for
+    specs missing a SIMD or imbalance memo — never value payloads.
     """
 
-    # ``GridResult.instances`` stays empty on the fused path; the table
-    # assembly gathers feature columns from this source instead.
+    # ``GridResult.instances`` stays empty; the table assembly gathers
+    # feature columns from this source instead.
     instances: Tuple = ()
 
     def __init__(
@@ -65,19 +152,28 @@ class FusedSpecSource:
         specs: Sequence[MatrixSpec],
         names: Sequence[str],
         max_nnz: Optional[int] = None,
-        batch: Optional[CSRStructBatch] = None,
+        records: Optional[Sequence[Optional[ScoringRecord]]] = None,
     ):
         self.specs = list(specs)
         self._names = list(names)
         if len(self._names) != len(self.specs):
             raise ValueError("one name per spec required")
+        if records is None:
+            records = [None] * len(self.specs)
+        elif len(records) != len(self.specs):
+            raise ValueError("one record (or None) per spec required")
+        self.records = [
+            rec if rec is not None else ScoringRecord() for rec in records
+        ]
         self.max_nnz = max_nnz
-        self.batch = (
-            structure_batch(self.specs, max_nnz=max_nnz)
-            if batch is None else batch
+
+        # Per-spec structure: (batch, position) of its generation wave;
+        # ``_batch`` is the wave covering the whole chunk, if any.
+        self._where: Dict[int, Tuple[CSRStructBatch, int]] = {}
+        self._batch: Optional[CSRStructBatch] = None
+        self._ensure_structure(
+            [i for i, rec in enumerate(self.records) if rec.features is None]
         )
-        if len(self.batch) != len(self.specs):
-            raise ValueError("structure batch does not match the specs")
 
         # Declared-scale scalars, columnar (MatrixInstance.scale / .nnz).
         self._decl_rows = np.array(
@@ -86,13 +182,14 @@ class FusedSpecSource:
         self._decl_cols = np.array(
             [s.n_cols for s in self.specs], dtype=np.int64
         )
+        rep_rows = np.array([r.rows for r in self.records], dtype=np.int64)
+        rep_nnz = np.array([r.nnz for r in self.records], dtype=np.int64)
         self.scale = np.maximum(
-            1.0, self._decl_rows / np.maximum(self.batch.n_rows, 1)
+            1.0, self._decl_rows / np.maximum(rep_rows, 1)
         )
-        self.nnz = np.round(self.batch.nnz * self.scale).astype(np.int64)
+        self.nnz = np.round(rep_nnz * self.scale).astype(np.int64)
 
         self._mats: Dict[int, CSRMatrix] = {}
-        self._feats: Dict[int, Features] = {}
         self._profiles: Dict[int, np.ndarray] = {}
         self._csums: Dict[int, np.ndarray] = {}
         self._hists: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -106,19 +203,41 @@ class FusedSpecSource:
         return list(self._names)
 
     # -- memoised per-spec structure ----------------------------------
+    def _ensure_structure(self, indices: Sequence[int]) -> None:
+        """Generate the structure of ``indices`` not generated yet, in
+        one :func:`structure_batch` wave (per-spec RNG streams make each
+        entry independent of the wave it is generated in)."""
+        todo = [i for i in indices if i not in self._where]
+        if not todo:
+            return
+        batch = structure_batch(
+            [self.specs[i] for i in todo], max_nnz=self.max_nnz
+        )
+        if len(todo) == len(self.specs):
+            self._batch = batch
+        for k, i in enumerate(todo):
+            self._where[i] = (batch, k)
+            rec = self.records[i]
+            if rec.rows is None:
+                rec.rows = int(batch.n_rows[k])
+                rec.nnz = int(batch.nnz[k])
+
     def matrix(self, i: int) -> CSRMatrix:
         """Zero-data representative matrix ``i`` (structure-only users)."""
         if i not in self._mats:
-            self._mats[i] = self.batch.matrix(i)
+            self._ensure_structure([i])
+            batch, k = self._where[i]
+            self._mats[i] = batch.matrix(k)
         return self._mats[i]
 
     def features(self, i: int) -> Features:
         """Measured features at declared scale (``MatrixInstance.features``)."""
-        if i not in self._feats:
+        rec = self.records[i]
+        if rec.features is None:
             measured = extract_features(self.matrix(i))
             nnz = int(self.nnz[i])
             n_rows = int(self._decl_rows[i])
-            self._feats[i] = replace(
+            rec.features = replace(
                 measured,
                 mem_footprint_mb=(
                     (nnz * 12.0 + (n_rows + 1) * 4.0) / (1024 ** 2)
@@ -127,14 +246,17 @@ class FusedSpecSource:
                 n_cols=int(self._decl_cols[i]),
                 nnz=nnz,
             )
-        return self._feats[i]
+            rec.grown = True
+        return rec.features
 
     def profile(self, i: int) -> np.ndarray:
         """Row-length profile at declared scale (``row_profile``)."""
         if i not in self._profiles:
             spec = self.specs[i]
             if self.scale[i] <= 1.0:
-                self._profiles[i] = self.batch.lengths_of(i)
+                self._ensure_structure([i])
+                batch, k = self._where[i]
+                self._profiles[i] = batch.lengths_of(k)
             else:
                 rows = min(spec.n_rows, MAX_PROFILE_ROWS)
                 rng = np.random.default_rng(spec.seed)
@@ -150,10 +272,13 @@ class FusedSpecSource:
         return self._profiles[i]
 
     def _csum(self, i: int) -> np.ndarray:
+        """``[0, cumsum(profile)]``, accumulated in place."""
         if i not in self._csums:
-            self._csums[i] = np.concatenate(
-                ([0], np.cumsum(self.profile(i)))
-            )
+            prof = self.profile(i)
+            csum = np.empty(len(prof) + 1, dtype=np.int64)
+            csum[0] = 0
+            np.cumsum(prof, out=csum[1:])
+            self._csums[i] = csum
         return self._csums[i]
 
     def _hist(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -205,18 +330,15 @@ class FusedSpecSource:
             i_noise_h,
         )
 
-    def format_stats_columns(
-        self, name: str
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-               np.ndarray, np.ndarray, Dict[int, str]]:
-        n = len(self.specs)
-        cls = get_format(name)
+    def _format_stats(self, cls, todo: List[int]) -> FormatStatsBatch:
+        """Stats of ``cls`` for the specs ``todo``, one batch entry each."""
+        self._ensure_structure(todo)
         if hasattr(cls, "stats_at_density"):
             # Density-corrected formats decide per matrix whether the
             # rectangular representative dilutes the per-column
             # population — same branch as MatrixInstance.format_stats.
-            fsb = FormatStatsBatch.empty(n)
-            for i in range(n):
+            fsb = FormatStatsBatch.empty(len(todo))
+            for k, i in enumerate(todo):
                 mat = self.matrix(i)
                 rep_density = mat.nnz / max(mat.n_cols, 1)
                 dec_density = int(self.nnz[i]) / max(
@@ -234,30 +356,91 @@ class FusedSpecSource:
                         else cls.stats_from_csr(mat)
                     )
                 except FormatError as exc:
-                    fsb.fail[i] = True
-                    fsb.fail_reason[i] = str(exc)
+                    fsb.fail[k] = True
+                    fsb.fail_reason[k] = str(exc)
                     continue
-                fsb.put(i, stats)
-        else:
-            mats = [self.matrix(i) for i in range(n)]
-            fsb = cls.stats_from_csr_batch(self.batch, matrices=mats)
-        useful = fsb.stored_elements - fsb.padding_elements
+                fsb.put(k, stats)
+            return fsb
+        mats = [self.matrix(i) for i in todo]
+        batch = (
+            self._batch if len(todo) == len(self.specs)
+            and self._batch is not None
+            else CSRStructBatch.from_matrices(mats)
+        )
+        return cls.stats_from_csr_batch(batch, matrices=mats)
+
+    def format_stats_columns(
+        self, name: str
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+               np.ndarray, np.ndarray, Dict[int, str]]:
+        n = len(self.specs)
+        todo = [i for i in range(n) if name not in self.records[i].formats]
+        if todo:
+            fsb = self._format_stats(get_format(name), todo)
+            for k, i in enumerate(todo):
+                rec = self.records[i]
+                rec.formats[name] = (
+                    fsb.fail_reason[k] if fsb.fail[k] else tuple(
+                        getattr(fsb, f)[k].item() for f in _STAT_FIELDS
+                    )
+                )
+                rec.grown = True
+        cols = FormatStatsBatch.empty(n)
+        for i in range(n):
+            entry = self.records[i].formats[name]
+            if isinstance(entry, str):
+                cols.fail[i] = True
+                cols.fail_reason[i] = entry
+            else:
+                for f, value in zip(_STAT_FIELDS, entry):
+                    getattr(cols, f)[i] = value
+        useful = cols.stored_elements - cols.padding_elements
         pad = np.zeros(n)
         nz = useful != 0
-        pad[nz] = fsb.padding_elements[nz] / useful[nz]
+        pad[nz] = cols.padding_elements[nz] / useful[nz]
         return (
-            fsb.memory_bytes, fsb.metadata_bytes, fsb.stored_elements,
-            pad, fsb.simd_friendly, fsb.fail, fsb.fail_reason,
+            cols.memory_bytes, cols.metadata_bytes, cols.stored_elements,
+            pad, cols.simd_friendly, cols.fail, cols.fail_reason,
         )
+
+    def prepare_memos(self, widths: Sequence[int], need_w: np.ndarray,
+                      keys: Sequence[Tuple[str, int, int]],
+                      need_key: np.ndarray) -> None:
+        """Generate, in one :func:`structure_batch` wave, the structure of
+        every unscaled spec whose record lacks a SIMD (``need_w[i, k]``
+        for ``widths[k]``) or imbalance (``need_key[i, k]`` for
+        ``keys[k]``) memo the scorer is about to ask for: such a spec's
+        profile is its structure's row lengths."""
+        todo = []
+        for i, rec in enumerate(self.records):
+            if self.scale[i] > 1.0:
+                continue
+            lacks_simd = any(
+                need and w > 1 and w not in rec.simd
+                for w, need in zip(widths, need_w[i])
+            )
+            lacks_imbalance = any(
+                need and key not in rec.imbalance
+                for key, need in zip(keys, need_key[i])
+            )
+            if lacks_simd or lacks_imbalance:
+                todo.append(i)
+        self._ensure_structure(todo)
 
     def simd_utilisation(self, i: int, width: int) -> float:
         if width <= 1:
             return 1.0
-        vals, cnts = self._hist(i)
-        if len(vals) == 0:
-            return 1.0
-        issued = (np.ceil(vals / width) * width * cnts).sum()
-        return float((vals * cnts).sum() / issued)
+        rec = self.records[i]
+        if width not in rec.simd:
+            vals, cnts = self._hist(i)
+            if len(vals) == 0:
+                util = 1.0
+            else:
+                issued = (np.ceil(vals / width) * width * cnts).sum()
+                util = float((vals * cnts).sum() / issued)
+            rec.simd[width] = util
+            rec.grown = True
+        return rec.simd[width]
 
     def imbalance_factor(
         self, i: int, strategy: str, workers: int, width: int
@@ -267,6 +450,10 @@ class FusedSpecSource:
         contiguous-block partitioners, the SELL chunk widths (one sort
         pipeline per profile instead of one per worker count) and the
         per-width warp-cycle counts."""
+        rec = self.records[i]
+        key = (strategy, workers, width)
+        if key in rec.imbalance:
+            return rec.imbalance[key]
         csum = sell = cycles = None
         if strategy in _CSUM_STRATEGIES:
             csum = self._csum(i)
@@ -275,12 +462,15 @@ class FusedSpecSource:
                 self._sell_widths[i] = sell_chunk_widths(self.profile(i))
             sell = self._sell_widths[i]
         elif strategy == "warp_row":
-            key = (i, width)
-            if key not in self._warp_cycles:
+            wkey = (i, width)
+            if wkey not in self._warp_cycles:
                 prof = self.profile(i)
-                self._warp_cycles[key] = (prof + width - 1) // width
-            cycles = self._warp_cycles[key]
-        return imbalance_for_strategy_fast(
+                self._warp_cycles[wkey] = (prof + width - 1) // width
+            cycles = self._warp_cycles[wkey]
+        factor = float(imbalance_for_strategy_fast(
             strategy, self.profile(i), workers, width,
             csum=csum, sell_widths=sell, warp_cycles=cycles,
-        ).factor
+        ).factor)
+        rec.imbalance[key] = factor
+        rec.grown = True
+        return factor

@@ -7,10 +7,10 @@ self-healing worker crew otherwise (per-chunk deadlines, capped-backoff
 retries, pool-death detection, in-process degradation) — and merges
 results deterministically;
 :class:`InstanceCache` content-keys each
-:class:`~repro.core.generator.MatrixSpec` and persists materialised
-instances (CSR arrays, features, row profiles, per-format statistics)
-so warm sweeps skip generation entirely — quarantining, never trusting,
-corrupt entries.  :class:`RunJournal` makes long sweeps resumable
+:class:`~repro.core.generator.MatrixSpec` and persists its scoring
+record (features, per-format statistics, SIMD and imbalance memos) so
+warm sweeps skip generation entirely — quarantining, never trusting,
+corrupt records.  :class:`RunJournal` makes long sweeps resumable
 (``repro sweep --resume``), :class:`FaultPlan` injects deterministic
 chaos for the resilience suites, and :class:`RunReport` accounts every
 incident for ``repro sweep --health-json``.

@@ -1,88 +1,94 @@
-"""Persistent + in-memory caching of materialised matrix instances.
+"""Persistent + in-memory caching of per-spec scoring records.
 
-Dataset-scale sweeps spend nearly all of their time materialising
-:class:`~repro.perfmodel.instance.MatrixInstance` objects: generating the
-representative matrix, extracting features, regenerating the declared-scale
-row profile and converting to every storage format.  All of that is a pure
+Dataset-scale sweeps spend nearly all of their time deriving what the
+grid scorer reads about each spec: the representative's structure and
+features, per-format statistics, and the SIMD-utilisation and imbalance
+factors of its declared-scale row profile.  All of that is a pure
 function of the :class:`~repro.core.generator.MatrixSpec` (plus the
-``max_nnz`` representative cap), so it is content-addressed here:
+``max_nnz`` representative cap), so it is content-addressed here as one
+:class:`~repro.perfmodel.fused.ScoringRecord` per spec:
 
 * :func:`spec_key` — a stable hash of the spec's fields.  Everything that
   influences the generated structure is part of the key; dataset names and
   spec indices are not (they only label rows).
 * :class:`InstanceCache` — a layered store.  The first level is an
-  in-process dictionary (shared by every :class:`~repro.core.dataset.Dataset`
-  holding the cache).  The second level is the directory of
-  ``<key>.npz`` + ``<key>.json`` pairs holding the CSR arrays / row profile
-  and the derived statistics (features, per-format stats and refusals,
-  SIMD-utilisation and imbalance memos).  Files are written atomically
-  (temp file + ``os.replace``) so concurrent sweep workers can share one
-  cache directory without locking.  The third level is an optional
-  single-file *pack* (``cache.rpak``, see :mod:`repro.io.pack`): when the
-  directory holds one, entries missing from the directory are served
-  straight out of the pack — one mapped file, dict lookups, no per-key
-  probing — which is how a corpus packed with ``repro pack`` ships as a
-  single object.  Loose pairs always win over the pack (they are never
-  older: the pack is a snapshot, later stores write pairs), and stores
-  keep writing pairs, so the pack needs no write locking.
+  in-process dictionary.  The second level is the directory of
+  ``<key>.json`` records, each a few KB: the representative's rows and
+  nonzeros, the declared-scale features, per-format stat columns or the
+  refusal message, and the SIMD/imbalance memos — never matrices or
+  profiles.  Each record carries a CRC-32 of its body and its own key.
+  Files are written atomically (temp file + ``os.replace``) so concurrent
+  sweep workers can share one cache directory without locking.  The third
+  level is an optional single-file *pack* (``cache.rpak``, see
+  :mod:`repro.io.pack`): when the directory holds one, records missing
+  from the directory are served straight out of the pack — one mapped
+  file, dict lookups, no per-key probing — which is how a corpus packed
+  with ``repro pack`` ships as a single object.  Loose records always win
+  over the pack (they are never older: the pack is a snapshot, later
+  stores write loose records), and stores keep writing loose records, so
+  the pack needs no write locking.
 
-Corrupt entries — loose pairs, pack entries, or the pack file itself —
+Corrupt records — loose files, pack entries, or the pack file itself —
 are *quarantined*, never deleted: the evidence moves (or is copied) into
 ``quarantine/`` under an atomically reserved name, the incident is
-counted, and the entry is simply rematerialised.
+counted, and the spec is simply rescored from scratch.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
-import io
 import json
 import os
 import tempfile
-import zipfile
+import zlib
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from ..core.features import Features
 from ..core.generator import MatrixSpec
-from ..core.matrix import CSRMatrix
-from ..devices.parallel import ImbalanceStats
-from ..formats.base import FormatStats
 from ..io.pack import Pack, PackError, PackWriter
-from ..perfmodel.instance import MatrixInstance
+from ..perfmodel.fused import ScoringRecord
 
 __all__ = [
-    "spec_key", "InstanceCache", "CACHE_VERSION", "PACK_NAME",
-    "pack_cache_dir", "unpack_cache",
+    "spec_key", "InstanceCache", "CACHE_VERSION", "OUTPUT_VERSION",
+    "PACK_NAME", "pack_cache_dir", "unpack_cache",
 ]
 
-# Bump when the generator or the cached payload layout changes behaviour:
-# the key changes, so stale entries are simply never looked up again.
-# v2: format stats are produced by the analytic stats-only engine
-# (`SparseFormat.stats_from_csr`).  Entries are value-identical to v1
-# (the agreement suite proves it), but the version field in the JSON
-# sidecar should record which engine filled them, so pre-existing cache
-# dirs are invalidated cleanly rather than silently mixed.
-CACHE_VERSION = 2
+# Version of what a sweep outputs for a given spec.  Bump it when a
+# generator or model change alters sweep rows: cache keys fold it in,
+# so stale records are never looked up again, and the run journal
+# digests specs under it, so run dirs begun before the change are
+# refused on resume.  It starts at 2, the cache version the journal
+# digested before, so run dirs journalled then still resume.
+OUTPUT_VERSION = 2
+
+# Version of the stored record layout; bump it when records change
+# shape.  3: one JSON scoring record per key replaces the npz + json
+# pair.
+RECORD_LAYOUT = 3
+
+# What cache keys fold in: a bump of either makes old records misses.
+CACHE_VERSION = f"{OUTPUT_VERSION}.{RECORD_LAYOUT}"
 
 # The single-file pack a cache directory may carry (``repro pack``).
 PACK_NAME = "cache.rpak"
 
 
-def spec_key(spec: MatrixSpec, max_nnz: int) -> str:
-    """Stable content key for ``(spec, max_nnz)``.
+def spec_key(spec: MatrixSpec, max_nnz: int,
+             version: Union[int, str] = CACHE_VERSION) -> str:
+    """Stable content key for ``(spec, max_nnz)`` under ``version``.
 
-    Hashes every spec field plus the representative cap and the cache
-    version; two equal specs always map to the same key across processes
-    and sessions (plain SHA-256 of the canonical JSON encoding).
+    Hashes every spec field plus the representative cap and the version
+    (the cache version by default); two equal specs always map to the
+    same key across processes and sessions (plain SHA-256 of the
+    canonical JSON encoding).
     """
     payload = {f.name: getattr(spec, f.name)
                for f in dataclasses.fields(spec)}
     payload["__max_nnz__"] = int(max_nnz)
-    payload["__version__"] = CACHE_VERSION
+    payload["__version__"] = version
     text = json.dumps(payload, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:32]
 
@@ -96,6 +102,33 @@ def _to_py(obj):
     if isinstance(obj, np.bool_):
         return bool(obj)
     raise TypeError(f"not JSON-serialisable: {type(obj)!r}")
+
+
+def _record_head(crc: int, key: str) -> bytes:
+    return f'{{"crc":{crc},"key":"{key}","record":'.encode()
+
+
+def encode_record(key: str, record: ScoringRecord) -> bytes:
+    """``{"crc": <CRC-32 of body>, "key": <key>, "record": <body>}``."""
+    body = json.dumps(record.to_dict(), sort_keys=True,
+                      separators=(",", ":"), default=_to_py).encode()
+    return _record_head(zlib.crc32(body), key) + body + b"}"
+
+
+def decode_record(key: str, data) -> ScoringRecord:
+    """Parse and verify one record; raises ``ValueError``/``KeyError``/
+    ``TypeError`` on any damage (bad JSON, wrong key, CRC mismatch,
+    malformed fields)."""
+    data = bytes(data)
+    doc = json.loads(data)
+    head = _record_head(doc["crc"], key)
+    if (not data.startswith(head)
+            or zlib.crc32(data[len(head):-1]) != doc["crc"]):
+        raise ValueError(f"record {key} fails its checksum")
+    return ScoringRecord.from_dict(doc["record"])
+
+
+_DAMAGE = (ValueError, KeyError, TypeError)
 
 
 def _atomic_write_bytes(path: Path, data: bytes) -> None:
@@ -112,39 +145,8 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
         raise
 
 
-def _clone_with_name(inst: MatrixInstance, name: str) -> MatrixInstance:
-    """A renamed wrapper sharing the instance's (immutable-in-practice)
-    matrix and derived-state containers.
-
-    Names label sweep rows and seed the measurement noise, so a cache hit
-    must never rename an instance another dataset still holds; the shared
-    dictionaries mean derived statistics computed through either wrapper
-    keep enriching the same cache entry.
-    """
-    clone = MatrixInstance(matrix=inst.matrix, spec=inst.spec, name=name)
-    clone.stats_engine = inst.stats_engine
-    clone._features = inst._features
-    clone._profile = inst._profile
-    clone._format_stats = inst._format_stats
-    clone._format_fail = inst._format_fail
-    clone._simd_util = inst._simd_util
-    clone._imbalance = inst._imbalance
-    return clone
-
-
-def _json_signature(inst: MatrixInstance) -> tuple:
-    """What derived state the JSON sidecar would carry (for dirtiness)."""
-    return (
-        inst._features is not None,
-        frozenset(inst._format_stats),
-        frozenset(inst._format_fail),
-        frozenset(inst._simd_util),
-        frozenset(inst._imbalance),
-    )
-
-
 class InstanceCache:
-    """Layered (memory + directory + pack) cache of instances."""
+    """Layered (memory + directory + pack) cache of scoring records."""
 
     def __init__(self, root, keep_in_memory: bool = True):
         self.root = Path(root)
@@ -154,18 +156,14 @@ class InstanceCache:
             )
         self.root.mkdir(parents=True, exist_ok=True)
         self.keep_in_memory = keep_in_memory
-        self._mem: Dict[str, MatrixInstance] = {}
-        self._disk_json_sig: Dict[str, tuple] = {}
-        # Whether the on-disk NPZ is known to carry a row profile (the CSR
-        # arrays themselves are content-keyed, so they never change).
-        self._disk_npz_profile: Dict[str, bool] = {}
-        # Complete-entry census (lazy; maintained by store/quarantine).
+        self._mem: Dict[str, ScoringRecord] = {}
+        # Record census (lazy; maintained by store/quarantine).
         self._census: Optional[Set[str]] = None
         self.hits_memory = 0
         self.hits_disk = 0
         self.hits_pack = 0
         self.misses = 0
-        # Corrupt entries detected by this handle (moved, not deleted);
+        # Corrupt records detected by this handle (moved, not deleted);
         # the sweep RunReport aggregates these counts across workers.
         self.quarantined = 0
         # Pack entries this handle found corrupt (never re-read).
@@ -175,10 +173,7 @@ class InstanceCache:
             self._open_pack()
 
     # -- paths -----------------------------------------------------------
-    def _npz_path(self, key: str) -> Path:
-        return self.root / f"{key}.npz"
-
-    def _json_path(self, key: str) -> Path:
+    def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
 
     @property
@@ -199,139 +194,69 @@ class InstanceCache:
             self._pack = None
             self._quarantine(self.pack_path)
 
+    def _in_pack(self, key: str) -> bool:
+        return (self._pack is not None and key not in self._pack_bad
+                and f"{key}.json" in self._pack)
+
     # -- fetch -----------------------------------------------------------
     def fetch(
-        self, spec: MatrixSpec, max_nnz: int, name: str = ""
-    ) -> Optional[MatrixInstance]:
-        """Cached instance for ``spec``, or ``None`` on a miss.
-
-        ``name`` is applied to the returned instance (names label sweep
-        rows and seed the measurement noise, so they must match what a
-        fresh materialisation would have used).
-        """
+        self, spec: MatrixSpec, max_nnz: int
+    ) -> Optional[ScoringRecord]:
+        """Cached scoring record for ``spec``, or ``None`` on a miss."""
         key = spec_key(spec, max_nnz)
-        inst = self._mem.get(key)
-        if inst is not None:
+        record = self._mem.get(key)
+        if record is not None:
             self.hits_memory += 1
-            if inst.name != name:
-                inst = _clone_with_name(inst, name)
-            return inst
-        inst = self._load_disk(key, spec, name)
-        if inst is not None:
+            return record
+        record = self._load_disk(key)
+        if record is not None:
             self.hits_disk += 1
-            self._remember(key, inst)
-            return inst
-        inst = self._load_pack(key, spec, name)
-        if inst is not None:
+        else:
+            record = self._load_pack(key)
+            if record is None:
+                self.misses += 1
+                return None
             self.hits_pack += 1
-            self._remember(key, inst)
-            return inst
-        self.misses += 1
-        return None
-
-    def _remember(self, key: str, inst: MatrixInstance) -> None:
         if self.keep_in_memory:
-            self._mem[key] = inst
-        self._disk_json_sig[key] = _json_signature(inst)
-        self._disk_npz_profile[key] = inst._profile is not None
+            self._mem[key] = record
+        return record
 
-    def _load_disk(
-        self, key: str, spec: MatrixSpec, name: str
-    ) -> Optional[MatrixInstance]:
-        npz_path, json_path = self._npz_path(key), self._json_path(key)
-        if not (npz_path.exists() and json_path.exists()):
-            return None
+    def _load_disk(self, key: str) -> Optional[ScoringRecord]:
+        path = self._path(key)
         try:
-            with np.load(npz_path) as npz:
-                matrix, profile = self._parse_arrays(npz)
-            meta = json.loads(json_path.read_text())
-        except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            # Partial/corrupt entry: treat as a miss and quarantine both
-            # halves (the pair is only valid together) so the evidence
-            # survives for inspection and the next store() rewrites the
-            # entry cleanly.
-            self._quarantine(npz_path, json_path)
+            data = path.read_bytes()
+        except FileNotFoundError:
             return None
-        return self._build(matrix, profile, meta, spec, name)
+        except OSError:
+            data = b""
+        try:
+            return decode_record(key, data)
+        except _DAMAGE:
+            # Truncated, bit-flipped or malformed: treat as a miss and
+            # quarantine it so the evidence survives for inspection and
+            # the next store() rewrites the record cleanly.
+            self._quarantine(path)
+            return None
 
-    def _load_pack(
-        self, key: str, spec: MatrixSpec, name: str
-    ) -> Optional[MatrixInstance]:
-        """Entry served out of the single-file pack (one dict lookup per
-        half, zero directory probing).
+    def _load_pack(self, key: str) -> Optional[ScoringRecord]:
+        """Record served out of the single-file pack (one dict lookup,
+        zero directory probing).
 
         A pack entry that fails its checksum or does not parse is
-        quarantined as evidence — its raw bytes are *copied* out into
+        quarantined as evidence — its stored bytes are *copied* out into
         ``quarantine/`` (the pack itself is shared and read-only) — and
         the key is remembered as bad so it is never re-read.
         """
-        pack = self._pack
-        if pack is None or key in self._pack_bad:
+        if not self._in_pack(key):
             return None
-        npz_key, json_key = f"{key}.npz", f"{key}.json"
-        if npz_key not in pack or json_key not in pack:
-            return None
+        entry_key = f"{key}.json"
         try:
-            # BytesIO accepts the zero-copy memoryview directly (one
-            # copy into its buffer instead of two through bytes()).
-            with np.load(io.BytesIO(pack.read(npz_key))) as npz:
-                matrix, profile = self._parse_arrays(npz)
-            meta = json.loads(bytes(pack.read(json_key)))
-        except (PackError, OSError, ValueError, KeyError,
-                zipfile.BadZipFile):
+            return decode_record(key, self._pack.read(entry_key))
+        except (PackError, OSError) + _DAMAGE:
             self._pack_bad.add(key)
-            evidence = []
-            for entry_key in (npz_key, json_key):
-                try:
-                    evidence.append(
-                        (entry_key,
-                         bytes(pack.read(entry_key, verify=False)))
-                    )
-                except (PackError, KeyError, OSError):
-                    continue
-            self._quarantine_bytes(evidence)
+            self._quarantine_bytes(entry_key,
+                                   bytes(self._pack.raw(entry_key)))
             return None
-        return self._build(matrix, profile, meta, spec, name)
-
-    @staticmethod
-    def _parse_arrays(npz) -> Tuple[CSRMatrix, Optional[np.ndarray]]:
-        matrix = CSRMatrix(
-            int(npz["n_rows"]),
-            int(npz["n_cols"]),
-            npz["indptr"],
-            npz["indices"],
-            npz["data"],
-        )
-        profile = (
-            npz["profile"].astype(np.int64)
-            if "profile" in npz.files
-            else None
-        )
-        return matrix, profile
-
-    @staticmethod
-    def _build(matrix, profile, meta, spec, name) -> MatrixInstance:
-        inst = MatrixInstance(matrix=matrix, spec=spec, name=name)
-        if meta.get("features") is not None:
-            inst._features = Features(**meta["features"])
-        if profile is not None:
-            inst._profile = profile
-        inst._format_stats = {
-            fmt: FormatStats(**d)
-            for fmt, d in meta.get("format_stats", {}).items()
-        }
-        inst._format_fail = dict(meta.get("format_fail", {}))
-        inst._simd_util = {
-            int(w): float(v)
-            for w, v in meta.get("simd_util", {}).items()
-        }
-        inst._imbalance = {}
-        for enc, d in meta.get("imbalance", {}).items():
-            strategy, workers, width = enc.rsplit("|", 2)
-            inst._imbalance[(strategy, int(workers), int(width))] = (
-                ImbalanceStats(**d)
-            )
-        return inst
 
     # -- quarantine ------------------------------------------------------
     def _reserve_quarantine_name(self, name: str) -> Optional[Path]:
@@ -360,9 +285,9 @@ class InstanceCache:
             os.close(fd)
             return target
 
-    def _quarantine(self, *paths: Path) -> None:
-        """Move a corrupt entry's files into ``quarantine/`` and count
-        the incident.
+    def _quarantine(self, path: Path) -> None:
+        """Move a corrupt file into ``quarantine/`` and count the
+        incident.
 
         The name is reserved exclusively first, then ``os.replace``
         (atomic on the same filesystem) moves the evidence over the
@@ -377,129 +302,63 @@ class InstanceCache:
             self.quarantine_dir.mkdir(exist_ok=True)
         except OSError:
             return
-        for path in paths:
-            if not path.exists():
-                continue
-            target = self._reserve_quarantine_name(path.name)
-            if target is None:
-                continue
+        if not path.exists():
+            return
+        target = self._reserve_quarantine_name(path.name)
+        if target is None:
+            return
+        try:
+            os.replace(path, target)
+        except OSError:
             try:
-                os.replace(path, target)
+                os.unlink(target)  # release the unused reservation
             except OSError:
-                try:
-                    os.unlink(target)  # release the unused reservation
-                except OSError:
-                    pass
-            else:
-                self._forget_census(path.name)
+                pass
+        else:
+            self._forget_census(path.name)
 
-    def _quarantine_bytes(self, evidence) -> None:
-        """Copy corrupt pack-entry bytes into ``quarantine/`` — one
-        counted incident per entry pair (the pack is shared and
-        read-only, so evidence is copied, not moved)."""
+    def _quarantine_bytes(self, name: str, payload: bytes) -> None:
+        """Copy a corrupt pack entry's bytes into ``quarantine/`` — one
+        counted incident (the pack is shared and read-only, so evidence
+        is copied, not moved)."""
         self.quarantined += 1
+        self._forget_census(name)
         try:
             self.quarantine_dir.mkdir(exist_ok=True)
         except OSError:
             return
-        for name, payload in evidence:
-            target = self._reserve_quarantine_name(name)
-            if target is None:
-                continue
-            try:
-                target.write_bytes(payload)
-            except OSError:
-                pass
-            self._forget_census(name)
+        target = self._reserve_quarantine_name(name)
+        if target is None:
+            return
+        try:
+            target.write_bytes(payload)
+        except OSError:
+            pass
 
     def _forget_census(self, file_name: str) -> None:
-        if self._census is None:
-            return
-        stem = file_name.rsplit(".", 1)[0]
-        for suffix in (".npz", ".json"):
-            if file_name.endswith(suffix):
-                stem = file_name[: -len(suffix)]
-        self._census.discard(stem)
+        if self._census is not None and file_name.endswith(".json"):
+            self._census.discard(file_name[:-5])
 
     # -- store -----------------------------------------------------------
     def store(
-        self, spec: MatrixSpec, max_nnz: int, inst: MatrixInstance
+        self, spec: MatrixSpec, max_nnz: int, record: ScoringRecord
     ) -> bool:
-        """Persist ``inst`` (skipping whatever the on-disk entry already
-        carries).  Returns ``True`` when any write happened.
+        """Persist ``record`` as a loose file when it grew since it was
+        loaded or last stored, or when no layer holds the key yet.
+        Returns ``True`` when a write happened.
 
-        The NPZ (CSR arrays + profile) and the JSON sidecar (derived
-        statistics) are tracked separately: the arrays are fixed by the
-        content key, so adding e.g. one more imbalance memo only rewrites
-        the small JSON file, never the multi-MB matrix payload.  Entries
-        already served by the pack are not duplicated into the
-        directory unless they gained state the pack lacks (the pack is
-        read-only; loose pairs shadow it on fetch).
+        Records already served by the pack are not duplicated into the
+        directory unless they grew (the pack is read-only; loose records
+        shadow it on fetch).
         """
         key = spec_key(spec, max_nnz)
         if self.keep_in_memory:
-            self._mem[key] = inst
-
-        wrote = False
-        have_profile = inst._profile is not None
-        npz_path = self._npz_path(key)
-        pack_has_npz = (
-            self._pack is not None
-            and f"{key}.npz" in self._pack
-            and key not in self._pack_bad
-        )
-        need_npz = (
-            not (npz_path.exists() or pack_has_npz)
-            or (have_profile
-                and self._disk_npz_profile.get(key) is not True)
-        )
-        if need_npz:
-            arrays = {
-                "n_rows": np.int64(inst.matrix.n_rows),
-                "n_cols": np.int64(inst.matrix.n_cols),
-                "indptr": inst.matrix.indptr,
-                "indices": inst.matrix.indices,
-                "data": inst.matrix.data,
-            }
-            if have_profile:
-                arrays["profile"] = inst._profile
-            buf = io.BytesIO()
-            np.savez(buf, **arrays)
-            _atomic_write_bytes(npz_path, buf.getvalue())
-            self._disk_npz_profile[key] = have_profile
-            wrote = True
-
-        sig = _json_signature(inst)
-        if self._disk_json_sig.get(key) == sig:
-            if wrote and self._census is not None:
-                self._census.add(key)
-            return wrote
-
-        meta = {
-            "version": CACHE_VERSION,
-            "features": (
-                inst._features.to_dict()
-                if inst._features is not None
-                else None
-            ),
-            "format_stats": {
-                fmt: dataclasses.asdict(st)
-                for fmt, st in inst._format_stats.items()
-            },
-            "format_fail": inst._format_fail,
-            "simd_util": {
-                str(w): v for w, v in inst._simd_util.items()
-            },
-            "imbalance": {
-                f"{s}|{w}|{sw}": dataclasses.asdict(st)
-                for (s, w, sw), st in inst._imbalance.items()
-            },
-        }
-        _atomic_write_bytes(
-            self._json_path(key),
-            json.dumps(meta, default=_to_py).encode(),
-        )
-        self._disk_json_sig[key] = sig
+            self._mem[key] = record
+        path = self._path(key)
+        if not record.grown and (path.exists() or self._in_pack(key)):
+            return False
+        _atomic_write_bytes(path, encode_record(key, record))
+        record.grown = False
         if self._census is not None:
             self._census.add(key)
         return True
@@ -510,26 +369,21 @@ class InstanceCache:
         self._mem.clear()
 
     def _complete_keys(self) -> Set[str]:
-        """Content keys with both halves present (directory or pack)."""
-        complete = _complete_keys_static(self.root)
+        """Content keys with a record (directory or pack)."""
+        keys = _record_keys(self.root)
         if self._pack is not None:
-            pack_keys = set(self._pack.keys())
-            complete |= {
-                k[:-4] for k in pack_keys
-                if k.endswith(".npz")
-                and f"{k[:-4]}.json" in pack_keys
-                and k[:-4] not in self._pack_bad
-            }
-        return complete
+            keys |= _record_stems(self._pack.keys()) - self._pack_bad
+        return keys
 
     def __len__(self) -> int:
-        """Complete entries visible to this handle.
+        """Records visible to this handle (directory or pack).
 
-        Counts only ``.npz``+``.json`` *pairs* (an orphaned half —
-        e.g. a crash between the two atomic writes — is not a usable
-        entry) plus packed entries.  The census is one directory scan,
-        taken lazily and then maintained by ``store``/quarantine, so
-        repeated calls cost O(1) instead of re-listing the directory.
+        Counts only ``<key>.json`` records (see :func:`_record_stems`):
+        temp files of an interrupted write and leftovers of the older
+        npz + json pair layout are not entries.  The census is one
+        directory scan, taken lazily and then maintained by
+        ``store``/quarantine, so repeated calls cost O(1) instead of
+        re-listing the directory.
         """
         if self._census is None:
             self._census = self._complete_keys()
@@ -540,14 +394,14 @@ class InstanceCache:
 def pack_cache_dir(
     root, out=None, prune: bool = False
 ) -> Tuple[int, Path]:
-    """Fold a cache directory's complete entry pairs into a single-file
-    pack (default ``<root>/cache.rpak``); returns ``(entries, path)``.
+    """Fold a cache directory's records into a single-file pack
+    (default ``<root>/cache.rpak``); returns ``(entries, path)``.
 
-    File bytes are stored verbatim (NPZ raw, JSON deflated), so
-    :func:`unpack_cache` reproduces the original files byte-identically.
-    With ``prune``, the loose pairs are removed *after* the sealed pack
-    has been re-opened and every entry's checksum re-verified against
-    it — the pack then serves the whole corpus by itself.
+    File bytes are stored verbatim (deflated), so :func:`unpack_cache`
+    reproduces the original files byte-identically.  With ``prune``, the
+    loose records are removed *after* the sealed pack has been re-opened
+    and every entry's checksum re-verified against it — the pack then
+    serves the whole corpus by itself.
     """
     root = Path(root)
     if not root.is_dir():
@@ -556,56 +410,55 @@ def pack_cache_dir(
             "--cache-dir previously filled by `repro sweep`"
         )
     out = Path(out) if out is not None else root / PACK_NAME
-    keys = sorted(_complete_keys_static(root))
+    keys = sorted(_record_keys(root))
     with PackWriter.create(out) as writer:
         for key in keys:
-            writer.add(
-                f"{key}.npz", "npz",
-                (root / f"{key}.npz").read_bytes(),
-            )
-            writer.add(
-                f"{key}.json", "json",
-                (root / f"{key}.json").read_bytes(),
-                compress=True,
-            )
+            writer.add(f"{key}.json", "json",
+                       (root / f"{key}.json").read_bytes(), compress=True)
     if prune:
         with Pack.open(out) as pack:
             for key in keys:
-                pack.read(f"{key}.npz")   # checksum re-verified
-                pack.read(f"{key}.json")
+                pack.read(f"{key}.json")   # checksum re-verified
         for key in keys:
-            for path in (root / f"{key}.npz", root / f"{key}.json"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+            try:
+                (root / f"{key}.json").unlink()
+            except OSError:
+                pass
     return len(keys), out
 
 
-def _complete_keys_static(root: Path) -> Set[str]:
-    npz_stems: Set[str] = set()
-    json_stems: Set[str] = set()
+def _record_keys(root: Path) -> Set[str]:
     with os.scandir(root) as it:
-        for entry in it:
-            name = entry.name
-            if name.endswith(".npz"):
-                npz_stems.add(name[:-4])
-            elif name.endswith(".json"):
-                json_stems.add(name[:-5])
-    return npz_stems & json_stems
+        return _record_stems(entry.name for entry in it)
+
+
+def _record_stems(names) -> Set[str]:
+    """Keys of the records among file (or pack entry) ``names``.
+
+    Temp files of an interrupted write start with ``.``; a
+    ``<key>.json`` beside a ``<key>.npz`` is half of an entry of the
+    older npz + json pair layout.  Neither is a record: such files are
+    not counted, packed or pruned.
+    """
+    names = set(names)
+    return {
+        name[:-5] for name in names
+        if name.endswith(".json") and not name.startswith(".")
+        and f"{name[:-5]}.npz" not in names
+    }
 
 
 def unpack_cache(pack_path, out_dir) -> int:
-    """Write every ``npz``/``json`` entry of a pack back out as loose
-    files (byte-identical to what :func:`pack_cache_dir` read); returns
-    the number of files written."""
+    """Write every record of a pack back out as loose files
+    (byte-identical to what :func:`pack_cache_dir` read); returns the
+    number of files written.  A pack of the older npz + json pair
+    layout unpacks whole, so its halves stay recognisable as pairs."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = 0
     with Pack.open(pack_path) as pack:
         for key in pack.keys():
-            entry = pack.entry(key)
-            if entry.kind not in ("npz", "json"):
+            if pack.entry(key).kind not in ("npz", "json"):
                 continue
             _atomic_write_bytes(
                 out_dir / key, bytes(pack.read(key))

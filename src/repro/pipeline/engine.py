@@ -29,11 +29,14 @@ deterministic :class:`~repro.pipeline.faults.FaultPlan` (also via the
 filled with retries, timeouts, degraded chunks, quarantined cache
 entries and per-phase wall-clock.
 
-Workers share one :class:`~repro.pipeline.cache.InstanceCache`
-directory; entries are content-keyed and written atomically, so the
-only cost of a cache race is a redundant materialisation, never a
-corrupt entry — and a corrupt entry found on disk is quarantined and
-rematerialised, never trusted.
+Every chunk is scored straight from its specs
+(:func:`~repro.core.dataset.fused_spec_table`).  With a cache, each
+sub-chunk first fetches its specs' scoring records, derives only what
+they lack, and writes back the records that grew.  Workers share one
+:class:`~repro.pipeline.cache.InstanceCache` directory; records are
+content-keyed and written atomically, so the only cost of a cache race
+is a redundant rescoring, never a corrupt record — and a corrupt record
+found on disk is quarantined and rescored, never trusted.
 """
 
 from __future__ import annotations
@@ -46,9 +49,7 @@ from collections import deque
 from multiprocessing.connection import wait as _conn_wait
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from ..core.dataset import (
-    Dataset, SweepTable, fused_spec_table, grid_spec_table,
-)
+from ..core.dataset import Dataset, SweepTable, fused_spec_table
 from ..devices.base import Device
 from .cache import InstanceCache
 from .faults import FaultPlan
@@ -104,45 +105,34 @@ def _chunk_table(
     seed: int,
     cache: Optional[InstanceCache],
     precision: str,
-    fused: bool,
     progress_put: Optional[Callable[[int], None]] = None,
 ) -> SweepTable:
     """Columnar table for specs ``lo..hi`` with cache write-back, scored
     in ``_SUB_CHUNK``-sized vectorised grid passes.
 
-    Each sub-chunk goes through one
-    :func:`~repro.perfmodel.batch.simulate_grid` pass and its columns are
-    gathered straight from the grid arrays.  ``fused`` skips instances
-    entirely — specs go straight to structure arrays and batched
-    analytic stats, and the instance cache is neither read nor written
-    (there is nothing materialised to persist).  Crew workers and the
-    in-process path share this function verbatim, so a chunk's table is
-    identical no matter where (or how many times) it executes.
+    Each sub-chunk goes through one fused spec-to-grid pass seeded with
+    its specs' cached scoring records (a spec with a complete record
+    generates nothing); records that grew are written back after
+    scoring.  Crew workers and the in-process path share this function
+    verbatim, so a chunk's table is identical no matter where (or how
+    many times) it executes.
     """
     parts: List[SweepTable] = []
     for sub_lo in range(lo, hi, _SUB_CHUNK):
         sub_hi = min(sub_lo + _SUB_CHUNK, hi)
-        if fused:
-            part = fused_spec_table(
-                dataset, sub_lo, sub_hi, devices,
-                best_only=best_only, formats=formats, seed=seed,
-                precision=precision,
-            )
-        else:
-            # Materialise the sub-chunk once; scoring and cache
-            # write-back reuse these exact objects.
-            insts = [dataset.instance(i) for i in range(sub_lo, sub_hi)]
-            part = grid_spec_table(
-                dataset, sub_lo, sub_hi, devices,
-                best_only=best_only, formats=formats, seed=seed,
-                precision=precision, instances=insts,
-            )
-            if cache is not None:
-                # Store after scoring so the persisted entries carry the
-                # derived state (features, profiles, format stats) the
-                # grid evaluation just computed — warm sweeps reload it.
-                for i, inst in zip(range(sub_lo, sub_hi), insts):
-                    cache.store(dataset.specs[i], dataset.max_nnz, inst)
+        specs = dataset.specs[sub_lo:sub_hi]
+        records = None
+        if cache is not None:
+            records = [cache.fetch(spec, dataset.max_nnz) for spec in specs]
+        part = fused_spec_table(
+            dataset, sub_lo, sub_hi, devices,
+            best_only=best_only, formats=formats, seed=seed,
+            precision=precision, records=records,
+        )
+        if cache is not None:
+            for spec, record in zip(specs, records):
+                if record.grown:
+                    cache.store(spec, dataset.max_nnz, record)
         parts.append(part)
         if progress_put is not None:
             progress_put(sub_hi - sub_lo)
@@ -157,9 +147,9 @@ def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
     ticks) back on a dedicated pipe.  ``None`` is the shutdown sentinel.
     """
     (specs, max_nnz, name, devices, best_only, formats, seed, cache_dir,
-     precision, fused) = init_args
+     precision) = init_args
     cache = InstanceCache(cache_dir) if cache_dir else None
-    dataset = Dataset(specs, max_nnz=max_nnz, name=name, cache=cache)
+    dataset = Dataset(specs, max_nnz=max_nnz, name=name)
     plan = FaultPlan.from_spec(fault_spec)
     while True:
         try:
@@ -186,7 +176,7 @@ def _worker_main(worker_id, task_conn, result_conn, init_args, fault_spec,
                 def put(count, _cid=chunk_id):
                     result_conn.send(("progress", _cid, count))
             table = _chunk_table(dataset, lo, hi, devices, best_only,
-                                 formats, seed, cache, precision, fused,
+                                 formats, seed, cache, precision,
                                  progress_put=put)
             quarantined = cache.quarantined if cache is not None else 0
             result_conn.send(("ok", chunk_id, table, quarantined))
@@ -512,7 +502,6 @@ def run_sweep(
     cache: Optional[InstanceCache] = None,
     progress: Optional[Callable[[int, int], None]] = None,
     precision: str = "fp64",
-    fused: bool = False,
     run_dir: Optional[str] = None,
     resume: bool = False,
     pack_shards: bool = False,
@@ -525,12 +514,9 @@ def run_sweep(
 
     ``cache`` takes precedence over ``cache_dir``; with ``jobs != 1`` the
     cache must be directory-backed, so pass ``cache_dir`` (each worker
-    opens its own handle onto the shared directory).  ``fused`` scores
-    chunks straight from the specs — structure generation, batched
-    analytic stats and grid scoring in one pass, with no instance
-    materialisation and no cache traffic.  ``precision`` scores every
-    cell at fp64 (default) or fp32 — the experiment runner sweeps one
-    precision slice at a time.
+    opens its own handle onto the shared directory).  ``precision``
+    scores every cell at fp64 (default) or fp32 — the experiment runner
+    sweeps one precision slice at a time.
 
     Resilience controls: ``run_dir`` journals completed chunks for
     ``resume=True`` (``pack_shards`` stores them in a single
@@ -557,7 +543,7 @@ def run_sweep(
         with rep.phase("total"):
             table = _run_sweep_inner(
                 dataset, devices, best_only, formats, seed, jobs,
-                cache_dir, cache, progress, precision, fused,
+                cache_dir, cache, progress, precision,
                 run_dir, resume, pack_shards, faults, chunk_timeout,
                 max_retries, rep, journal_holder,
             )
@@ -579,7 +565,7 @@ def run_sweep(
 
 def _run_sweep_inner(
     dataset, devices, best_only, formats, seed, jobs, cache_dir, cache,
-    progress, precision, fused, run_dir, resume, pack_shards, faults,
+    progress, precision, run_dir, resume, pack_shards, faults,
     chunk_timeout, max_retries, rep, journal_holder,
 ) -> SweepTable:
     if resume and run_dir is None:
@@ -610,7 +596,7 @@ def _run_sweep_inner(
             faults or os.environ.get("REPRO_FAULTS")
         )
     rep.engine = {
-        "jobs": jobs, "fused": bool(fused), "precision": precision,
+        "jobs": jobs, "precision": precision,
         "n_specs": n, "max_retries": max_retries,
         "chunk_timeout": chunk_timeout,
         "journalled": run_dir is not None, "resumed": bool(resume),
@@ -626,7 +612,7 @@ def _run_sweep_inner(
     bounds = _chunk_bounds(n, jobs * _CHUNKS_PER_JOB)
     if run_dir is not None:
         config = sweep_config(dataset, devices, best_only, formats, seed,
-                              precision, fused)
+                              precision)
         if resume:
             journal = RunJournal.load(run_dir)
             journal.check_config(config)
@@ -668,17 +654,10 @@ def _run_sweep_inner(
                 f"injected stop after chunk {state.chunk_id}"
             )
 
-    local = dataset
-    if cache is not None and dataset.cache is None:
-        # Attach the cache for reads without mutating the caller's
-        # dataset, whose instances stay shared across its sweeps.
-        local = Dataset(dataset.specs, max_nnz=dataset.max_nnz,
-                        name=dataset.name, cache=cache)
-
     def run_local(state: _ChunkState) -> SweepTable:
         return _chunk_table(
-            local, state.lo, state.hi, devices, best_only, formats, seed,
-            cache, precision, fused,
+            dataset, state.lo, state.hi, devices, best_only, formats, seed,
+            cache, precision,
             progress_put=functools.partial(meter.add, state.chunk_id),
         )
 
@@ -699,7 +678,7 @@ def _run_sweep_inner(
                 init_args = (
                     dataset.specs, dataset.max_nnz, dataset.name,
                     list(devices), best_only, formats, seed, cache_dir,
-                    precision, fused,
+                    precision,
                 )
                 _ResilientDispatch(
                     ctx, jobs, init_args, plan, progress is not None,

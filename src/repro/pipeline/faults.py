@@ -21,8 +21,8 @@ Fault kinds
     NFS mount or livelocked dependency; only a per-chunk timeout
     recovers it.
 ``corrupt``
-    The worker damages one existing instance-cache entry (truncation or
-    a flipped byte, chosen deterministically from the plan seed) before
+    The worker damages one existing cache record (truncation or a
+    flipped byte, chosen deterministically from the plan seed) before
     running the chunk — models torn writes and disk rot; the cache's
     quarantine path must absorb it.
 ``stop``
@@ -193,11 +193,11 @@ class FaultPlan:
              keys: Optional[Sequence[str]] = None) -> None:
         """Trigger worker-side faults armed for ``(chunk_id, attempt)``.
 
-        ``corrupt`` damages a cache entry and *returns* (the chunk then
+        ``corrupt`` damages a cache record and *returns* (the chunk then
         runs against the damaged cache); ``crash``/``hang``/``error``
         never return normally.  ``keys`` narrows corruption to the
-        chunk's own content keys so the damaged entry is read — and must
-        be quarantined and rematerialised — by the very chunk the fault
+        chunk's own content keys so the damaged record is read — and
+        must be quarantined and rescored — by the very chunk the fault
         targets.
         """
         for fault in self.matching(chunk_id, attempt,
@@ -216,8 +216,8 @@ class FaultPlan:
     def _corrupt_cache_entry(self, cache_dir: Optional[str],
                              chunk_id: int,
                              keys: Optional[Sequence[str]]) -> None:
-        """Truncate or bit-flip one existing cache file, chosen
-        deterministically from ``(seed, chunk_id)``."""
+        """Truncate or bit-flip one existing ``<key>.json`` scoring
+        record, chosen deterministically from ``(seed, chunk_id)``."""
         if not cache_dir:
             return
         root = Path(cache_dir)
@@ -225,7 +225,7 @@ class FaultPlan:
             return
         files = sorted(
             p for p in root.iterdir()
-            if p.is_file() and p.suffix in (".npz", ".json")
+            if p.is_file() and p.suffix == ".json"
         )
         if keys:
             targeted = [p for p in files if p.stem in set(keys)]

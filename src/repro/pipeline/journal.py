@@ -30,8 +30,9 @@ written before the field existed default to the directory layout):
   single-writer contract; retried chunks re-append idempotently.
 
 The ``begin`` record pins the sweep *configuration fingerprint* —
-content keys of every spec, device names, seed, precision, engine
-flags — plus the chunk bounds.  Resume refuses a mismatched
+a digest of every spec's fields under
+:data:`~repro.pipeline.cache.OUTPUT_VERSION`, device names, seed,
+precision — plus the chunk bounds.  Resume refuses a mismatched
 configuration (:class:`~repro.pipeline.report.ResumeError`) and always
 re-executes against the journalled bounds, so the merged table is
 byte-identical to an uninterrupted run regardless of the ``--jobs``
@@ -49,29 +50,37 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.table import SchemaVersionError, SweepTable
 from ..io.pack import Pack, PackError, append_entries
-from .cache import spec_key
+from .cache import OUTPUT_VERSION, spec_key
 from .report import ResumeError
 
 __all__ = ["RunJournal", "sweep_config", "JOURNAL_VERSION", "SHARD_STORES"]
 
 JOURNAL_VERSION = 1
 
+# Config keys of older journals that no longer select anything; resume
+# ignores them on either side (each picked between bit-identical
+# engines).
+RETIRED_CONFIG_KEYS = ("batch", "fused")
+
 # Recognised shard layouts (see module docstring).
 SHARD_STORES = ("dir", "pack")
 
 
-def sweep_config(dataset, devices, best_only, formats, seed, precision,
-                 fused) -> dict:
+def sweep_config(dataset, devices, best_only, formats, seed,
+                 precision) -> dict:
     """The configuration fingerprint journalled with a run.
 
-    Everything that changes the merged table is in here (specs via their
-    content keys, devices, seed, precision, engine mode); everything
-    proven not to (jobs, cache state) is not, so a run can be resumed
-    with different parallelism on a different machine.
+    Everything that changes the merged table is in here (spec fields
+    with ``max_nnz`` and the output version, devices, seed, precision);
+    everything proven not to (jobs, cache state and layout) is not, so a
+    run can be resumed with different parallelism on a different
+    machine.
     """
     digest = hashlib.sha256()
     for spec in dataset.specs:
-        digest.update(spec_key(spec, dataset.max_nnz).encode())
+        digest.update(
+            spec_key(spec, dataset.max_nnz, OUTPUT_VERSION).encode()
+        )
         digest.update(b"\n")
     return {
         "n_specs": len(dataset),
@@ -83,10 +92,6 @@ def sweep_config(dataset, devices, best_only, formats, seed, precision,
         "formats": list(formats) if formats else None,
         "seed": int(seed),
         "precision": precision,
-        # Always true; kept so run dirs journalled when it could vary
-        # still pass the resume check.
-        "batch": True,
-        "fused": bool(fused),
     }
 
 
@@ -199,7 +204,8 @@ class RunJournal:
         """Raise :class:`ResumeError` naming every differing key."""
         mismatched = sorted(
             key for key in set(self.config) | set(config)
-            if self.config.get(key) != config.get(key)
+            if key not in RETIRED_CONFIG_KEYS
+            and self.config.get(key) != config.get(key)
         )
         if mismatched:
             detail = "; ".join(

@@ -21,16 +21,6 @@ class TestDataset:
     def test_len(self, small_dataset):
         assert len(small_dataset) == 3
 
-    def test_instance_cached(self, small_dataset):
-        a = small_dataset.instance(0)
-        b = small_dataset.instance(0)
-        assert a is b
-
-    def test_drop_cache(self, small_dataset):
-        a = small_dataset.instance(1)
-        small_dataset.drop_cache()
-        assert small_dataset.instance(1) is not a
-
     def test_instances_iterates_all(self, small_dataset):
         assert len(list(small_dataset.instances())) == 3
 

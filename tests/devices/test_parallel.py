@@ -15,6 +15,8 @@ from repro.devices.parallel import (
     nnz_split,
     row_block_partition,
     sell_chunk_imbalance,
+    sell_chunk_imbalance_fast,
+    sell_chunk_widths,
     warp_per_row,
 )
 
@@ -133,3 +135,37 @@ def test_contiguous_partitions_conserve_work(lengths, workers):
             assert stats.mean_load * stats.n_workers == pytest.approx(
                 arr.sum(), rel=1e-9
             )
+
+
+@given(
+    lengths=st.lists(st.integers(0, 3000), min_size=1, max_size=3000),
+    workers=st.integers(1, 64),
+    layout=st.sampled_from([(32, 1024), (4, 16), (8, 8), (16, 48)]),
+)
+@settings(max_examples=60, deadline=None)
+def test_sell_twin_matches_reference(lengths, workers, layout):
+    """The vectorised SELL twin and its chunk widths equal the per-window
+    reference loop bit for bit, full and partial tail windows alike."""
+    C, sigma = layout
+    arr = np.array(lengths, dtype=np.int64)
+    ref = sell_chunk_imbalance(arr, workers, C=C, sigma=sigma)
+    assert sell_chunk_imbalance_fast(arr, workers, C=C, sigma=sigma) == ref
+    widths = sell_chunk_widths(arr, C=C, sigma=sigma)
+    assert widths.dtype == np.int64
+    srt = arr.copy()
+    for w0 in range(0, len(arr), sigma):
+        srt[w0:w0 + sigma] = np.sort(srt[w0:w0 + sigma])[::-1]
+    padded = np.zeros(-(-len(arr) // C) * C, dtype=np.int64)
+    padded[:len(arr)] = srt
+    np.testing.assert_array_equal(widths, padded.reshape(-1, C).max(axis=1))
+
+
+@pytest.mark.parametrize("lengths, C, sigma, match", [
+    ([1] * 100, 16, 24, "multiple of C"),
+    ([1] * 100, 32, 16, "multiple of C"),
+    ([1, 2**31], 32, 1024, r"2\*\*31"),
+])
+def test_sell_widths_reject_unsupported_input(lengths, C, sigma, match):
+    with pytest.raises(ValueError, match=match):
+        sell_chunk_widths(np.array(lengths, dtype=np.int64), C=C,
+                          sigma=sigma)

@@ -22,13 +22,11 @@ _WORKER: dict = {}
 
 
 def _init_worker(specs, max_nnz, name, devices, best_only, formats, seed,
-                 cache_dir, precision, fused) -> None:
+                 cache_dir, precision) -> None:
     cache = InstanceCache(cache_dir) if cache_dir else None
-    _WORKER["dataset"] = Dataset(
-        specs, max_nnz=max_nnz, name=name, cache=cache
-    )
+    _WORKER["dataset"] = Dataset(specs, max_nnz=max_nnz, name=name)
     _WORKER["args"] = (
-        devices, best_only, formats, seed, cache, precision, fused
+        devices, best_only, formats, seed, cache, precision
     )
 
 
@@ -47,7 +45,6 @@ def pool_sweep(
     seed: int = 0,
     cache_dir: Optional[str] = None,
     precision: str = "fp64",
-    fused: bool = False,
 ) -> SweepTable:
     """Sweep ``dataset`` over a plain pool of ``jobs`` workers.
 
@@ -64,7 +61,7 @@ def pool_sweep(
     )
     init_args = (
         dataset.specs, dataset.max_nnz, dataset.name, list(devices),
-        best_only, formats, seed, cache_dir, precision, fused,
+        best_only, formats, seed, cache_dir, precision,
     )
     results = {}
     pool = ctx.Pool(processes=jobs, initializer=_init_worker,

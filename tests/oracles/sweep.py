@@ -1,21 +1,27 @@
-"""Reference sweep scoring: dict rows from the scalar simulator.
+"""Reference sweep scoring: materialised instances and scalar rows.
 
-Before chunks were scored only through the columnar grid path, a sweep
-could also run a scalar loop: one ``simulate_spmv``/``simulate_best``
-call per (spec, device, format), lifted into dict rows.  These are those
-paths, unchanged, so the production tables can be compared with them
-row for row:
+Before every chunk was scored straight from its specs, a sweep
+materialised one ``MatrixInstance`` per spec (values included) and
+scored those; before that, it could also run a scalar loop: one
+``simulate_spmv``/``simulate_best`` call per (spec, device, format),
+lifted into dict rows.  These are those paths, unchanged, so the
+production tables can be compared with them row for row:
 
 * :func:`spec_rows` — the scalar rows of one spec;
 * :func:`grid_spec_rows` — dict rows of a spec range, read off one
   ``simulate_grid`` pass;
 * :func:`scalar_sweep` — the whole table the scalar loop swept, one
-  spec per chunk.
+  spec per chunk;
+* :func:`instance_spec_table` / :func:`instance_sweep` — the instance
+  cold path: columnar tables from ``simulate_grid`` over materialised
+  instances, sub-chunk by sub-chunk.
 """
 
 from typing import List, Optional, Sequence
 
-from repro.core.dataset import Dataset, SweepTable
+from repro.core.dataset import (
+    Dataset, SweepTable, _grid_sweep_table, _per_inst_columns,
+)
 from repro.formats.base import FormatError
 from repro.perfmodel.batch import STATUS_OK, simulate_grid
 from repro.perfmodel.simulator import (
@@ -161,4 +167,56 @@ def scalar_sweep(
             SweepTable.from_rows(rows).with_constant("precision", precision)
             if rows else SweepTable({})
         )
+    return SweepTable.concat(parts)
+
+
+def instance_spec_table(
+    dataset: Dataset,
+    lo: int,
+    hi: int,
+    devices: Sequence,
+    best_only: bool = True,
+    formats: Optional[Sequence[str]] = None,
+    seed: int = 0,
+    precision: str = "fp64",
+    instances: Optional[Sequence] = None,
+) -> SweepTable:
+    """Columnar table for specs ``lo..hi`` scored through
+    ``simulate_grid`` over materialised instances (``instances`` when
+    given, else fresh ones from ``dataset.instance``)."""
+    indices = list(range(lo, hi))
+    if instances is None:
+        instances = [dataset.instance(i) for i in indices]
+    elif len(instances) != len(indices):
+        raise ValueError("instances must cover exactly specs lo..hi")
+    grid = simulate_grid(instances, devices, formats=formats, seed=seed,
+                         precisions=(precision,))
+    per_inst = _per_inst_columns(
+        indices, dataset.specs, lambda ci: instances[ci].features
+    )
+    return _grid_sweep_table(grid, per_inst, best_only, precision)
+
+
+def instance_sweep(
+    dataset: Dataset,
+    devices: Sequence,
+    best_only: bool = True,
+    formats: Optional[Sequence[str]] = None,
+    seed: int = 0,
+    precision: str = "fp64",
+    instances: Optional[Sequence] = None,
+    sub_chunk: int = 16,
+) -> SweepTable:
+    """The table the instance cold path swept: one
+    :func:`instance_spec_table` per ``sub_chunk`` specs, merged in index
+    order.  ``instances`` (one per spec) pins the instances scored, e.g.
+    with a non-default ``stats_engine``."""
+    parts = []
+    for lo in range(0, len(dataset), sub_chunk):
+        hi = min(lo + sub_chunk, len(dataset))
+        parts.append(instance_spec_table(
+            dataset, lo, hi, devices, best_only=best_only,
+            formats=formats, seed=seed, precision=precision,
+            instances=None if instances is None else instances[lo:hi],
+        ))
     return SweepTable.concat(parts)

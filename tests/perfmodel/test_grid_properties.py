@@ -4,9 +4,10 @@ scalar and batched paths.
 Each property is asserted on *both* engines for the same randomly
 generated instance, so a violation pinpoints whether the model or the
 vectorisation broke it: more bandwidth can never slow SpMV down, fp32 on
-a cache-resident working set buys strictly more than 1x and at most 2x,
-the measured imbalance factor is >= 1, noise is reproducible per seed,
-and the capacity gate trips identically in both paths.
+a cache-resident working set buys exactly 1x in gather-bound GPU cells
+and otherwise strictly more than 1x and at most 2x, the measured
+imbalance factor is >= 1, noise is reproducible per seed, and the
+capacity gate trips identically in both paths.
 """
 
 import dataclasses
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.core.generator import MatrixSpec, artificial_matrix_generation
 from repro.devices import TESTBEDS
+from repro.devices.cache import x_access_model
 from repro.formats.base import CapacityError, FormatError
 from repro.perfmodel import (
     MatrixInstance,
@@ -91,19 +93,61 @@ def test_time_monotone_in_bandwidth(inst, device, fmt, factor):
        fmt=st.sampled_from(SAFE_FORMATS))
 @settings(max_examples=20, deadline=None)
 def test_fp32_speedup_in_unit_interval(inst, device, fmt):
-    """On a cache-resident working set fp32 buys strictly more than 1x
-    (values halve) and at most 2x (index metadata does not shrink, the
-    compute peak only doubles)."""
+    """On a cache-resident working set fp32 buys exactly 1x in GPU cells
+    whose gather pass paces the kernel, and strictly more than 1x (values
+    halve) and at most 2x (index metadata does not shrink, the compute
+    peak only doubles) everywhere else."""
     dev = TESTBEDS[device]
     try:
         f64_scalar, f64_rec = _cell(inst, fmt, dev, precision="fp64")
         f32_scalar, f32_rec = _cell(inst, fmt, dev, precision="fp32")
     except FormatError:
         assume(False)
+    gather_bound = _gather_bound(inst, dev, f64_rec)
     for f64_t, f32_t in ((f64_scalar.time_s, f32_scalar.time_s),
                          (f64_rec["time_s"], f32_rec["time_s"])):
         speedup = f64_t / f32_t
-        assert 1.0 < speedup <= 2.0, speedup
+        if gather_bound:
+            assert speedup == 1.0, speedup
+        else:
+            assert 1.0 < speedup <= 2.0, speedup
+
+
+def _gather_bound(inst, dev, f64_rec) -> bool:
+    """A GPU cell whose neighbour feature is 0 and whose ``t_gather``
+    exceeds both ``t_stream`` and ``t_comp`` at fp64.
+
+    With no neighbours the spatial hit rate is 0, so every gather pulls a
+    full sector at either precision and ``t_gather`` does not shrink
+    under fp32; when it also paces the kernel (``t_mem = max(t_stream,
+    t_gather)``), fp32 buys nothing.
+    """
+    feats = inst.features
+    if not dev.is_gpu or feats.avg_num_neighbours != 0:
+        return False
+    gather = x_access_model(
+        dev, inst.nnz, inst.n_cols, feats.avg_num_neighbours,
+        feats.cross_row_similarity,
+    ).gather_bytes / (dev.llc_bw_gbs * 0.35 * 1e9)
+    # t_mem = max(t_stream, t_gather) on GPUs.
+    return f64_rec["t_mem"] == gather and gather > f64_rec["t_comp"]
+
+
+@pytest.mark.parametrize("device", ["Tesla-V100", "Tesla-P100"])
+def test_fp32_buys_nothing_in_gather_bound_gpu_cell(device):
+    """A deterministic gather-bound cell: 50 rows of 2 nonzeros, none of
+    them adjacent, on a GPU with Naive-CSR."""
+    mat = artificial_matrix_generation(
+        50, 50, 2.0, skew_coeff=0.0, cross_row_sim=1.0,
+        avg_num_neigh=0.0, seed=2147483646,
+    )
+    inst = MatrixInstance.from_matrix(mat, name="gather-bound")
+    dev = TESTBEDS[device]
+    f64_scalar, f64_rec = _cell(inst, "Naive-CSR", dev, precision="fp64")
+    f32_scalar, f32_rec = _cell(inst, "Naive-CSR", dev, precision="fp32")
+    assert _gather_bound(inst, dev, f64_rec)
+    assert f64_scalar.time_s / f32_scalar.time_s == 1.0
+    assert f64_rec["time_s"] / f32_rec["time_s"] == 1.0
 
 
 @given(inst=small_instances(), device=st.sampled_from(DEVICE_NAMES),

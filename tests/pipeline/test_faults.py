@@ -153,13 +153,15 @@ class TestCorruptFile:
         assert path.read_bytes() == b""
 
     def test_corrupt_fault_targets_the_given_keys(self, tmp_path):
-        for name in ("aaa.npz", "bbb.npz", "ccc.json"):
+        # Only scoring records are targets; a leftover of an older
+        # cache layout under the same key is left alone.
+        for name in ("aaa.json", "bbb.json", "bbb.npz", "ccc.json"):
             (tmp_path / name).write_bytes(bytes(range(64)))
         plan = FaultPlan([Fault("corrupt", 0)], seed=1)
         plan.fire(0, 0, cache_dir=str(tmp_path), keys=["bbb"])
-        assert (tmp_path / "aaa.npz").read_bytes() == bytes(range(64))
-        assert (tmp_path / "ccc.json").read_bytes() == bytes(range(64))
-        assert (tmp_path / "bbb.npz").read_bytes() != bytes(range(64))
+        for name in ("aaa.json", "bbb.npz", "ccc.json"):
+            assert (tmp_path / name).read_bytes() == bytes(range(64))
+        assert (tmp_path / "bbb.json").read_bytes() != bytes(range(64))
 
     def test_corrupt_fault_tolerates_missing_targets(self, tmp_path):
         plan = FaultPlan([Fault("corrupt", 0)], seed=1)

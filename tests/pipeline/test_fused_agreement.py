@@ -1,10 +1,12 @@
-"""Golden agreement: fused sweeps are bit-identical to the instance path.
+"""Golden agreement: sweeps are bit-identical to the instance oracle.
 
-The fused cold path (``repro.perfmodel.fused``) must reproduce the
-instance-materialising sweep row for row — same measurements, same noise,
-same skip reasons, same category order — across execution engines
-(serial / pool), cache states (cold / warm) and every registered format,
-including the scalar fallback and capacity-gated cells.  The hypothesis
+Every sweep scores spec chunks through the fused path
+(``repro.perfmodel.fused``); it must reproduce the instance-materialising
+sweep (``tests/oracles/sweep.py``) row for row — same measurements, same
+noise, same skip reasons, same category order — across execution
+engines (serial / crew), cache states (cold / warm / partial records)
+and every registered format, including the scalar fallback and
+capacity-gated cells.  The hypothesis
 section pins the ``stats_from_csr_batch`` contract itself: a batch entry
 equals the scalar ``stats_from_csr`` outcome (errors included) and is
 invariant under batch order.
@@ -16,13 +18,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import build_dataset_specs
-from repro.core.dataset import Dataset, fused_spec_table, grid_spec_table
+from repro.core.dataset import Dataset, fused_spec_table
 from repro.core.matrix import CSRStructBatch, csr_from_coo
 from repro.devices import get_device
 from repro.formats import FORMAT_REGISTRY, FormatError
 from repro.perfmodel.batch import _score_grid, simulate_grid
-from repro.perfmodel.fused import FusedSpecSource
+from repro.perfmodel.fused import FusedSpecSource, ScoringRecord
 from repro.pipeline.engine import run_sweep
+
+from tests.oracles.sweep import instance_spec_table, instance_sweep
 
 DEVICE_NAMES = ("AMD-EPYC-24", "Tesla-A100", "Alveo-U280")
 MAX_NNZ = 60_000
@@ -41,8 +45,8 @@ def golden_specs():
     return [specs[i] for i in SPEC_INDICES]
 
 
-def _dataset(specs, cache=None):
-    return Dataset(specs, max_nnz=MAX_NNZ, name="golden", cache=cache)
+def _dataset(specs):
+    return Dataset(specs, max_nnz=MAX_NNZ, name="golden")
 
 
 def _assert_tables_equal(a, b, context=""):
@@ -68,38 +72,43 @@ def _assert_tables_equal(a, b, context=""):
 # ---------------------------------------------------------------------------
 def test_fused_equals_instance_serial(golden_specs):
     for best_only in (True, False):
-        ref = run_sweep(_dataset(golden_specs), _devices(),
-                        best_only=best_only)
+        ref = instance_sweep(_dataset(golden_specs), _devices(),
+                             best_only=best_only)
         got = run_sweep(_dataset(golden_specs), _devices(),
-                        best_only=best_only, fused=True)
+                        best_only=best_only)
         _assert_tables_equal(ref, got, f"best_only={best_only}")
 
 
 def test_fused_equals_instance_under_pool(golden_specs):
-    ref = run_sweep(_dataset(golden_specs), _devices(), best_only=False)
+    ref = instance_sweep(_dataset(golden_specs), _devices(),
+                         best_only=False)
     got = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
-                    fused=True, jobs=2)
+                    jobs=2)
     _assert_tables_equal(got, ref, "jobs=2")
 
 
 def test_fused_agrees_with_cold_and_warm_cache(golden_specs, tmp_path):
+    ref = instance_sweep(_dataset(golden_specs), _devices(),
+                         best_only=False)
     cache_dir = str(tmp_path / "cache")
     cold = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
                      cache_dir=cache_dir)
     warm = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
                      cache_dir=cache_dir)
-    fused = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
-                      fused=True, cache_dir=cache_dir)
-    _assert_tables_equal(cold, warm, "cold vs warm")
-    _assert_tables_equal(cold, fused, "cold vs fused")
+    crew = run_sweep(_dataset(golden_specs), _devices(), best_only=False,
+                     cache_dir=cache_dir, jobs=2)
+    _assert_tables_equal(ref, cold, "oracle vs cold")
+    _assert_tables_equal(ref, warm, "oracle vs warm")
+    _assert_tables_equal(ref, crew, "oracle vs warm crew")
 
 
 def test_fused_covers_every_registered_format(golden_specs):
     """Explicit all-format sweep: the scalar-fallback formats (no
     vectorised ``stats_from_csr_batch`` override) must agree too."""
     formats = sorted(FORMAT_REGISTRY)
-    ref = grid_spec_table(_dataset(golden_specs), 0, len(golden_specs),
-                          _devices(), best_only=False, formats=formats)
+    ref = instance_spec_table(_dataset(golden_specs), 0,
+                              len(golden_specs), _devices(),
+                              best_only=False, formats=formats)
     got = fused_spec_table(_dataset(golden_specs), 0, len(golden_specs),
                            _devices(), best_only=False, formats=formats)
     _assert_tables_equal(ref, got, "all formats")
@@ -140,6 +149,53 @@ def test_fused_grid_bit_identity_and_skip_sets(golden_specs):
     # The golden spec selection must actually exercise both skip kinds.
     assert ref.skips(kind="capacity"), "no capacity skips in golden set"
     assert ref.skips(kind="format"), "no format refusals in golden set"
+
+
+def _assert_grids_equal(ref, got):
+    for field in ref.data.dtype.names:
+        a, b = ref.data[field], got.data[field]
+        if a.dtype.kind == "f":
+            assert np.array_equal(a, b, equal_nan=True), field
+        else:
+            assert np.array_equal(a, b), field
+    assert ref.skip_reasons == got.skip_reasons
+
+
+def _partial(record: ScoringRecord, rng) -> ScoringRecord:
+    """A copy of ``record`` with a random subset of its memos dropped
+    (sometimes the features, and with them the representative shape)."""
+    def keep(d):
+        return {k: v for k, v in d.items() if rng.random() < 0.5}
+
+    full = rng.random() < 0.5
+    return ScoringRecord(
+        rows=record.rows if full else None,
+        nnz=record.nnz if full else None,
+        features=record.features if full else None,
+        formats=keep(record.formats), simd=keep(record.simd),
+        imbalance=keep(record.imbalance),
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_seeded_records_score_identically(golden_specs, seed):
+    """A source seeded with complete, partial or missing records scores
+    the full grid bit-identically to a cold source, and fills every
+    record back up to the complete set of memos."""
+    formats = sorted(FORMAT_REGISTRY)
+    names = [f"golden[{i}]" for i in range(len(golden_specs))]
+    cold = FusedSpecSource(golden_specs, names, max_nnz=MAX_NNZ)
+    ref = _score_grid(cold, _devices(), formats=formats)
+    rng = np.random.default_rng(seed)
+    seeded = [
+        None if rng.random() < 0.2 else _partial(rec, rng)
+        for rec in cold.records
+    ]
+    source = FusedSpecSource(golden_specs, names, max_nnz=MAX_NNZ,
+                             records=seeded)
+    _assert_grids_equal(ref, _score_grid(source, _devices(),
+                                         formats=formats))
+    assert source.records == cold.records
 
 
 # ---------------------------------------------------------------------------

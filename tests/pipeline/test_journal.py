@@ -8,6 +8,7 @@ from repro.core.dataset import Dataset
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.pipeline import ResumeError, RunJournal, run_sweep, sweep_config
+from repro.pipeline import journal as journal_mod
 from repro.pipeline.journal import JOURNAL_VERSION
 
 DEVICES = [TESTBEDS["Tesla-A100"]]
@@ -24,7 +25,7 @@ def dataset(specs=None):
 
 def config(**overrides):
     kwargs = dict(dataset=dataset(), devices=DEVICES, best_only=True,
-                  formats=None, seed=0, precision="fp64", fused=False)
+                  formats=None, seed=0, precision="fp64")
     kwargs.update(overrides)
     return sweep_config(**kwargs)
 
@@ -51,10 +52,44 @@ class TestConfigFingerprint:
         assert {"jobs", "cache_dir", "dispatch"} & set(config()) == set()
 
 
-    def test_batch_key_kept_for_older_journals(self):
-        # Run dirs journalled when ``batch`` was a knob resume only if the
-        # fingerprint still carries it.
-        assert config()["batch"] is True
+    def test_batch_key_kept_for_older_journals(self, tmp_path):
+        # Run dirs journalled while ``batch`` was a knob (written as
+        # true ever since) still resume; new journals omit the key.
+        assert "batch" not in config()
+        RunJournal.create(tmp_path / "run", dict(config(), batch=True),
+                          BOUNDS)
+        RunJournal.load(tmp_path / "run").check_config(config())
+
+    @pytest.mark.parametrize("fused", [False, True])
+    def test_retired_fused_key_ignored(self, tmp_path, fused):
+        # Journals written while ``fused`` picked between bit-identical
+        # scoring paths carry it with either value; both still resume.
+        assert "fused" not in config()
+        old = dict(config(), fused=fused)
+        RunJournal.create(tmp_path / "run", old, BOUNDS)
+        RunJournal.load(tmp_path / "run").check_config(config())
+
+    def test_digest_follows_output_version_not_cache_layout(
+            self, tmp_path, monkeypatch):
+        import hashlib
+
+        from repro.pipeline.cache import spec_key
+
+        # The digest hashes spec fields and max_nnz under the output
+        # version, not the cache keys (which fold in the cache layout
+        # version), so a cache-layout bump leaves run dirs resumable...
+        sha = config()["dataset_sha"]
+        cache_keys = b"".join(
+            spec_key(spec, MAX_NNZ).encode() + b"\n" for spec in SPECS
+        )
+        assert sha != hashlib.sha256(cache_keys).hexdigest()[:32]
+        RunJournal.create(tmp_path / "run", config(), BOUNDS)
+        # ...while an output-changing bump refuses them.
+        monkeypatch.setattr(journal_mod, "OUTPUT_VERSION",
+                            journal_mod.OUTPUT_VERSION + 1)
+        assert config()["dataset_sha"] != sha
+        with pytest.raises(ResumeError, match="dataset_sha"):
+            RunJournal.load(tmp_path / "run").check_config(config())
 
 
 class TestJournalLifecycle:

@@ -16,8 +16,9 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
-from repro.io.pack import HEADER_SIZE
-from repro.pipeline import InstanceCache, RunReport, run_sweep
+from repro.io.pack import HEADER_SIZE, Pack
+from repro.perfmodel.fused import FusedSpecSource
+from repro.pipeline import InstanceCache, RunReport, run_sweep, spec_key
 from repro.pipeline.cache import PACK_NAME, pack_cache_dir, unpack_cache
 from repro.pipeline.journal import RunJournal, sweep_config
 
@@ -28,19 +29,26 @@ MAX_NNZ = 5_000
 SPECS = build_dataset_specs("tiny")[::29]  # 7 specs
 
 
-def dataset(cache=None):
-    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny", cache=cache)
+def dataset():
+    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny")
+
+
+def scored_record(spec):
+    """The record of ``spec`` after one cold scoring pass."""
+    source = FusedSpecSource([spec], ["x[0]"], max_nnz=MAX_NNZ)
+    source.scalar_arrays()
+    return source.records[0]
 
 
 @pytest.fixture(scope="module")
 def golden_and_packed_cache(tmp_path_factory):
-    """Golden table + a cache directory whose entries live only in the
-    pack (loose pairs pruned after checksum verification)."""
+    """Golden table + a cache directory whose records live only in the
+    pack (loose records pruned after checksum verification)."""
     warm = tmp_path_factory.mktemp("packed-cache")
     table = run_sweep(dataset(), DEVICES, cache_dir=str(warm))
     entries, _ = pack_cache_dir(warm, prune=True)
     assert entries == len(SPECS)
-    assert not list(warm.glob("*.npz"))
+    assert not list(warm.glob("*.json"))
     return table, warm
 
 
@@ -59,7 +67,7 @@ class TestPackBackedCache:
 
     def test_loose_pair_shadows_pack(self, golden_and_packed_cache,
                                      tmp_path):
-        """A later store writes loose pairs; fetch must prefer them
+        """A later store writes loose records; fetch must prefer them
         over the (older, read-only) pack snapshot."""
         golden, packed = golden_and_packed_cache
         cache_dir = tmp_path / "cache"
@@ -75,7 +83,7 @@ class TestPackBackedCache:
     def test_corrupt_pack_file_quarantined(
             self, golden_and_packed_cache, tmp_path, mode):
         """An unreadable pack is moved into quarantine/ wholesale; the
-        sweep rematerialises everything and stays bit-identical."""
+        sweep rescores everything and stays bit-identical."""
         golden, packed = golden_and_packed_cache
         cache_dir = tmp_path / "cache"
         shutil.copytree(packed, cache_dir)
@@ -115,29 +123,40 @@ class TestPackBackedCache:
         evidence = sorted(
             p.name for p in (cache_dir / "quarantine").iterdir()
         )
-        assert len(evidence) == 2  # both halves copied out as a pair
-        assert {n.rsplit(".", 1)[1] for n in evidence} == {"npz", "json"}
+        assert len(evidence) == 1  # the record's raw bytes copied out
+        assert evidence[0].endswith(".json")
 
 
 class TestLen:
     def test_counts_only_complete_pairs(self, tmp_path):
         spec = SPECS[0]
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
         cache = InstanceCache(tmp_path)
-        cache.store(spec, MAX_NNZ, inst)
+        cache.store(spec, MAX_NNZ, scored_record(spec))
         assert len(InstanceCache(tmp_path)) == 1
-        # An orphaned half (crash between the two atomic writes) is not
-        # a usable entry and must not be counted.
-        (tmp_path / f"{'0' * 32}.npz").write_bytes(b"orphan")
-        (tmp_path / f"{'f' * 32}.json").write_text("{}")
+        # Leftovers are not usable entries and must not be counted: the
+        # temp file of a write that died before its rename, a lone
+        # matrix payload and a whole entry of the older npz + json pair
+        # layout (whose sidecar looks like a record by name alone).
+        (tmp_path / f".{'0' * 32}.json.tmp1234").write_bytes(b"torn")
+        (tmp_path / f"{'f' * 32}.npz").write_bytes(b"orphan")
+        old_pair = [tmp_path / f"{'e' * 32}.npz",
+                    tmp_path / f"{'e' * 32}.json"]
+        old_pair[0].write_bytes(b"payload")
+        old_pair[1].write_text('{"name": "x[0]"}')
+        assert len(InstanceCache(tmp_path)) == 1
+        # ...nor packed, nor pruned.
+        entries, pack = pack_cache_dir(tmp_path, prune=True)
+        assert entries == 1
+        with Pack.open(pack) as packed:
+            assert packed.keys() == [f"{spec_key(spec, MAX_NNZ)}.json"]
+        assert all(path.exists() for path in old_pair)
         assert len(InstanceCache(tmp_path)) == 1
 
     def test_census_is_cached_not_rescanned(self, tmp_path):
         spec = SPECS[0]
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
         cache = InstanceCache(tmp_path)
         assert len(cache) == 0
-        cache.store(spec, MAX_NNZ, inst)
+        cache.store(spec, MAX_NNZ, scored_record(spec))
         # store() updated the census incrementally; a file that appears
         # behind the handle's back is invisible until a fresh handle
         # scans — proving repeated len() calls do not re-list the dir.
@@ -165,13 +184,12 @@ class TestLen:
 
     def test_quarantine_updates_census(self, tmp_path):
         spec = SPECS[0]
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
         cache = InstanceCache(tmp_path)
-        cache.store(spec, MAX_NNZ, inst)
+        cache.store(spec, MAX_NNZ, scored_record(spec))
         next(tmp_path.glob("*.json")).write_text("{ torn")
         fresh = InstanceCache(tmp_path)
         assert len(fresh) == 1          # census taken before detection
-        assert fresh.fetch(spec, MAX_NNZ, name="x[0]") is None
+        assert fresh.fetch(spec, MAX_NNZ) is None
         assert len(fresh) == 0          # quarantine removed the entry
 
 
@@ -219,9 +237,7 @@ class TestConcurrentQuarantine:
 
 class TestPackShards:
     def config(self):
-        return sweep_config(
-            dataset(), DEVICES, True, None, 0, "fp64", False
-        )
+        return sweep_config(dataset(), DEVICES, True, None, 0, "fp64")
 
     def test_journalled_pack_sweep_and_resume(self, golden_and_packed_cache,
                                               tmp_path):

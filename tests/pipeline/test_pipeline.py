@@ -7,16 +7,17 @@ bin and feature axis is represented) so the suite stays fast; set
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
+from repro.perfmodel.fused import FusedSpecSource
 from repro.pipeline import InstanceCache, run_sweep, resolve_jobs, spec_key
 
 from tests.oracles.sweep import scalar_sweep
+from tests.pipeline.golden import assert_bit_identical
 
 DEVICES = [TESTBEDS["AMD-EPYC-24"], TESTBEDS["Tesla-A100"]]
 MAX_NNZ = 6_000
@@ -25,10 +26,9 @@ TINY = build_dataset_specs("tiny")
 SPECS = TINY if os.environ.get("REPRO_EXHAUSTIVE") == "1" else TINY[::7]
 
 
-def tiny_dataset(specs=None, cache=None):
+def tiny_dataset(specs=None):
     return Dataset(
-        SPECS if specs is None else specs,
-        max_nnz=MAX_NNZ, name="tiny", cache=cache,
+        SPECS if specs is None else specs, max_nnz=MAX_NNZ, name="tiny",
     )
 
 
@@ -111,119 +111,115 @@ class TestCache:
         assert par.rows == serial_table.rows
 
     def test_batched_sweep_persists_derived_state(self, tmp_path):
-        """Regression: the batch engine must write cache entries *after*
-        grid scoring, so the persisted instances carry the features,
-        format stats and SIMD/imbalance memos the scoring computed —
-        otherwise every warm sweep re-derives all of it."""
+        """Cache entries are written *after* grid scoring, so the
+        persisted records carry the features, format stats and
+        SIMD/imbalance memos the scoring computed — otherwise every warm
+        sweep re-derives all of it."""
         dev = TESTBEDS["INTEL-XEON"]
         sweep(tiny_dataset(specs=SPECS[:2]), [dev],
               cache_dir=str(tmp_path))
         for spec in SPECS[:2]:
             restored = InstanceCache(tmp_path).fetch(spec, MAX_NNZ)
             assert restored is not None
-            assert restored._features is not None
-            assert set(dev.formats) <= (
-                set(restored._format_stats) | set(restored._format_fail)
-            )
-            assert dev.simd_width_dp in restored._simd_util
-            assert restored._imbalance
+            assert restored.features is not None
+            assert set(dev.formats) <= set(restored.formats)
+            assert dev.simd_width_dp in restored.simd
+            assert restored.imbalance
 
-    def test_instance_roundtrip_exact(self, tmp_path):
+    def test_record_roundtrip_exact(self, tmp_path):
         spec = TINY[0]
+        source = _scored_source(spec)
+        record = source.records[0]
+        assert record.grown
         cache = InstanceCache(tmp_path)
-        ds = tiny_dataset(specs=[spec])
-        inst = ds.instance(0)
-        inst.features  # populate every derived quantity
-        inst.row_profile()
-        inst.format_stats("Naive-CSR")
-        inst.simd_utilisation(8)
-        inst.imbalance("row_block", 16, 8)
-        assert cache.store(spec, MAX_NNZ, inst)
+        assert cache.store(spec, MAX_NNZ, record)
+        assert not record.grown
 
-        restored = InstanceCache(tmp_path).fetch(
-            spec, MAX_NNZ, name=inst.name
-        )
-        assert restored is not None
-        assert restored.matrix == inst.matrix
-        assert restored.features == inst.features
-        np.testing.assert_array_equal(
-            restored.row_profile(), inst.row_profile()
-        )
-        assert (
-            restored.format_stats("Naive-CSR")
-            == inst.format_stats("Naive-CSR")
-        )
-        assert restored.simd_utilisation(8) == inst.simd_utilisation(8)
-        assert restored.imbalance("row_block", 16, 8) == inst.imbalance(
-            "row_block", 16, 8
+        restored = InstanceCache(tmp_path).fetch(spec, MAX_NNZ)
+        assert restored is not None and restored is not record
+        assert restored == record
+        assert restored.features == source.features(0)
+        assert restored.formats["Naive-CSR"] == record.formats["Naive-CSR"]
+        assert restored.simd[8] == source.simd_utilisation(0, 8)
+        assert restored.imbalance[("row_block", 16, 8)] == (
+            source.imbalance_factor(0, "row_block", 16, 8)
         )
 
     def test_store_skips_unchanged_entries(self, tmp_path):
         spec = TINY[1]
         cache = InstanceCache(tmp_path)
-        ds = tiny_dataset(specs=[spec], cache=cache)
-        inst = ds.instance(0)
-        inst.features
-        assert cache.store(spec, MAX_NNZ, inst) is True
-        assert cache.store(spec, MAX_NNZ, inst) is False  # signature equal
-        inst.format_stats("COO")  # new derived state -> dirty again
-        assert cache.store(spec, MAX_NNZ, inst) is True
+        source = FusedSpecSource([spec], ["x[0]"], max_nnz=MAX_NNZ)
+        record = source.records[0]
+        source.features(0)
+        assert cache.store(spec, MAX_NNZ, record) is True
+        assert cache.store(spec, MAX_NNZ, record) is False  # nothing grew
+        source.format_stats_columns("COO")  # new derived state -> grown
+        assert cache.store(spec, MAX_NNZ, record) is True
 
-    def test_fetch_renames_instance(self, tmp_path):
-        spec = TINY[2]
+    def test_records_are_name_free(self, tmp_path):
+        """Names label rows and seed the measurement noise, but records
+        carry none: one dataset's records serve another dataset's warm
+        sweep, which equals that dataset's own cold sweep."""
+        specs = SPECS[:3]
+        sweep(Dataset(specs, max_nnz=MAX_NNZ, name="a"), DEVICES,
+              cache_dir=str(tmp_path))
+        cold_b = sweep(Dataset(specs, max_nnz=MAX_NNZ, name="b"), DEVICES)
         cache = InstanceCache(tmp_path)
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="a").instance(0)
-        cache.store(spec, MAX_NNZ, inst)
-        got = cache.fetch(spec, MAX_NNZ, name="b[0]")
-        assert got is not None and got.name == "b[0]"
-        # A memory hit under a different name must not rename the instance
-        # other datasets hold (names seed the measurement noise)...
-        again = cache.fetch(spec, MAX_NNZ, name="c[0]")
-        assert again.name == "c[0]" and got.name == "b[0]"
-        # ...while derived state still flows into the shared cache entry.
-        again.format_stats("COO")
-        assert "COO" in got._format_stats
+        warm_b = run_sweep(Dataset(specs, max_nnz=MAX_NNZ, name="b"),
+                           DEVICES, cache=cache)
+        assert cache.hits_disk == len(specs) and cache.misses == 0
+        assert_bit_identical(warm_b, cold_b)
+        assert warm_b.categories("matrix") == [f"b[{i}]" for i in range(3)]
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         spec = TINY[3]
         cache = InstanceCache(tmp_path)
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        cache.store(spec, MAX_NNZ, inst)
+        cache.store(spec, MAX_NNZ, _scored_source(spec).records[0])
         for p in tmp_path.glob("*.json"):
             p.write_text("{ not json")
         fresh = InstanceCache(tmp_path)
-        assert fresh.fetch(spec, MAX_NNZ, name="x[0]") is None
+        assert fresh.fetch(spec, MAX_NNZ) is None
 
-    def test_corrupt_npz_is_a_miss_and_heals(self, tmp_path):
+    def test_corrupt_record_is_a_miss_and_heals(self, tmp_path):
         spec = TINY[3]
         cache = InstanceCache(tmp_path)
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        cache.store(spec, MAX_NNZ, inst)
-        npz = next(tmp_path.glob("*.npz"))
-        npz.write_bytes(b"garbage, not a zip archive")
+        record = _scored_source(spec).records[0]
+        cache.store(spec, MAX_NNZ, record)
+        path = next(tmp_path.glob("*.json"))
+        path.write_bytes(b"garbage, not a record")
         fresh = InstanceCache(tmp_path)
-        assert fresh.fetch(spec, MAX_NNZ, name="x[0]") is None
-        assert not npz.exists()  # cleared so the next store rewrites it
-        assert fresh.store(spec, MAX_NNZ, inst) is True
-        assert InstanceCache(tmp_path).fetch(
-            spec, MAX_NNZ, name="x[0]"
-        ) is not None
+        assert fresh.fetch(spec, MAX_NNZ) is None
+        assert fresh.quarantined == 1
+        assert not path.exists()  # cleared so the next store rewrites it
+        assert fresh.store(spec, MAX_NNZ, record) is True
+        assert InstanceCache(tmp_path).fetch(spec, MAX_NNZ) == record
 
-    def test_memo_change_rewrites_json_only(self, tmp_path):
+    def test_memo_change_rewrites_record(self, tmp_path):
         spec = TINY[3]
         cache = InstanceCache(tmp_path)
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
-        inst.features
-        inst.row_profile()
-        inst.simd_utilisation(8)
-        cache.store(spec, MAX_NNZ, inst)
+        cache.store(spec, MAX_NNZ, _scored_source(spec).records[0])
         warm = InstanceCache(tmp_path)
-        got = warm.fetch(spec, MAX_NNZ, name="x[0]")
-        npz = next(tmp_path.glob("*.npz"))
-        mtime = npz.stat().st_mtime_ns
-        got.simd_utilisation(32)  # derived memo only
+        got = warm.fetch(spec, MAX_NNZ)
+        assert 32 not in got.simd
+        source = FusedSpecSource([spec], ["x[0]"], max_nnz=MAX_NNZ,
+                                 records=[got])
+        source.simd_utilisation(0, 8)  # memo hit: nothing grows
+        assert not got.grown
+        assert warm.store(spec, MAX_NNZ, got) is False
+        source.simd_utilisation(0, 32)  # derived memo only
+        assert got.grown
         assert warm.store(spec, MAX_NNZ, got) is True
-        assert npz.stat().st_mtime_ns == mtime  # matrix payload untouched
+        assert 32 in InstanceCache(tmp_path).fetch(spec, MAX_NNZ).simd
+
+
+def _scored_source(spec):
+    """A one-spec source that derived every kind of memo."""
+    source = FusedSpecSource([spec], ["x[0]"], max_nnz=MAX_NNZ)
+    source.scalar_arrays()
+    source.format_stats_columns("Naive-CSR")
+    source.simd_utilisation(0, 8)
+    source.imbalance_factor(0, "row_block", 16, 8)
+    return source
 
 
 class TestRunSweepDirect:

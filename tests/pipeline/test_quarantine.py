@@ -1,9 +1,9 @@
 """Cache corruption → quarantine: never silent deletion, never bad data.
 
-A corrupt ``<key>.npz``/``.json`` pair anywhere in the corpus must (a)
-leave the sweep bit-identical to a clean run — the entry is treated as a
-miss and rematerialised — and (b) move the damaged files into
-``quarantine/`` so the evidence survives for inspection.
+A corrupt ``<key>.json`` scoring record anywhere in the corpus must (a)
+leave the sweep bit-identical to a clean run — the record is treated as
+a miss, rescored from its spec and rewritten — and (b) move the damaged
+file into ``quarantine/`` so the evidence survives for inspection.
 """
 
 import shutil
@@ -13,7 +13,9 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
+from repro.perfmodel.fused import FusedSpecSource
 from repro.pipeline import InstanceCache, RunReport, corrupt_file, run_sweep
+from repro.pipeline.cache import decode_record
 
 from tests.pipeline.golden import assert_bit_identical
 
@@ -22,8 +24,8 @@ MAX_NNZ = 5_000
 SPECS = build_dataset_specs("tiny")[::29]  # 7 specs
 
 
-def dataset(cache=None):
-    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny", cache=cache)
+def dataset():
+    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny")
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +36,7 @@ def golden_and_warm_cache(tmp_path_factory):
 
 
 class TestQuarantine:
-    @pytest.mark.parametrize("suffix", [".npz", ".json"])
+    @pytest.mark.parametrize("suffix", [".json"])
     @pytest.mark.parametrize("mode", ["truncate", "flip"])
     def test_corrupt_entry_mid_corpus(self, golden_and_warm_cache,
                                       tmp_path, suffix, mode):
@@ -51,36 +53,37 @@ class TestQuarantine:
         assert_bit_identical(table, golden)
         assert cache.quarantined == 1
         assert rep.cache_quarantined == 1
-        # Both halves of the pair moved together (only valid as a pair).
         moved = sorted(p.name for p in cache.quarantine_dir.iterdir())
-        assert victim.name in moved
-        assert len(moved) == 2
-        # The entry healed: the full corpus is back on disk, and the
-        # quarantine subdirectory does not inflate the census.
+        assert moved == [victim.name]
+        # The record was rescored from its spec and rewritten: it parses
+        # again, the full corpus is back on disk, and the quarantine
+        # subdirectory does not inflate the census.
+        decode_record(victim.stem, victim.read_bytes())
         assert len(InstanceCache(cache_dir)) == len(SPECS)
 
     def test_collisions_get_suffixes_not_overwritten(self, tmp_path):
         spec = SPECS[0]
-        inst = Dataset([spec], max_nnz=MAX_NNZ, name="x").instance(0)
+        source = FusedSpecSource([spec], ["x[0]"], max_nnz=MAX_NNZ)
+        source.scalar_arrays()
         for _ in range(2):
             store = InstanceCache(tmp_path)
-            store.store(spec, MAX_NNZ, inst)
+            store.store(spec, MAX_NNZ, source.records[0])
             next(tmp_path.glob("*.json")).write_text("{ torn")
             fresh = InstanceCache(tmp_path)
-            assert fresh.fetch(spec, MAX_NNZ, name="x[0]") is None
+            assert fresh.fetch(spec, MAX_NNZ) is None
             assert fresh.quarantined == 1
         names = sorted(p.name for p in (tmp_path / "quarantine").iterdir())
-        # npz+json moved twice; the second pair picked up ``.1`` suffixes
-        # instead of clobbering the first round's evidence.
-        assert len(names) == 4
-        assert sum(n.endswith(".1") for n in names) == 2
+        # The record moved twice; the second one picked up a ``.1``
+        # suffix instead of clobbering the first round's evidence.
+        assert len(names) == 2
+        assert sum(n.endswith(".1") for n in names) == 1
         assert len(InstanceCache(tmp_path)) == 0
 
     def test_worker_side_corrupt_fault(self, golden_and_warm_cache,
                                        tmp_path):
         """A ``corrupt`` fault fired inside a crew worker damages the
-        fault chunk's own cache entry; the worker quarantines it, re-
-        materialises, and its quarantine count reaches the RunReport."""
+        fault chunk's own cache record; the worker quarantines it,
+        rescores, and its quarantine count reaches the RunReport."""
         golden, warm = golden_and_warm_cache
         cache_dir = tmp_path / "cache"
         shutil.copytree(warm, cache_dir)
@@ -107,5 +110,5 @@ class TestQuarantine:
                           report=rep)
         assert_bit_identical(table, golden)
         assert rep.chunks_degraded == [0]
-        assert len(list((cache_dir / "quarantine").iterdir())) == 2
+        assert len(list((cache_dir / "quarantine").iterdir())) == 1
         assert rep.cache_quarantined == 1

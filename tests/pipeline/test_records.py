@@ -1,0 +1,222 @@
+"""Scoring records: a warm sweep derives only what its records lack.
+
+A spec whose cached record is complete generates nothing; a record
+missing one format regenerates only that spec's structure; a record
+missing one SIMD or imbalance memo regenerates only that spec's
+declared-scale profile (its structure, when unscaled).  Specs of one
+chunk that lack something structural are regenerated in one
+``structure_batch`` wave.  Each case counts the generator calls and
+requires the table bit-identical to the instance oracle, with the
+grown record written back.
+"""
+
+import shutil
+
+import pytest
+
+import repro.perfmodel.fused as fused
+from repro.core.dataset import Dataset, fused_spec_table
+from repro.core.feature_space import build_dataset_specs
+from repro.core.generator import MatrixSpec
+from repro.devices import TESTBEDS
+from repro.pipeline import InstanceCache, run_sweep, spec_key
+from repro.pipeline.cache import decode_record, encode_record
+
+from tests.oracles.sweep import instance_spec_table, instance_sweep
+from tests.pipeline.golden import assert_bit_identical
+
+# Alveo-U280 brings VSL, the density-corrected stats engine.
+DEVICES = [TESTBEDS["Tesla-A100"], TESTBEDS["INTEL-XEON"],
+           TESTBEDS["Alveo-U280"]]
+MAX_NNZ = 5_000
+SPECS = build_dataset_specs("tiny")[::29]  # 7 specs
+VICTIM = 3
+# Small enough to be scored unscaled: each profile is its structure's
+# row lengths.
+UNSCALED = [
+    MatrixSpec(n_rows=300, n_cols=300, avg_nnz_per_row=4.0,
+               skew_coeff=skew, seed=seed)
+    for seed, skew in enumerate((0.0, 5.0, 40.0))
+]
+
+
+def dataset():
+    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny")
+
+
+@pytest.fixture(scope="module")
+def golden_and_warm_cache(tmp_path_factory):
+    warm = tmp_path_factory.mktemp("record-cache")
+    run_sweep(dataset(), DEVICES, best_only=False, cache_dir=str(warm))
+    return instance_sweep(dataset(), DEVICES, best_only=False), warm
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """The specs of each ``structure_batch`` call and the number of
+    declared-scale profile regenerations, as the fused source makes
+    them."""
+    seen = {"structure": [], "profile": 0}
+    structure_batch = fused.structure_batch
+    row_length_profile = fused.row_length_profile
+
+    def counting_structure_batch(specs, *args, **kwargs):
+        seen["structure"].append(list(specs))
+        return structure_batch(specs, *args, **kwargs)
+
+    def counting_row_length_profile(*args, **kwargs):
+        seen["profile"] += 1
+        return row_length_profile(*args, **kwargs)
+
+    monkeypatch.setattr(fused, "structure_batch", counting_structure_batch)
+    monkeypatch.setattr(fused, "row_length_profile",
+                        counting_row_length_profile)
+    return seen
+
+
+def _edit_record(cache_dir, spec, edit):
+    key = spec_key(spec, MAX_NNZ)
+    path = cache_dir / f"{key}.json"
+    record = decode_record(key, path.read_bytes())
+    edit(record)
+    path.write_bytes(encode_record(key, record))
+    return path
+
+
+def _warm_sweep(golden_and_warm_cache, tmp_path):
+    golden, warm = golden_and_warm_cache
+    cache_dir = tmp_path / "cache"
+    shutil.copytree(warm, cache_dir)
+    return golden, cache_dir
+
+
+def test_complete_records_generate_nothing(golden_and_warm_cache,
+                                           tmp_path, calls):
+    golden, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
+    cache = InstanceCache(cache_dir)
+    table = run_sweep(dataset(), DEVICES, best_only=False, cache=cache)
+    assert_bit_identical(table, golden)
+    assert calls == {"structure": [], "profile": 0}
+    assert cache.hits_disk == len(SPECS) and cache.misses == 0
+
+
+def test_missing_format_regenerates_only_that_structure(
+        golden_and_warm_cache, tmp_path, calls):
+    golden, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
+    spec = SPECS[VICTIM]
+    path = _edit_record(cache_dir, spec,
+                        lambda rec: rec.formats.pop("Naive-CSR"))
+    table = run_sweep(dataset(), DEVICES, best_only=False,
+                      cache_dir=str(cache_dir))
+    assert_bit_identical(table, golden)
+    assert calls == {"structure": [[spec]], "profile": 0}
+    key = spec_key(spec, MAX_NNZ)
+    assert "Naive-CSR" in decode_record(key, path.read_bytes()).formats
+
+
+@pytest.mark.parametrize("fmt", ["Naive-CSR", "VSL"])
+def test_missing_format_regenerated_in_one_wave(golden_and_warm_cache,
+                                                tmp_path, calls, fmt):
+    """Two records of one chunk missing a format: one ``structure_batch``
+    call covers both specs (for the batched and the density-corrected
+    stats engines alike)."""
+    golden, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
+    cache = InstanceCache(cache_dir)
+    records = [cache.fetch(spec, MAX_NNZ) for spec in SPECS]
+    victims = [VICTIM, VICTIM + 2]
+    for i in victims:
+        del records[i].formats[fmt]
+    table = fused_spec_table(dataset(), 0, len(SPECS), DEVICES,
+                             best_only=False, records=records)
+    assert_bit_identical(table, golden)
+    assert calls == {"structure": [[SPECS[i] for i in victims]],
+                     "profile": 0}
+    assert [i for i, rec in enumerate(records) if rec.grown] == victims
+    assert all(fmt in records[i].formats for i in victims)
+
+
+@pytest.mark.parametrize("memo", ["imbalance", "simd"])
+def test_missing_memo_regenerates_only_that_profile(
+        golden_and_warm_cache, tmp_path, calls, memo):
+    golden, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
+    spec = SPECS[VICTIM]
+    # A scaled spec: its profile is regenerated at declared scale, not
+    # read off the representative's structure.
+    assert spec.representative(MAX_NNZ).n_rows < spec.n_rows
+    dropped = []
+
+    def drop_one(record):
+        memos = getattr(record, memo)
+        dropped.append(sorted(memos)[0])
+        del memos[dropped[0]]
+
+    path = _edit_record(cache_dir, spec, drop_one)
+    table = run_sweep(dataset(), DEVICES, best_only=False,
+                      cache_dir=str(cache_dir))
+    assert_bit_identical(table, golden)
+    assert calls == {"structure": [], "profile": 1}
+    restored = decode_record(spec_key(spec, MAX_NNZ), path.read_bytes())
+    assert dropped[0] in getattr(restored, memo)
+
+
+@pytest.mark.parametrize("memo", ["imbalance", "simd"])
+def test_unscaled_memos_regenerated_in_one_wave(calls, memo):
+    """Unscaled specs missing a memo regenerate their structure (their
+    profile is its row lengths), all in one ``structure_batch`` call."""
+    data = Dataset(UNSCALED, max_nnz=MAX_NNZ, name="small")
+    assert all(spec.representative(MAX_NNZ) is spec for spec in UNSCALED)
+    golden = instance_spec_table(data, 0, len(UNSCALED), DEVICES,
+                                 best_only=False)
+    records = [None] * len(UNSCALED)
+    fused_spec_table(data, 0, len(UNSCALED), DEVICES, best_only=False,
+                     records=records)
+    for rec in records:
+        rec.grown = False
+    victims = [0, 2]
+    for i in victims:
+        memos = getattr(records[i], memo)
+        del memos[sorted(memos)[0]]
+    calls["structure"].clear()
+    table = fused_spec_table(data, 0, len(UNSCALED), DEVICES,
+                             best_only=False, records=records)
+    assert_bit_identical(table, golden)
+    assert calls == {"structure": [[UNSCALED[i] for i in victims]],
+                     "profile": 0}
+    assert [i for i, rec in enumerate(records) if rec.grown] == victims
+
+
+@pytest.mark.parametrize("mode", ["truncate", "flip"])
+def test_damaged_record_is_rescored_and_rewritten(golden_and_warm_cache,
+                                                  tmp_path, calls, mode):
+    from repro.pipeline import corrupt_file
+
+    golden, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
+    spec = SPECS[VICTIM]
+    path = cache_dir / f"{spec_key(spec, MAX_NNZ)}.json"
+    corrupt_file(path, mode=mode)
+    cache = InstanceCache(cache_dir)
+    table = run_sweep(dataset(), DEVICES, best_only=False, cache=cache)
+    assert_bit_identical(table, golden)
+    assert cache.quarantined == 1
+    assert [p.name for p in cache.quarantine_dir.iterdir()] == [path.name]
+    # Only the damaged spec was rescored from scratch, and its record
+    # is whole again.
+    assert calls["structure"] == [[spec]]
+    decode_record(spec_key(spec, MAX_NNZ), path.read_bytes())
+
+
+def test_record_crc_catches_a_silent_digit_change(golden_and_warm_cache,
+                                                  tmp_path):
+    """A change that leaves valid JSON (one digit of a memo) is still
+    caught by the record's checksum."""
+    _, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
+    spec = SPECS[VICTIM]
+    path = cache_dir / f"{spec_key(spec, MAX_NNZ)}.json"
+    data = path.read_bytes()
+    pos = data.index(b'"rows":') + len(b'"rows":')
+    digit = data[pos:pos + 1]
+    path.write_bytes(data[:pos] + (b"9" if digit != b"9" else b"8")
+                     + data[pos + 1:])
+    cache = InstanceCache(cache_dir)
+    assert cache.fetch(spec, MAX_NNZ) is None
+    assert cache.quarantined == 1

@@ -10,6 +10,7 @@ to a fault-free serial sweep — not merely that the run survived.  Set
 import json
 import multiprocessing
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -27,15 +28,20 @@ from repro.pipeline import (
 )
 
 from tests.oracles.dispatch import pool_sweep
+from tests.oracles.sweep import instance_sweep
 from tests.pipeline.golden import assert_bit_identical
+
+# Run dirs journalled before records replaced the npz cache, each
+# stopped after chunk 0 (see the README there).
+FIXTURES = Path(__file__).parent / "fixtures"
 
 DEVICES = [TESTBEDS["Tesla-A100"]]
 MAX_NNZ = 5_000
 SPECS = build_dataset_specs("tiny")[::13]  # 14 specs -> 8 chunks at jobs=2
 
 
-def dataset(cache=None):
-    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny", cache=cache)
+def dataset():
+    return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny")
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +169,7 @@ class TestResume:
                           run_dir=tmp_path / "run", report=rep)
         assert_bit_identical(table, golden)
         assert rep.engine["journalled"] is True
+        assert "fused" not in rep.engine  # one scoring path: no engine knob
         assert RunJournal.load(tmp_path / "run").ended == "complete"
 
     def test_resume_requires_a_journal(self, tmp_path):
@@ -178,6 +185,28 @@ class TestResume:
         with pytest.raises(ResumeError, match="precision"):
             run_sweep(dataset(), DEVICES, jobs=2, run_dir=run_dir,
                       resume=True, precision="fp32")
+
+    @pytest.mark.parametrize("fixture", ["parent_run", "parent_run_fused"])
+    def test_resume_run_dir_journalled_before_records(self, tmp_path,
+                                                      fixture):
+        """Run dirs journalled before the cache stored scoring records —
+        by the default instance path and by ``fused=True`` alike, both
+        stopped after chunk 0 — resume bit-identically: the journal
+        digest follows the output version, not the cache layout, and
+        the retired ``fused`` key is ignored."""
+        run_dir = tmp_path / fixture
+        shutil.copytree(FIXTURES / fixture, run_dir)
+        journal = RunJournal.load(run_dir)
+        assert journal.ended == "interrupted" and "fused" in journal.config
+        specs = build_dataset_specs("tiny")[::30]
+        fixture_ds = Dataset(specs, max_nnz=5_000, name="fixture")
+        device = [TESTBEDS["INTEL-XEON"]]
+        rep = RunReport()
+        table = run_sweep(fixture_ds, device, best_only=False,
+                          run_dir=run_dir, resume=True, report=rep)
+        assert rep.chunks_resumed == 1
+        assert_bit_identical(table, instance_sweep(fixture_ds, device,
+                                                   best_only=False))
 
     def test_resume_needs_run_dir(self):
         with pytest.raises(ValueError):

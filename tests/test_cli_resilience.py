@@ -115,6 +115,7 @@ class TestBadArguments:
 
     @pytest.mark.parametrize("flags", [
         ["--no-batch"], ["--batch"], ["--dispatch", "pool"],
+        ["--fused"], ["--no-fused"],
     ])
     def test_engine_selection_flags_are_unknown(self, tmp_path, flags):
         with pytest.raises(SystemExit) as exc:

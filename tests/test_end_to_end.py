@@ -17,7 +17,7 @@ from repro.devices import TESTBEDS
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.ml import FormatSelector, KNeighborsRegressor
 
-from tests.oracles.sweep import scalar_sweep
+from tests.oracles.sweep import instance_sweep, scalar_sweep
 
 N_SPECS = 8
 MAX_NNZ = 20_000
@@ -39,12 +39,16 @@ def _chain(jobs=1, scalar=False, stats_engine="analytic", eval_batch=True,
     assert MatrixInstance.stats_engine == "analytic"  # default unchanged
     dataset = _dataset()
     if stats_engine != "analytic":
-        # Pin the engine on the concrete instances (serial runs only —
-        # worker processes would re-materialise with the class default).
+        # Sweeps never materialise instances: score the instance oracle
+        # with the engine pinned on each instance (serial runs only).
         assert jobs == 1
-        for i in range(len(dataset)):
-            dataset.instance(i).stats_engine = stats_engine
-    if scalar:
+        instances = list(dataset.instances())
+        for inst in instances:
+            inst.stats_engine = stats_engine
+        table = instance_sweep(dataset, [TESTBEDS[DEVICE]],
+                               best_only=False, seed=0,
+                               instances=instances)
+    elif scalar:
         table = scalar_sweep(dataset, [TESTBEDS[DEVICE]], best_only=False,
                              seed=0)
     else:

@@ -101,7 +101,6 @@ class TestPipeline:
 
     def test_determinism_across_sweeps(self, micro_table):
         table, ds = micro_table
-        ds.drop_cache()
         again = sweep(
             ds, [TESTBEDS["AMD-EPYC-24"], TESTBEDS["Tesla-A100"],
                  TESTBEDS["Alveo-U280"]],
