@@ -1,9 +1,10 @@
 """Grid scoring throughput — batched simulator vs the scalar triple loop.
 
-Times :func:`repro.perfmodel.simulate_grid` against the equivalent scalar
-``simulate_spmv`` loop over the configured preset's instances x all nine
-testbeds x their Table-II format lists, cold and warm.  Cold is the real
-cold path each engine offers: the scalar leg pays instance
+Times :func:`repro.perfmodel.simulate_grid` against the historical
+scalar model (``simulate_spmv`` of ``tests/oracles/model.py``, one
+Python call per triple) over the configured preset's instances x all
+nine testbeds x their Table-II format lists, cold and warm.  Cold is the
+real cold path each engine offers: the scalar leg pays instance
 materialisation plus the per-triple loop, the batched leg goes through
 the fused spec source (:class:`repro.perfmodel.FusedSpecSource`) —
 structure arrays and batched analytic stats straight from the specs, no
@@ -22,17 +23,20 @@ then-loop).
 """
 
 import json
+import sys
 import time
+from pathlib import Path
 
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 from repro.formats.base import FormatError
-from repro.perfmodel import (
-    FusedSpecSource, MatrixInstance, simulate_grid, simulate_spmv,
-)
+from repro.perfmodel import FusedSpecSource, MatrixInstance, simulate_grid
 from repro.perfmodel.batch import _score_grid
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
+
+sys.path.append(str(Path(__file__).resolve().parent.parent))
+from tests.oracles.model import simulate_spmv  # noqa: E402
 
 BENCH_PATH = RESULTS_DIR / "BENCH_grid.json"
 # Committed snapshot at the repo root (also a CI artifact).
@@ -43,7 +47,7 @@ SEED = 0
 
 
 def _scalar_loop(instances):
-    """The pre-batch scoring path: one Python call per triple."""
+    """The scalar model's scoring path: one Python call per triple."""
     out = []
     for inst in instances:
         for dev in DEVICES:
@@ -99,6 +103,11 @@ def test_grid_vs_scalar_throughput():
         t0 = time.perf_counter()
         _scalar_loop(pool)
         t_scalar_warm += time.perf_counter() - t0
+        # The scalar model memoises profile statistics apart from the
+        # instances, so an untimed grid pass fills the instances' own
+        # SIMD-utilisation and imbalance memos, as the scalar leg's first
+        # pass filled the scalar model's.
+        simulate_grid(pool, DEVICES, seed=SEED)
 
         # Batched engine, cold: the fused path — specs to structure
         # arrays to batched analytic stats to scored grid, no instances

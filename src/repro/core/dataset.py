@@ -125,8 +125,7 @@ def _grid_sweep_table(
     per-spec scalar columns — shared with the instance oracle in
     ``tests/oracles/sweep.py``, so both emit byte-identical tables by
     construction."""
-    from ..perfmodel.batch import STATUS_OK
-    from ..perfmodel.simulator import BOTTLENECKS
+    from ..perfmodel.batch import BOTTLENECKS, STATUS_OK
 
     if best_only:
         flat = grid.best_per().ravel()

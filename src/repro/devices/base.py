@@ -10,10 +10,12 @@ with structural statistics measured on the actual matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Tuple
+from dataclasses import dataclass, field, fields
+from typing import Sequence, Tuple
 
-__all__ = ["Device", "DeviceClass"]
+import numpy as np
+
+__all__ = ["Device", "DeviceClass", "DeviceColumns"]
 
 
 class DeviceClass:
@@ -100,3 +102,29 @@ class Device:
 
     def supports_format(self, format_name: str) -> bool:
         return format_name in self.formats
+
+
+# Every numeric Device attribute, fields and properties alike.
+_NUMERIC = tuple(
+    f.name for f in fields(Device) if f.type in ("int", "float")
+) + tuple(name for name, value in vars(Device).items()
+          if isinstance(value, property))
+
+
+class DeviceColumns:
+    """Device parameters gathered per grid cell.
+
+    Each numeric :class:`Device` field and property (``llc_bytes``,
+    ``is_gpu``, ...) is an attribute holding the float64 array
+    ``[getattr(devices[k], name) for k in index]`` (flags as 0/1).  The
+    model helpers of :mod:`repro.devices` read their device through
+    attributes only, so they take one ``Device`` (scalars) or a whole
+    grid's cells (arrays) alike.
+    """
+
+    def __init__(self, devices: Sequence[Device], index: np.ndarray):
+        table = np.array(
+            [[float(getattr(dev, name)) for name in _NUMERIC]
+             for dev in devices]
+        ).reshape(len(devices), len(_NUMERIC))[index]
+        self.__dict__.update(zip(_NUMERIC, table.T))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .base import Device
+import numpy as np
 
 __all__ = ["EnergyModel", "PowerEstimate"]
 
@@ -32,35 +32,32 @@ class PowerEstimate:
 
 
 class EnergyModel:
-    """Utilisation-scaled power model for a device."""
+    """Utilisation-scaled power model for a device.
 
-    def __init__(self, device: Device):
+    Works elementwise over NumPy arrays: ``device`` is one
+    :class:`~repro.devices.base.Device` or the per-cell
+    :class:`~repro.devices.base.DeviceColumns` of a scoring grid.
+    """
+
+    def __init__(self, device):
         self.device = device
 
-    def average_power(
-        self, bw_utilisation: float, compute_utilisation: float
-    ) -> float:
+    def average_power(self, bw_utilisation, compute_utilisation):
         """Average board/package power in watts.
 
         ``bw_utilisation`` is achieved bytes/s over the device's DRAM
         bandwidth (clipped to 1), ``compute_utilisation`` achieved flops
         over peak.
         """
-        bw_u = min(max(bw_utilisation, 0.0), 1.0)
-        c_u = min(max(compute_utilisation, 0.0), 1.0)
+        bw_u = np.minimum(np.maximum(bw_utilisation, 0.0), 1.0)
+        c_u = np.minimum(np.maximum(compute_utilisation, 0.0), 1.0)
         activity = BW_WEIGHT * bw_u + COMPUTE_WEIGHT * c_u
         dev = self.device
         return dev.idle_w + (dev.max_w - dev.idle_w) * activity
 
-    def estimate(
-        self,
-        gflops: float,
-        time_s: float,
-        bytes_moved: float,
-        flops: float,
-    ) -> PowerEstimate:
+    def estimate(self, gflops, time_s, bytes_moved, flops) -> PowerEstimate:
         """Full estimate for a run of ``time_s`` seconds."""
-        if time_s <= 0:
+        if np.any(np.asarray(time_s) <= 0):
             raise ValueError("time_s must be positive")
         bw_u = (bytes_moved / time_s) / (self.device.dram_bw_gbs * 1e9)
         c_u = (flops / time_s) / (self.device.peak_gflops * 1e9)
@@ -68,5 +65,5 @@ class EnergyModel:
         return PowerEstimate(
             watts=watts,
             energy_j=watts * time_s,
-            gflops_per_watt=gflops / watts if watts > 0 else 0.0,
+            gflops_per_watt=np.where(watts > 0, gflops / watts, 0.0)[()],
         )

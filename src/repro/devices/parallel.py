@@ -20,16 +20,12 @@ __all__ = [
     "nnz_balanced_rows",
     "merge_path_imbalance",
     "warp_per_row",
-    "warp_per_row_fast",
     "nnz_split",
     "element_balanced",
     "sell_chunk_imbalance",
-    "sell_chunk_imbalance_fast",
     "sell_chunk_widths",
     "lockstep_channel_imbalance",
-    "lockstep_channel_imbalance_fast",
     "imbalance_for_strategy",
-    "imbalance_for_strategy_fast",
     "PARTITION_STRATEGIES",
 ]
 
@@ -126,31 +122,6 @@ def merge_path_imbalance(
     return ImbalanceStats.from_loads(loads)
 
 
-def warp_per_row(
-    row_lengths: np.ndarray, n_workers: int, simd_width: int = 32
-) -> ImbalanceStats:
-    """GPU warp-per-row scheduling (cuSPARSE CSR flavour).
-
-    Each row costs ``ceil(len / simd_width)`` warp-cycles; rows are dealt
-    round-robin to warp slots.  The critical path is additionally
-    lower-bounded by the single longest row (it cannot be split)."""
-    n_rows = len(row_lengths)
-    if n_rows == 0:
-        return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
-    cycles = np.ceil(row_lengths / simd_width)
-    slots = np.arange(n_rows) % n_workers
-    loads = np.bincount(slots, weights=cycles, minlength=n_workers)
-    longest = float(cycles.max())
-    mean = loads.mean() if loads.mean() > 0 else 1.0
-    factor = max(loads.max(), longest) / mean
-    return ImbalanceStats(
-        factor=float(max(factor, 1.0)),
-        max_load=float(max(loads.max(), longest)),
-        mean_load=float(mean),
-        n_workers=n_workers,
-    )
-
-
 def nnz_split(row_lengths: np.ndarray, n_workers: int) -> ImbalanceStats:
     """Row-splitting nnz partition (CSR5 tiles): work is element-balanced
     up to one tile of granularity."""
@@ -178,136 +149,19 @@ def element_balanced(
     return ImbalanceStats(1.0, per, per, n_workers)
 
 
-def sell_chunk_imbalance(
-    row_lengths: np.ndarray,
-    n_workers: int,
-    C: int = 32,
-    sigma: int = 1024,
-) -> ImbalanceStats:
-    """SELL-C-σ chunk loads: rows sorted within σ-windows, chunk cost is
-    ``C * chunk_width``; chunks are dealt to workers in order."""
-    n_rows = len(row_lengths)
-    if n_rows == 0:
-        return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
-    lengths = np.asarray(row_lengths, dtype=np.int64).copy()
-    for w0 in range(0, n_rows, sigma):
-        w1 = min(w0 + sigma, n_rows)
-        lengths[w0:w1] = np.sort(lengths[w0:w1])[::-1]
-    n_chunks = (n_rows + C - 1) // C
-    padded = np.zeros(n_chunks * C, dtype=np.int64)
-    padded[:n_rows] = lengths
-    widths = padded.reshape(n_chunks, C).max(axis=1)
-    cost = widths * C
-    # Chunks are dealt in snake order (0..w-1, w-1..0, ...), modelling the
-    # guided scheduling real SELL kernels use: within a sorted sigma-window
-    # costs descend monotonically, so plain contiguous or round-robin
-    # assignment would systematically overload the first worker.
-    phase = np.arange(n_chunks) % (2 * n_workers)
-    slots = np.where(phase < n_workers, phase, 2 * n_workers - 1 - phase)
-    loads = np.bincount(slots, weights=cost, minlength=n_workers)
-    return ImbalanceStats.from_loads(loads)
-
-
-def lockstep_channel_imbalance(
-    row_lengths: np.ndarray, n_channels: int = 16
-) -> ImbalanceStats:
-    """VSL channel lockstep: rows are interleaved over HBM channel groups
-    which advance in lockstep, so the critical channel paces all 16.  A
-    skewed row concentrates its stream on one channel (Fig 5's ~4x FPGA
-    drop)."""
-    n_rows = len(row_lengths)
-    if n_rows == 0:
-        return ImbalanceStats(1.0, 0.0, 0.0, n_channels)
-    slots = np.arange(n_rows) % n_channels
-    loads = np.bincount(slots, weights=row_lengths, minlength=n_channels)
-    # Lockstep advances in bursts: per-burst padding amplifies the critical
-    # channel; approximate with the channel max over the mean.
-    return ImbalanceStats.from_loads(loads)
-
-
-# ---------------------------------------------------------------------------
-# Vectorised twins — same statistics, no Python-level loops.
-#
-# The three partitioners below replace per-window / round-robin Python loops
-# with reshape-based reductions.  Every load is a sum of *integer-valued*
-# terms well below 2^53, so float64 accumulation order cannot change the
-# result: each twin is bit-identical to its reference partitioner (the twin
-# agreement tests pin this), and the fused cold path routes through them.
-# ---------------------------------------------------------------------------
-def sell_chunk_widths(
-    row_lengths: np.ndarray, C: int = 32, sigma: int = 1024
-) -> np.ndarray:
-    """Per-chunk widths of the sigma-sorted SELL-C-σ layout.
-
-    This is the expensive half of :func:`sell_chunk_imbalance` — the
-    per-window descending sort and the chunk-maximum reduction — and it
-    does not depend on ``n_workers``, so callers scoring the same
-    profile at several worker counts can compute it once.  ``sigma``
-    must be a multiple of ``C``, as with the defaults: windows then
-    start on chunk boundaries, so every chunk lies in one
-    descending-sorted window and its width is its first row, read off
-    the ascending window sort at a stride of ``C``.
-    """
-    if sigma % C:
-        raise ValueError(f"sigma ({sigma}) must be a multiple of C ({C})")
-    n_rows = len(row_lengths)
-    if n_rows == 0:
-        return np.zeros(0, dtype=np.int64)
-    lengths = np.asarray(row_lengths, dtype=np.int64)
-    if lengths.max() >= 2**31:
-        raise ValueError("row lengths must be below 2**31")
-    # int32 sorts in the same order as int64, in half the bytes.
-    n_windows = (n_rows + sigma - 1) // sigma
-    padded = np.full(n_windows * sigma, -1, dtype=np.int32)
-    padded[:n_rows] = lengths
-    asc = np.sort(padded.reshape(n_windows, sigma), axis=1)
-    n_chunks = (n_rows + C - 1) // C
-    heads = asc[:, sigma - 1::-C].reshape(-1)[:n_chunks]
-    return heads.astype(np.int64)
-
-
-def sell_chunk_imbalance_fast(
-    row_lengths: np.ndarray,
-    n_workers: int,
-    C: int = 32,
-    sigma: int = 1024,
-    widths: np.ndarray = None,
-) -> ImbalanceStats:
-    """Vectorised twin of :func:`sell_chunk_imbalance`.
-
-    The per-window descending sort runs as one 2-D sort over the full
-    windows (padding the tail with -1 sentinels so it can join the same
-    reshape) instead of a Python loop over sigma-slices.  ``widths``
-    optionally supplies :func:`sell_chunk_widths` precomputed for this
-    profile — the deal to workers is all that varies with ``n_workers``.
-    Like the widths, it requires ``sigma`` to be a multiple of ``C``.
-    """
-    n_rows = len(row_lengths)
-    if n_rows == 0:
-        return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
-    if widths is None:
-        widths = sell_chunk_widths(row_lengths, C, sigma)
-    n_chunks = len(widths)
-    cost = widths * C
-    phase = np.arange(n_chunks) % (2 * n_workers)
-    slots = np.where(phase < n_workers, phase, 2 * n_workers - 1 - phase)
-    loads = np.bincount(slots, weights=cost, minlength=n_workers)
-    return ImbalanceStats.from_loads(loads)
-
-
-def warp_per_row_fast(
+def warp_per_row(
     row_lengths: np.ndarray,
     n_workers: int,
     simd_width: int = 32,
     cycles: np.ndarray = None,
 ) -> ImbalanceStats:
-    """Vectorised twin of :func:`warp_per_row`.
+    """GPU warp-per-row scheduling (cuSPARSE CSR flavour).
 
-    Integer ceil-division replaces the float ``np.ceil`` (identical for
-    integer lengths) and the round-robin deal becomes a zero-padded
-    ``(k, n_workers)`` reshape summed down the columns.  ``cycles``
-    optionally supplies the per-row warp-cycle counts
-    (``ceil(len / simd_width)`` as int64) precomputed for this profile —
+    Each row costs ``ceil(len / simd_width)`` warp-cycles; rows are dealt
+    round-robin to warp slots, summed as a zero-padded ``(k, n_workers)``
+    reshape.  The critical path is additionally lower-bounded by the
+    single longest row (it cannot be split).  ``cycles`` optionally
+    supplies the per-row warp-cycle counts precomputed for this profile —
     they do not depend on ``n_workers``.
     """
     n_rows = len(row_lengths)
@@ -337,11 +191,78 @@ def warp_per_row_fast(
     )
 
 
-def lockstep_channel_imbalance_fast(
+def sell_chunk_widths(
+    row_lengths: np.ndarray, C: int = 32, sigma: int = 1024
+) -> np.ndarray:
+    """Per-chunk widths of the sigma-sorted SELL-C-σ layout.
+
+    This is the expensive half of :func:`sell_chunk_imbalance` — the
+    per-window descending sort and the chunk-maximum reduction — and it
+    does not depend on ``n_workers``, so callers scoring the same
+    profile at several worker counts can compute it once.  The windows
+    sort as one 2-D sort, the tail padded with -1 sentinels.  ``sigma``
+    must be a multiple of ``C``, as with the defaults: windows then
+    start on chunk boundaries, so every chunk lies in one
+    descending-sorted window and its width is its first row, read off
+    the ascending window sort at a stride of ``C``.
+    """
+    if sigma % C:
+        raise ValueError(f"sigma ({sigma}) must be a multiple of C ({C})")
+    n_rows = len(row_lengths)
+    if n_rows == 0:
+        return np.zeros(0, dtype=np.int64)
+    lengths = np.asarray(row_lengths, dtype=np.int64)
+    if lengths.max() >= 2**31:
+        raise ValueError("row lengths must be below 2**31")
+    # int32 sorts in the same order as int64, in half the bytes.
+    n_windows = (n_rows + sigma - 1) // sigma
+    padded = np.full(n_windows * sigma, -1, dtype=np.int32)
+    padded[:n_rows] = lengths
+    asc = np.sort(padded.reshape(n_windows, sigma), axis=1)
+    n_chunks = (n_rows + C - 1) // C
+    heads = asc[:, sigma - 1::-C].reshape(-1)[:n_chunks]
+    return heads.astype(np.int64)
+
+
+def sell_chunk_imbalance(
+    row_lengths: np.ndarray,
+    n_workers: int,
+    C: int = 32,
+    sigma: int = 1024,
+    widths: np.ndarray = None,
+) -> ImbalanceStats:
+    """SELL-C-σ chunk loads: rows sorted within σ-windows, chunk cost is
+    ``C * chunk_width``; chunks are dealt to workers in order.
+
+    ``widths`` optionally supplies :func:`sell_chunk_widths` precomputed
+    for this profile — the deal to workers is all that varies with
+    ``n_workers``.  Like the widths, it requires ``sigma`` to be a
+    multiple of ``C``.
+    """
+    n_rows = len(row_lengths)
+    if n_rows == 0:
+        return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
+    if widths is None:
+        widths = sell_chunk_widths(row_lengths, C, sigma)
+    n_chunks = len(widths)
+    cost = widths * C
+    # Chunks are dealt in snake order (0..w-1, w-1..0, ...), modelling the
+    # guided scheduling real SELL kernels use: within a sorted sigma-window
+    # costs descend monotonically, so plain contiguous or round-robin
+    # assignment would systematically overload the first worker.
+    phase = np.arange(n_chunks) % (2 * n_workers)
+    slots = np.where(phase < n_workers, phase, 2 * n_workers - 1 - phase)
+    loads = np.bincount(slots, weights=cost, minlength=n_workers)
+    return ImbalanceStats.from_loads(loads)
+
+
+def lockstep_channel_imbalance(
     row_lengths: np.ndarray, n_channels: int = 16
 ) -> ImbalanceStats:
-    """Vectorised twin of :func:`lockstep_channel_imbalance` (zero-padded
-    reshape instead of the modulo bincount)."""
+    """VSL channel lockstep: rows are interleaved over HBM channel groups
+    which advance in lockstep, so the critical channel paces all 16.  A
+    skewed row concentrates its stream on one channel (Fig 5's ~4x FPGA
+    drop).  The interleave sums as a zero-padded reshape."""
     n_rows = len(row_lengths)
     if n_rows == 0:
         return ImbalanceStats(1.0, 0.0, 0.0, n_channels)
@@ -350,6 +271,8 @@ def lockstep_channel_imbalance_fast(
     if n_pad:
         lengths = np.concatenate([lengths, np.zeros(n_pad, dtype=np.int64)])
     loads = lengths.reshape(-1, n_channels).sum(axis=0)
+    # Lockstep advances in bursts: per-burst padding amplifies the critical
+    # channel; approximate with the channel max over the mean.
     return ImbalanceStats.from_loads(loads)
 
 
@@ -370,12 +293,31 @@ def imbalance_for_strategy(
     row_lengths: np.ndarray,
     n_workers: int,
     simd_width: int = 32,
+    csum: np.ndarray = None,
+    sell_widths: np.ndarray = None,
+    warp_cycles: np.ndarray = None,
 ) -> ImbalanceStats:
-    """Dispatch to the named partitioner."""
+    """Dispatch to the named partitioner.
+
+    Callers scoring one profile under several keys may pass its
+    worker-independent precomputations: the integer prefix sum
+    ``[0, cumsum(row_lengths)]`` (``csum``) for the contiguous-block
+    partitioners, the SELL chunk widths (``sell_widths``) and the
+    warp-cycle counts at ``simd_width`` (``warp_cycles``).  The result is
+    the same with or without them.
+    """
     if strategy == "warp_row":
-        return warp_per_row(row_lengths, n_workers, simd_width)
-    if strategy == "lockstep_channel":
-        return lockstep_channel_imbalance(row_lengths, n_workers)
+        return warp_per_row(
+            row_lengths, n_workers, simd_width, cycles=warp_cycles
+        )
+    if strategy == "sell_chunk":
+        return sell_chunk_imbalance(
+            row_lengths, n_workers, widths=sell_widths
+        )
+    if strategy in ("row_block", "nnz_row"):
+        return PARTITION_STRATEGIES[strategy](
+            row_lengths, n_workers, csum=csum
+        )
     try:
         fn = PARTITION_STRATEGIES[strategy]
     except KeyError:
@@ -384,37 +326,3 @@ def imbalance_for_strategy(
             f"{sorted(PARTITION_STRATEGIES)}"
         ) from None
     return fn(row_lengths, n_workers)
-
-
-def imbalance_for_strategy_fast(
-    strategy: str,
-    row_lengths: np.ndarray,
-    n_workers: int,
-    simd_width: int = 32,
-    csum: np.ndarray = None,
-    sell_widths: np.ndarray = None,
-    warp_cycles: np.ndarray = None,
-) -> ImbalanceStats:
-    """Like :func:`imbalance_for_strategy`, routed through the vectorised
-    twins where they exist and sharing the profile's worker-independent
-    precomputations — the integer prefix-sum (``csum``) across the
-    contiguous-block partitioners, the SELL chunk widths
-    (``sell_widths``) and the warp-cycle counts (``warp_cycles``).
-    Bit-identical results — the fused cold path's dispatcher."""
-    if strategy == "warp_row":
-        return warp_per_row_fast(
-            row_lengths, n_workers, simd_width, cycles=warp_cycles
-        )
-    if strategy == "sell_chunk":
-        return sell_chunk_imbalance_fast(
-            row_lengths, n_workers, widths=sell_widths
-        )
-    if strategy == "lockstep_channel":
-        return lockstep_channel_imbalance_fast(row_lengths, n_workers)
-    if strategy == "row_block":
-        return row_block_partition(row_lengths, n_workers, csum=csum)
-    if strategy == "nnz_row":
-        return nnz_balanced_rows(row_lengths, n_workers, csum=csum)
-    return imbalance_for_strategy(
-        strategy, row_lengths, n_workers, simd_width
-    )

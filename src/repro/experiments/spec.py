@@ -22,7 +22,7 @@ from ..ml.forest import RandomForestRegressor
 from ..ml.knn import KNeighborsRegressor
 from ..ml.linear import RidgeRegression
 from ..ml.selector import MINIMAL_FEATURES
-from ..perfmodel.simulator import PRECISIONS
+from ..perfmodel.batch import PRECISIONS
 
 __all__ = ["ExperimentSpec", "MODEL_FAMILIES", "PROTOCOLS", "SCALES"]
 

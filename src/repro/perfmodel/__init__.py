@@ -1,7 +1,6 @@
 """Structure-aware SpMV performance simulator."""
 from .instance import MatrixInstance
 from .simulator import (
-    BOTTLENECKS,
     BestFormatOutcome,
     FormatSkip,
     SpmvMeasurement,
@@ -9,6 +8,6 @@ from .simulator import (
     simulate_best_detailed,
     simulate_spmv,
 )
-from .batch import GridResult, GridSkip, simulate_grid
+from .batch import BOTTLENECKS, GridResult, GridSkip, simulate_grid
 from .fused import FusedSpecSource
 from .noise import measurement_noise, noise_factors, NOISE_SIGMA

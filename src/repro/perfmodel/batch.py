@@ -1,23 +1,37 @@
-"""Batched grid simulation: every (instance, device, format, precision)
-cell of a sweep in one vectorised NumPy pass.
+"""The SpMV performance model, scored over whole grids.
 
-:func:`simulate_spmv` scores one triple per Python call; the paper's
-protocol, the figure benches and the ML selector's training sweeps all
-evaluate *grids* — every matrix against every device's Table-II format
-list — re-entering the scalar simulator thousands of times.
+For every (matrix, device, storage format, precision) cell the model
+composes the paper's four bottlenecks from quantities *measured on the
+actual matrix structure*:
+
+1. **Memory bandwidth** — total traffic (format bytes + x gather incl.
+   locality-modelled misses + y write) over the working-set-dependent
+   effective bandwidth (LLC vs DRAM — the Fig 3 cache cutoff); GPUs also
+   pay the L2 time of scattered gathers (the Fig 6 irregularity
+   penalty).
+2. **Low ILP** — padded flops at SIMD-utilisation-discounted peak plus a
+   per-row loop overhead (the Fig 4 short-row penalty).
+3. **Memory latency** — residual x misses exposed after per-worker
+   latency hiding (the Fig 6 irregularity penalty).
+4. **Load imbalance** — the actual critical-worker/mean-worker ratio of
+   the format's partitioner on the row-length profile (Fig 5).
+
+Execution time is ``max(mem, compute) + latency`` stretched by the
+imbalance factor and parallel-slack utilisation, plus dispatch overhead.
+
 :func:`simulate_grid` stacks the per-cell inputs (format statistics,
 features, SIMD utilisation, imbalance factors, device parameters,
 precision multipliers) into arrays and computes all four bottlenecks,
 the capacity gate, measurement noise, energy and the argmax-bottleneck
-attribution with broadcast array arithmetic.
-
-The scalar :func:`simulate_spmv` remains the reference oracle: every
-vectorised expression here mirrors the scalar expression graph
-operation-for-operation (same associativity, same evaluation order, the
-same ufuncs), so the batched grid is **row-for-row bit-identical** to
-the scalar loop — including capacity-skip decisions and their reason
-strings.  The agreement suite in ``tests/perfmodel/test_grid_agreement``
-locks that property down over the full testbed grid.
+attribution with broadcast array arithmetic; the memory and energy
+terms come from the array helpers of :mod:`repro.devices`, fed one
+:class:`~repro.devices.base.DeviceColumns` of per-cell device
+parameters.  This is the only place the model is written: the
+one-triple entry points of :mod:`repro.perfmodel.simulator` are
+one-cell grid calls.  ``tests/perfmodel/test_grid_agreement.py`` holds
+it bit-identical to the historical scalar simulator
+(``tests/oracles/model.py``) over the full testbed grid, capacity-skip
+decisions and reason strings included.
 """
 
 from __future__ import annotations
@@ -27,23 +41,38 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..devices.base import Device
-from ..devices.cache import CACHE_LINE_BYTES, GPU_SECTOR_BYTES, X_CACHE_FRACTION
-from ..devices.energy import BW_WEIGHT, COMPUTE_WEIGHT
+from ..devices.base import Device, DeviceColumns
+from ..devices.cache import effective_bandwidth, x_access_model
+from ..devices.energy import EnergyModel
 from ..formats.base import FormatError, get_format
 from .instance import MatrixInstance
 from .noise import NOISE_SIGMA, component_hash, noise_factors
-from .simulator import BOTTLENECKS, PRECISIONS
 
 __all__ = [
     "simulate_grid",
     "GridResult",
     "GridSkip",
     "GRID_DTYPE",
+    "DIAGNOSTIC_KEYS",
     "STATUS_OK",
     "STATUS_FORMAT_ERROR",
     "STATUS_CAPACITY_ERROR",
+    "BOTTLENECKS",
+    "PRECISIONS",
 ]
+
+BOTTLENECKS = (
+    "memory_bandwidth",
+    "low_ilp",
+    "memory_latency",
+    "load_imbalance",
+)
+
+PRECISIONS = {
+    # value bytes, peak-flops multiplier vs double precision
+    "fp64": (8.0, 1.0),
+    "fp32": (4.0, 2.0),
+}
 
 STATUS_OK = 0
 STATUS_FORMAT_ERROR = 1
@@ -54,6 +83,12 @@ STATUS_LABELS = {
     STATUS_FORMAT_ERROR: "format_error",
     STATUS_CAPACITY_ERROR: "capacity_error",
 }
+
+# The keys of ``SpmvMeasurement.diagnostics``, one grid column each.
+DIAGNOSTIC_KEYS = (
+    "t_mem", "t_comp", "t_lat", "imbalance", "utilisation", "bw_gbs",
+    "miss_rate", "padding_ratio", "bytes_total", "simd_util",
+)
 
 GRID_DTYPE = np.dtype([
     ("instance", np.int32),
@@ -66,18 +101,7 @@ GRID_DTYPE = np.dtype([
     ("watts", np.float64),
     ("gflops_per_watt", np.float64),
     ("bottleneck", np.int8),
-    # Diagnostics (the scalar measurement's diagnostics dict, columnar).
-    ("t_mem", np.float64),
-    ("t_comp", np.float64),
-    ("t_lat", np.float64),
-    ("imbalance", np.float64),
-    ("utilisation", np.float64),
-    ("bw_gbs", np.float64),
-    ("miss_rate", np.float64),
-    ("padding_ratio", np.float64),
-    ("bytes_total", np.float64),
-    ("simd_util", np.float64),
-])
+] + [(key, np.float64) for key in DIAGNOSTIC_KEYS])
 
 # Row-dict keys carried by :meth:`GridResult.to_rows` for each cell, on
 # top of the per-instance feature columns (the selector's input schema).
@@ -179,10 +203,9 @@ class GridResult:
     def best_per(self) -> np.ndarray:
         """Index of the best scored cell per (precision, instance, device).
 
-        Vectorised replacement for the :func:`simulate_best` loop: within
-        each device's format segment the highest ``gflops`` wins, ties
-        resolved to the earliest format in the device's list (the scalar
-        loop keeps the first strictly-greater measurement).  Entries are
+        Within each device's format segment the highest ``gflops`` wins,
+        ties resolved to the earliest format in the device's list (as a
+        loop keeping the first strictly-greater measurement).  Entries are
         flat indices into ``data``; ``-1`` marks groups where every
         format was skipped.
         """
@@ -371,12 +394,11 @@ def simulate_grid(
 ) -> GridResult:
     """Score the full (instance x device x format x precision) grid.
 
-    Semantics per cell are exactly :func:`simulate_spmv`'s: formats that
-    refuse a matrix become ``format_error`` cells, the device capacity
-    gate becomes ``capacity_error`` cells (with the scalar exception's
-    message as the reason), and every scored cell's measurements are
-    bit-identical to the scalar call.  ``formats=None`` uses each
-    device's Table-II list; an explicit list applies to every device.
+    Formats that refuse a matrix become ``format_error`` cells and the
+    device capacity gate becomes ``capacity_error`` cells, each with the
+    :class:`FormatError`/:class:`CapacityError` message as its reason.
+    ``formats=None`` (or an empty list) uses each device's Table-II
+    list; an explicit list applies to every device.
     """
     return _score_grid(
         _InstanceSource(instances), devices, formats, precisions,
@@ -470,62 +492,17 @@ def _score_grid(
         for i, msg in reasons.items():
             fail_reason[(i, g)] = msg
 
-    # -- per-device parameter arrays (derived exactly as the scalar
-    #    path computes them, so every denominator matches bit-for-bit) --
-    d_llc_bytes = np.array([dev.llc_bytes for dev in devices])
-    d_llc_bw = np.array([dev.llc_bw_gbs for dev in devices])
-    d_dram_bw = np.array([dev.dram_bw_gbs for dev in devices])
-    d_dram_bytes = np.array([dev.dram_bytes for dev in devices])
-    d_matrix_cap = np.array([dev.matrix_capacity_bytes for dev in devices])
-    d_bw_eff = np.array([dev.spmv_bw_efficiency for dev in devices])
-    d_is_cpu = np.array([dev.is_cpu for dev in devices])
-    d_is_gpu = np.array([dev.is_gpu for dev in devices])
-    d_peak = np.array([dev.peak_gflops for dev in devices])
-    d_row_cycles = np.array([dev.row_start_cycles for dev in devices])
-    d_row_denom = np.array(
-        [dev.clock_ghz * 1e9 * dev.cores for dev in devices]
-    )
-    d_lat_ns = np.array([dev.mem_latency_ns for dev in devices])
-    d_lat_denom = np.array(
-        [dev.n_workers * dev.latency_hiding for dev in devices]
-    )
-    d_gather_denom = np.array(
-        [dev.llc_bw_gbs * 0.35 * 1e9 for dev in devices]
-    )
-    d_sat = np.array([dev.saturation_nnz for dev in devices])
-    d_launch_s = np.array(
-        [dev.kernel_launch_us * 1e-6 for dev in devices]
-    )
-    d_idle = np.array([dev.idle_w for dev in devices])
-    d_power_span = np.array(
-        [dev.max_w - dev.idle_w for dev in devices]
-    )
-    d_dram_denom = np.array(
-        [dev.dram_bw_gbs * 1e9 for dev in devices]
-    )
-    d_peak_denom = np.array(
-        [dev.peak_gflops * 1e9 for dev in devices]
-    )
-    d_width = np.array([dev.simd_width_dp for dev in devices],
-                       dtype=np.int64)
-    d_inv_width = np.array(
-        [1.0 / dev.simd_width_dp for dev in devices]
-    )
-    d_noise_h = np.array(
-        [component_hash(dev.name) for dev in devices], dtype=np.uint64
-    )
+    # -- per-cell device parameters (Device attributes as arrays) ------
+    cells = DeviceColumns(devices, df_dev_arr)
 
     # -- capacity gate, precomputed per precision ----------------------
-    # simulate_spmv raises CapacityError *before* touching SIMD
-    # utilisation or imbalance, so cells gated at every requested
-    # precision must not trigger those (possibly expensive, per-profile)
-    # measurements here either.
+    # Cells gated at every requested precision never trigger the
+    # (possibly expensive, per-profile) SIMD utilisation or imbalance
+    # measurements.
     mem_df_all = s_mem[:, df_fmt_arr]
     meta_df_all = s_meta[:, df_fmt_arr]
     i_scale_col = i_scale[:, None]
     i_xy_base = (i_cols + i_rows)[:, None]
-    d_cap_df = d_matrix_cap[df_dev_arr]
-    d_dram_df = d_dram_bytes[df_dev_arr]
     fmt_bytes_by_p: List[np.ndarray] = []
     x_y_bytes_by_p: List[np.ndarray] = []
     cap_fail_by_p: List[np.ndarray] = []
@@ -540,7 +517,8 @@ def _score_grid(
         fmt_bytes_by_p.append(fmt_bytes)
         x_y_bytes_by_p.append(x_y_bytes)
         cap_fail_by_p.append(
-            (fmt_bytes > d_cap_df) | (fmt_bytes + x_y_bytes > d_dram_df)
+            (fmt_bytes > cells.matrix_capacity_bytes)
+            | (fmt_bytes + x_y_bytes > cells.dram_bytes)
         )
     ok_df = ~s_fail[:, df_fmt_arr]
     # A cell is scoreable if its stats exist and at least one precision
@@ -548,16 +526,15 @@ def _score_grid(
     scoreable_df = ok_df & ~np.logical_and.reduce(cap_fail_by_p)
 
     # -- per-(instance, device-format) SIMD utilisation ----------------
-    # simulate_spmv: friendly formats use max(simd_utilisation(width),
-    # 1/width); unfriendly ones 1/width.  Compute the memoised
-    # utilisation only for widths some friendly, scoreable cell needs.
-    widths = sorted(set(int(w) for w in d_width))
+    # Friendly formats use max(simd_utilisation(width), 1/width);
+    # unfriendly ones 1/width.  Compute the memoised utilisation only
+    # for widths some friendly, scoreable cell needs.
+    widths = sorted({dev.simd_width_dp for dev in devices})
     width_pos = {w: k for k, w in enumerate(widths)}
     util_tab = np.zeros((n_inst, len(widths)))
     friendly_df = s_friendly[:, df_fmt_arr]          # (n_inst, n_df)
     need_w = np.zeros((n_inst, len(widths)), dtype=bool)
-    dev_w_pos = np.array([width_pos[int(w)] for w in d_width])
-    cell_w_pos = dev_w_pos[df_dev_arr]               # (n_df,)
+    cell_w_pos = np.searchsorted(widths, cells.simd_width_dp)  # (n_df,)
     need_cells = friendly_df & scoreable_df
     for k in range(len(widths)):
         need_w[:, k] = need_cells[:, cell_w_pos == k].any(axis=1)
@@ -590,7 +567,7 @@ def _score_grid(
             if need_w[i, k]:
                 util_tab[i, k] = source.simd_utilisation(i, w)
     util_df = util_tab[:, cell_w_pos]                # (n_inst, n_df)
-    inv_w_df = d_inv_width[df_dev_arr]
+    inv_w_df = 1.0 / cells.simd_width_dp
     simd_util_df = np.where(
         friendly_df, np.maximum(util_df, inv_w_df), inv_w_df
     )
@@ -613,26 +590,9 @@ def _score_grid(
 
     stored_df = s_stored[:, df_fmt_arr]
     pad_df = s_pad[:, df_fmt_arr]
-
-    llc_bytes = d_llc_bytes[df_dev_arr]
-    llc_bw = d_llc_bw[df_dev_arr]
-    dram_bw = d_dram_bw[df_dev_arr]
-    bw_eff = d_bw_eff[df_dev_arr]
-    is_cpu = d_is_cpu[df_dev_arr]
-    is_gpu = d_is_gpu[df_dev_arr]
-    peak = d_peak[df_dev_arr]
-    row_cycles = d_row_cycles[df_dev_arr]
-    row_denom = d_row_denom[df_dev_arr]
-    lat_ns = d_lat_ns[df_dev_arr]
-    lat_denom = d_lat_denom[df_dev_arr]
-    gather_denom = d_gather_denom[df_dev_arr]
-    sat = d_sat[df_dev_arr]
-    launch_s = d_launch_s[df_dev_arr]
-    idle_w = d_idle[df_dev_arr]
-    power_span = d_power_span[df_dev_arr]
-    dram_denom = d_dram_denom[df_dev_arr]
-    peak_denom = d_peak_denom[df_dev_arr]
-    dev_noise_h = d_noise_h[df_dev_arr]
+    dev_noise_h = np.array(
+        [component_hash(dev.name) for dev in devices], dtype=np.uint64
+    )[df_dev_arr]
 
     sigma = NOISE_SIGMA if noise_sigma is None else noise_sigma
 
@@ -641,60 +601,63 @@ def _score_grid(
     for p, prec in enumerate(precisions):
         value_bytes, peak_mult = PRECISIONS[prec]
 
-        # ---- storage split (simulate_spmv order, op for op; bytes and
-        # the capacity verdict were precomputed above) -----------------
+        # ---- storage split (bytes and the capacity verdict were
+        # precomputed above) -------------------------------------------
         fmt_bytes = fmt_bytes_by_p[p]
         stored = stored_df * scale
         x_y_bytes = x_y_bytes_by_p[p]
         capacity_fail = cap_fail_by_p[p]
 
         # ---- bottleneck 1: memory bandwidth --------------------------
-        # x_access_model, vectorised
-        x_bytes = n_cols * value_bytes
-        budget = llc_bytes * X_CACHE_FRACTION
-        coverage = np.where(
-            x_bytes > 0, np.minimum(1.0, budget / x_bytes), 1.0
+        xt = x_access_model(cells, nnz, n_cols, neigh, sim,
+                            value_bytes=value_bytes)
+        miss = xt.miss_rate
+        bytes_total = (
+            fmt_bytes + (n_cols + n_rows) * value_bytes + xt.extra_bytes
         )
-        spatial_hit = np.minimum(neigh / 2.0, 1.0)
-        temporal_hit = np.minimum(np.maximum(sim, 0.0), 1.0)
-        miss = (1.0 - coverage) * (1.0 - spatial_hit) * (1.0 - temporal_hit)
-        extra = miss * nnz * max(CACHE_LINE_BYTES - value_bytes, 0.0)
-        gather_bytes = nnz * (
-            spatial_hit * value_bytes
-            + (1.0 - spatial_hit) * GPU_SECTOR_BYTES
-        )
-
-        bytes_total = fmt_bytes + (n_cols + n_rows) * value_bytes + extra
         working_set = fmt_bytes + x_y_bytes
-        # effective_bandwidth, vectorised (incl. its ws<=0 early return)
-        safe_ws = np.where(working_set > 0, working_set, 1.0)
-        cached = np.minimum(1.0, llc_bytes / safe_ws)
-        inv = cached / llc_bw + (1.0 - cached) / dram_bw
-        bw_gbs = np.where(working_set > 0, 1.0 / inv, llc_bw)
-        bw_gbs = bw_gbs * bw_eff
+        bw_gbs = effective_bandwidth(cells, working_set)
+        bw_gbs = bw_gbs * cells.spmv_bw_efficiency
+        # Short rows break the per-row access streams before hardware
+        # prefetchers ramp up, so CPU bandwidth degrades with the average
+        # row length (the CPU half of Fig 4's ~2x row-size gap).
         avg_row = nnz / np.maximum(n_rows, 1)
         bw_gbs = np.where(
-            is_cpu, bw_gbs * (avg_row / (avg_row + 2.0)), bw_gbs
+            cells.is_cpu, bw_gbs * (avg_row / (avg_row + 2.0)), bw_gbs
         )
         t_stream = bytes_total / (bw_gbs * 1e9)
-        t_gather = gather_bytes / gather_denom
-        t_mem = np.where(is_gpu, np.maximum(t_stream, t_gather), t_stream)
+        # GPUs additionally pay for gather coalescing: scattered x lanes
+        # drain L2 sector bandwidth even when x is cache-resident.  The
+        # gather overlaps the DRAM stream, so the slower of the two paces
+        # the kernel.
+        t_mem = np.where(
+            cells.is_gpu, np.maximum(t_stream, xt.gather_s), t_stream
+        )
 
         # ---- bottleneck 2: compute / low ILP -------------------------
-        eff_gflops = np.maximum(peak * peak_mult * simd_util_df, 1e-3)
+        eff_gflops = np.maximum(
+            cells.peak_gflops * peak_mult * simd_util_df, 1e-3
+        )
         t_flops = 2.0 * stored / (eff_gflops * 1e9)
-        t_rows = n_rows * row_cycles / row_denom
+        # Per-row loop/bookkeeping overhead, parallel over cores.
+        t_rows = n_rows * cells.row_start_cycles / (
+            cells.clock_ghz * 1e9 * cells.cores
+        )
         t_comp = t_flops + t_rows
 
         # ---- bottleneck 3: memory latency ----------------------------
         misses = miss * nnz
-        t_lat = misses * lat_ns * 1e-9 / lat_denom
+        t_lat = misses * cells.mem_latency_ns * 1e-9 / (
+            cells.n_workers * cells.latency_hiding
+        )
 
         # ---- bottleneck 4 + composition ------------------------------
+        # Memory and compute streams overlap; exposed latency adds on
+        # top, and the critical worker stretches the whole.
         t_work = np.maximum(t_mem, t_comp) + t_lat
-        utilisation = nnz / (nnz + sat)
+        utilisation = nnz / (nnz + cells.saturation_nnz)
         t_exec = t_work * imb_df / np.maximum(utilisation, 1e-9)
-        t_total = t_exec + launch_s
+        t_total = t_exec + cells.kernel_launch_us * 1e-6
 
         fmt_prec_h = np.array(
             [component_hash(f"{name}@{prec}") for name in format_names],
@@ -708,18 +671,13 @@ def _score_grid(
 
         flops_useful = 2.0 * nnz
         gflops = flops_useful / t_total / 1e9
+        power = EnergyModel(cells).estimate(
+            gflops=gflops, time_s=t_total, bytes_moved=bytes_total,
+            flops=flops_useful,
+        )
 
-        # EnergyModel.estimate / average_power, vectorised
-        bw_u = (bytes_total / t_total) / dram_denom
-        c_u = (flops_useful / t_total) / peak_denom
-        bw_u = np.minimum(np.maximum(bw_u, 0.0), 1.0)
-        c_u = np.minimum(np.maximum(c_u, 0.0), 1.0)
-        activity = BW_WEIGHT * bw_u + COMPUTE_WEIGHT * c_u
-        watts = idle_w + power_span * activity
-        gflops_per_watt = np.where(watts > 0, gflops / watts, 0.0)
-
-        # Dominant bottleneck: first index of the largest contribution,
-        # matching the scalar dict-argmax (insertion order, first max).
+        # Dominant bottleneck: first index of the largest exposed time
+        # contribution, in BOTTLENECKS order.
         contributions = np.stack([
             t_mem,
             t_comp,
@@ -741,8 +699,8 @@ def _score_grid(
         block["status"] = status
         ok = status == STATUS_OK
         for name, arr in (
-            ("gflops", gflops), ("time_s", t_total), ("watts", watts),
-            ("gflops_per_watt", gflops_per_watt),
+            ("gflops", gflops), ("time_s", t_total), ("watts", power.watts),
+            ("gflops_per_watt", power.gflops_per_watt),
             ("t_mem", t_mem), ("t_comp", t_comp), ("t_lat", t_lat),
             ("imbalance", imb_df), ("utilisation", utilisation),
             ("bw_gbs", bw_gbs), ("miss_rate", miss),
@@ -753,8 +711,8 @@ def _score_grid(
             block[name] = col
         block["bottleneck"] = np.where(ok, bottleneck, -1).astype(np.int8)
 
-        # Skip reasons (rare; formatted per cell, matching the scalar
-        # exception messages byte for byte).
+        # Skip reasons (rare; formatted per cell, as the CapacityError
+        # message of a one-cell call).
         base = p * n_inst * n_df
         need_gib = (fmt_bytes + x_y_bytes) / 2**30
         cap_cells = np.argwhere(capacity_fail & ~fmt_fail)

@@ -13,8 +13,11 @@ Every sweep chunk feeds the vectorised grid scorer
    overrides for the closed-form formats, scalar fallback (on zero-data
    matrices) for the rest;
 3. SIMD utilisation and imbalance factors come from the declared-scale
-   row-length profile through histogram/prefix-sum twins
-   (:func:`~repro.devices.parallel.imbalance_for_strategy_fast`).
+   row-length profile: the row-length histogram
+   (:func:`~repro.perfmodel.instance.row_length_histogram`) and the
+   partitioner dispatcher
+   (:func:`~repro.devices.parallel.imbalance_for_strategy`) fed the
+   profile's shared prefix sum, SELL chunk widths and warp cycles.
 
 Everything the scorer reads about one spec is memoised in its
 :class:`ScoringRecord` — the unit the instance cache persists.  A
@@ -39,14 +42,16 @@ import numpy as np
 from ..core.features import Features, extract_features
 from ..core.generator import MatrixSpec, row_length_profile, structure_batch
 from ..core.matrix import CSRMatrix, CSRStructBatch
-from ..devices.parallel import imbalance_for_strategy_fast, sell_chunk_widths
+from ..devices.parallel import imbalance_for_strategy, sell_chunk_widths
 from ..formats.base import FormatError, FormatStatsBatch, get_format
-from .instance import MAX_PROFILE_ROWS
+from .instance import (
+    MAX_PROFILE_ROWS, histogram_simd_utilisation, row_length_histogram,
+)
 from .noise import component_hash
 
 __all__ = ["FusedSpecSource", "ScoringRecord"]
 
-# Strategies whose fast twins share the profile's integer prefix sum.
+# Strategies whose partitioners share the profile's integer prefix sum.
 _CSUM_STRATEGIES = ("row_block", "nnz_row")
 
 # The per-format stat columns a record keeps, in order.
@@ -282,27 +287,9 @@ class FusedSpecSource:
         return self._csums[i]
 
     def _hist(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
-        """(values, counts) histogram of the positive profile lengths.
-
-        ``bincount`` is O(n_rows + max_len) against ``np.unique``'s
-        O(n_rows log n_rows) sort and yields the same ascending
-        (values, counts) pairs; the sort stays as the fallback for
-        profiles whose maximum row length would make the count array
-        larger than the profile itself.
-        """
+        """Row-length histogram of the declared-scale profile."""
         if i not in self._hists:
-            prof = self.profile(i)
-            max_len = int(prof.max()) if len(prof) else 0
-            if 0 < max_len <= max(4 * len(prof), 1024):
-                counts = np.bincount(prof)
-                vals = np.nonzero(counts)[0]
-                if len(vals) and vals[0] == 0:
-                    vals = vals[1:]
-                self._hists[i] = (vals, counts[vals])
-            else:
-                self._hists[i] = np.unique(
-                    prof[prof > 0], return_counts=True
-                )
+            self._hists[i] = row_length_histogram(self.profile(i))
         return self._hists[i]
 
     # -- _InstanceSource protocol -------------------------------------
@@ -432,20 +419,16 @@ class FusedSpecSource:
             return 1.0
         rec = self.records[i]
         if width not in rec.simd:
-            vals, cnts = self._hist(i)
-            if len(vals) == 0:
-                util = 1.0
-            else:
-                issued = (np.ceil(vals / width) * width * cnts).sum()
-                util = float((vals * cnts).sum() / issued)
-            rec.simd[width] = util
+            rec.simd[width] = histogram_simd_utilisation(
+                self._hist(i), width
+            )
             rec.grown = True
         return rec.simd[width]
 
     def imbalance_factor(
         self, i: int, strategy: str, workers: int, width: int
     ) -> float:
-        """Imbalance via the fast dispatcher, sharing the profile's
+        """Imbalance via the partitioner dispatcher, sharing the profile's
         worker-independent precomputations: the prefix sum for the
         contiguous-block partitioners, the SELL chunk widths (one sort
         pipeline per profile instead of one per worker count) and the
@@ -467,7 +450,7 @@ class FusedSpecSource:
                 prof = self.profile(i)
                 self._warp_cycles[wkey] = (prof + width - 1) // width
             cycles = self._warp_cycles[wkey]
-        factor = float(imbalance_for_strategy_fast(
+        factor = float(imbalance_for_strategy(
             strategy, self.profile(i), workers, width,
             csum=csum, sell_widths=sell, warp_cycles=cycles,
         ).factor)

@@ -12,7 +12,7 @@ row-length profile used for imbalance) come from the declared spec.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -22,20 +22,40 @@ from ..core.matrix import CSRMatrix
 from ..devices.parallel import ImbalanceStats, imbalance_for_strategy
 from ..formats.base import FormatError, FormatStats, get_format
 
-__all__ = ["MatrixInstance", "simd_utilisation_of_profile"]
+__all__ = ["MatrixInstance", "row_length_histogram",
+           "histogram_simd_utilisation"]
 
 
-def simd_utilisation_of_profile(
-    row_profile: np.ndarray, simd_width: int
+def row_length_histogram(
+    profile: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, counts)`` of the positive row lengths, ascending.
+
+    ``bincount`` is O(n_rows + max_len) against ``np.unique``'s
+    O(n_rows log n_rows) sort and yields the same pairs; the sort stays
+    as the fallback for profiles whose maximum row length would make the
+    count array larger than the profile itself.
+    """
+    max_len = int(profile.max()) if len(profile) else 0
+    if 0 < max_len <= max(4 * len(profile), 1024):
+        counts = np.bincount(profile)
+        vals = np.nonzero(counts)[0]
+        if len(vals) and vals[0] == 0:
+            vals = vals[1:]
+        return vals, counts[vals]
+    return np.unique(profile[profile > 0], return_counts=True)
+
+
+def histogram_simd_utilisation(
+    hist: Tuple[np.ndarray, np.ndarray], simd_width: int
 ) -> float:
-    """Fraction of SIMD lanes doing useful work under row-vectorisation."""
-    if simd_width <= 1:
+    """Fraction of SIMD lanes doing useful work under row-vectorisation,
+    from a :func:`row_length_histogram` (both sums are exact integers)."""
+    vals, cnts = hist
+    if simd_width <= 1 or len(vals) == 0:
         return 1.0
-    lengths = row_profile[row_profile > 0]
-    if len(lengths) == 0:
-        return 1.0
-    issued = np.ceil(lengths / simd_width) * simd_width
-    return float(lengths.sum() / issued.sum())
+    issued = (np.ceil(vals / simd_width) * simd_width * cnts).sum()
+    return float((vals * cnts).sum() / issued)
 
 # Imbalance statistics converge long before this many rows; the cap bounds
 # profile memory for multi-GB declared matrices.
@@ -63,6 +83,7 @@ class MatrixInstance:
     def __post_init__(self):
         self._features: Optional[Features] = None
         self._profile: Optional[np.ndarray] = None
+        self._hist: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._format_stats: Dict[str, FormatStats] = {}
         self._format_fail: Dict[str, str] = {}
         self._simd_util: Dict[int, float] = {}
@@ -145,8 +166,10 @@ class MatrixInstance:
         per-width cache drops that O(n_rows) recomputation from warm runs.
         """
         if simd_width not in self._simd_util:
-            self._simd_util[simd_width] = simd_utilisation_of_profile(
-                self.row_profile(), simd_width
+            if self._hist is None:
+                self._hist = row_length_histogram(self.row_profile())
+            self._simd_util[simd_width] = histogram_simd_utilisation(
+                self._hist, simd_width
             )
         return self._simd_util[simd_width]
 

@@ -1,21 +1,14 @@
-"""The SpMV performance simulator.
+"""One-triple entry points onto the grid model.
 
-For one (matrix instance, storage format, device) triple the simulator
-composes the paper's four bottlenecks from quantities *measured on the
-actual matrix structure*:
-
-1. **Memory bandwidth** — total traffic (format bytes + x gather incl.
-   locality-modelled misses + y write) over the working-set-dependent
-   effective bandwidth (LLC vs DRAM — the Fig 3 cache cutoff).
-2. **Low ILP** — padded flops at SIMD-utilisation-discounted peak plus a
-   per-row loop overhead (the Fig 4 short-row penalty).
-3. **Memory latency** — residual x misses exposed after per-worker
-   latency hiding (the Fig 6 irregularity penalty).
-4. **Load imbalance** — the actual critical-worker/mean-worker ratio of
-   the format's partitioner on the row-length profile (Fig 5).
-
-Execution time is ``max(mem, compute) + latency`` stretched by the
-imbalance factor and parallel-slack utilisation, plus dispatch overhead.
+:func:`simulate_spmv` scores one (matrix instance, storage format,
+device) triple and :func:`simulate_best_detailed` /
+:func:`simulate_best` one instance's best format on one device.  Each is
+a single :func:`~repro.perfmodel.batch.simulate_grid` call: the model
+itself — the paper's four bottlenecks, capacity gate, noise and energy —
+is written once, in :mod:`repro.perfmodel.batch`.  These wrappers only
+turn the grid's records into :class:`SpmvMeasurement` /
+:class:`BestFormatOutcome` and its refused cells back into the
+:class:`FormatError` / :class:`CapacityError` they stand for.
 """
 
 from __future__ import annotations
@@ -23,25 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..devices.base import Device
-from ..devices.cache import effective_bandwidth, x_access_model
-from ..devices.energy import EnergyModel
-from ..formats.base import CapacityError, FormatError, get_format
-from .instance import MatrixInstance, simd_utilisation_of_profile
-from .noise import measurement_noise
+from ..formats.base import CapacityError, FormatError
+from .batch import (
+    BOTTLENECKS, DIAGNOSTIC_KEYS, STATUS_CAPACITY_ERROR, STATUS_OK,
+    GridResult, simulate_grid,
+)
+from .instance import MatrixInstance
 
 __all__ = ["SpmvMeasurement", "simulate_spmv", "simulate_best",
-           "simulate_best_detailed", "BestFormatOutcome", "FormatSkip",
-           "BOTTLENECKS", "PRECISIONS"]
-
-BOTTLENECKS = (
-    "memory_bandwidth",
-    "low_ilp",
-    "memory_latency",
-    "load_imbalance",
-)
+           "simulate_best_detailed", "BestFormatOutcome", "FormatSkip"]
 
 
 @dataclass(frozen=True)
@@ -59,16 +43,25 @@ class SpmvMeasurement:
     diagnostics: Dict[str, float] = field(default_factory=dict, hash=False)
 
 
-# Back-compat alias: the implementation moved next to the per-instance
-# memoisation in :mod:`repro.perfmodel.instance`.
-_simd_utilisation = simd_utilisation_of_profile
-
-
-PRECISIONS = {
-    # value bytes, peak-flops multiplier vs double precision
-    "fp64": (8.0, 1.0),
-    "fp32": (4.0, 2.0),
-}
+def _measurement(grid: GridResult, idx: int) -> SpmvMeasurement:
+    """The measurement of grid cell ``idx``; raises the cell's
+    :class:`FormatError`/:class:`CapacityError` if it was skipped."""
+    rec = grid.data[idx]
+    if rec["status"] != STATUS_OK:
+        exc = (CapacityError if rec["status"] == STATUS_CAPACITY_ERROR
+               else FormatError)
+        raise exc(grid.skip_reasons[idx])
+    return SpmvMeasurement(
+        device=grid.device_names[rec["device"]],
+        format=grid.format_names[rec["format"]],
+        matrix=grid.instance_names[rec["instance"]],
+        gflops=float(rec["gflops"]),
+        time_s=float(rec["time_s"]),
+        watts=float(rec["watts"]),
+        gflops_per_watt=float(rec["gflops_per_watt"]),
+        bottleneck=BOTTLENECKS[rec["bottleneck"]],
+        diagnostics={key: float(rec[key]) for key in DIAGNOSTIC_KEYS},
+    )
 
 
 def simulate_spmv(
@@ -88,161 +81,11 @@ def simulate_spmv(
     unchanged — so the speedup is sub-2x and largest for value-heavy
     (low-metadata) formats.
     """
-    stats = instance.format_stats(format_name)  # may raise FormatError
-    fmt_cls = get_format(format_name)
-    try:
-        value_bytes, peak_mult = PRECISIONS[precision]
-    except KeyError:
-        raise ValueError(
-            f"unknown precision {precision!r}; available: "
-            f"{sorted(PRECISIONS)}"
-        ) from None
-
-    scale = instance.scale
-    nnz = instance.nnz
-    n_rows, n_cols = instance.n_rows, instance.n_cols
-    feats = instance.features
-
-    # Split format storage into values (precision-scaled) and metadata.
-    value_fraction = value_bytes / 8.0
-    fmt_value_bytes = (
-        (stats.memory_bytes - stats.metadata_bytes) * scale * value_fraction
+    grid = simulate_grid(
+        [instance], [device], formats=[format_name],
+        precisions=(precision,), seed=seed, noise_sigma=noise_sigma,
     )
-    fmt_bytes = stats.metadata_bytes * scale + fmt_value_bytes
-    stored = stats.stored_elements * scale
-
-    # Hard capacity gate (the VSL/HBM failures of Section V-A, and any
-    # matrix exceeding device memory).
-    x_y_bytes = (n_cols + n_rows) * value_bytes
-    if (
-        fmt_bytes > device.matrix_capacity_bytes
-        or fmt_bytes + x_y_bytes > device.dram_bytes
-    ):
-        raise CapacityError(
-            f"{format_name} needs {(fmt_bytes + x_y_bytes) / 2**30:.2f} GiB "
-            f"> {device.name} capacity"
-        )
-
-    # ---- bottleneck 1: memory bandwidth --------------------------------
-    xt = x_access_model(
-        device, nnz, n_cols,
-        feats.avg_num_neighbours, feats.cross_row_similarity,
-        value_bytes=value_bytes,
-    )
-    bytes_total = (
-        fmt_bytes
-        + (n_cols + n_rows) * value_bytes
-        + xt.extra_bytes
-    )
-    working_set = fmt_bytes + x_y_bytes
-    bw_gbs = effective_bandwidth(device, working_set)
-    bw_gbs *= device.spmv_bw_efficiency
-    if device.is_cpu:
-        # Short rows break the per-row access streams before hardware
-        # prefetchers ramp up, so sustained bandwidth degrades with the
-        # average row length (the CPU half of Fig 4's ~2x row-size gap).
-        avg_row = nnz / max(n_rows, 1)
-        bw_gbs *= avg_row / (avg_row + 2.0)
-    t_stream = bytes_total / (bw_gbs * 1e9)
-    # GPUs additionally pay for gather coalescing: scattered x lanes drain
-    # L2 sector bandwidth even when x is cache-resident (Fig 6's GPU-only
-    # irregularity penalty).  The gather path overlaps the DRAM stream, so
-    # the slower of the two paces the kernel.
-    if device.is_gpu:
-        # Scattered gathers sustain ~1/3 of streaming L2 bandwidth
-        # (sector replays + bank conflicts).
-        t_gather = xt.gather_bytes / (device.llc_bw_gbs * 0.35 * 1e9)
-        t_mem = max(t_stream, t_gather)
-    else:
-        t_gather = 0.0
-        t_mem = t_stream
-
-    # ---- bottleneck 2: compute / low ILP --------------------------------
-    if stats.simd_friendly:
-        simd_util = max(
-            instance.simd_utilisation(device.simd_width_dp),
-            1.0 / device.simd_width_dp,
-        )
-    else:
-        simd_util = 1.0 / device.simd_width_dp
-    eff_gflops = max(device.peak_gflops * peak_mult * simd_util, 1e-3)
-    t_flops = 2.0 * stored / (eff_gflops * 1e9)
-    # Per-row loop/bookkeeping overhead, parallel over cores.
-    t_rows = (
-        n_rows * device.row_start_cycles
-        / (device.clock_ghz * 1e9 * device.cores)
-    )
-    t_comp = t_flops + t_rows
-
-    # ---- bottleneck 3: memory latency -----------------------------------
-    misses = xt.miss_rate * nnz
-    t_lat = (
-        misses * device.mem_latency_ns * 1e-9
-        / (device.n_workers * device.latency_hiding)
-    )
-
-    # ---- bottleneck 4: load imbalance ------------------------------------
-    strategy = getattr(fmt_cls, "partition_strategy", "row_block")
-    imb = instance.imbalance(
-        strategy, device.n_workers, device.simd_width_dp
-    )
-
-    # ---- composition ------------------------------------------------------
-    # Memory and compute streams overlap; exposed latency adds on top.
-    t_work = max(t_mem, t_comp) + t_lat
-    utilisation = nnz / (nnz + device.saturation_nnz)
-    t_exec = t_work * imb.factor / max(utilisation, 1e-9)
-    t_total = t_exec + device.kernel_launch_us * 1e-6
-
-    sigma = noise_sigma
-    noise = measurement_noise(
-        device.name, f"{format_name}@{precision}",
-        instance.name or (n_rows, n_cols, nnz), seed,
-        **({"sigma": sigma} if sigma is not None else {}),
-    )
-    t_total *= noise
-
-    flops_useful = 2.0 * nnz
-    gflops = flops_useful / t_total / 1e9
-
-    power = EnergyModel(device).estimate(
-        gflops=gflops,
-        time_s=t_total,
-        bytes_moved=bytes_total,
-        flops=flops_useful,
-    )
-
-    # Dominant bottleneck: largest exposed time contribution.
-    contributions = {
-        "memory_bandwidth": t_mem,
-        "low_ilp": t_comp,
-        "memory_latency": t_lat,
-        "load_imbalance": (imb.factor - 1.0) * t_work,
-    }
-    bottleneck = max(contributions, key=contributions.get)
-
-    return SpmvMeasurement(
-        device=device.name,
-        format=format_name,
-        matrix=instance.name,
-        gflops=gflops,
-        time_s=t_total,
-        watts=power.watts,
-        gflops_per_watt=power.gflops_per_watt,
-        bottleneck=bottleneck,
-        diagnostics={
-            "t_mem": t_mem,
-            "t_comp": t_comp,
-            "t_lat": t_lat,
-            "imbalance": imb.factor,
-            "utilisation": utilisation,
-            "bw_gbs": bw_gbs,
-            "miss_rate": xt.miss_rate,
-            "padding_ratio": stats.padding_ratio,
-            "bytes_total": bytes_total,
-            "simd_util": simd_util,
-        },
-    )
+    return _measurement(grid, 0)
 
 
 @dataclass(frozen=True)
@@ -289,25 +132,22 @@ def simulate_best_detailed(
     format per matrix/device; Section V-A's VSL/HBM failures motivate the
     skip accounting)."""
     names = tuple(formats if formats is not None else device.formats)
-    best: Optional[SpmvMeasurement] = None
-    skipped: List[FormatSkip] = []
-    for name in names:
-        try:
-            m = simulate_spmv(
-                instance, name, device, seed=seed, noise_sigma=noise_sigma,
-                precision=precision,
-            )
-        except FormatError as exc:
-            skipped.append(FormatSkip(
-                format=name,
-                reason=str(exc),
-                capacity=isinstance(exc, CapacityError),
-            ))
-            continue
-        if best is None or m.gflops > best.gflops:
-            best = m
+    if not names:
+        # simulate_grid reads an empty list as "every device format".
+        return BestFormatOutcome(best=None, skipped=(), attempted=())
+    grid = simulate_grid(
+        [instance], [device], formats=list(names), precisions=(precision,),
+        seed=seed, noise_sigma=noise_sigma,
+    )
+    best = int(grid.best_per()[0, 0, 0])
     return BestFormatOutcome(
-        best=best, skipped=tuple(skipped), attempted=names
+        best=None if best < 0 else _measurement(grid, best),
+        skipped=tuple(
+            FormatSkip(format=s.format, reason=s.reason,
+                       capacity=s.kind == "capacity")
+            for s in grid.skips()
+        ),
+        attempted=names,
     )
 
 

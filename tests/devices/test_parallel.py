@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.devices import TESTBEDS
 from repro.devices.parallel import (
     PARTITION_STRATEGIES,
     element_balanced,
@@ -15,10 +16,11 @@ from repro.devices.parallel import (
     nnz_split,
     row_block_partition,
     sell_chunk_imbalance,
-    sell_chunk_imbalance_fast,
     sell_chunk_widths,
     warp_per_row,
 )
+
+from tests.oracles import model as oracle
 
 # Large enough that tile/diagonal granularity effects are negligible.
 UNIFORM = np.full(16384, 10, dtype=np.int64)
@@ -144,12 +146,12 @@ def test_contiguous_partitions_conserve_work(lengths, workers):
 )
 @settings(max_examples=60, deadline=None)
 def test_sell_twin_matches_reference(lengths, workers, layout):
-    """The vectorised SELL twin and its chunk widths equal the per-window
+    """The SELL partitioner and its chunk widths equal the per-window
     reference loop bit for bit, full and partial tail windows alike."""
     C, sigma = layout
     arr = np.array(lengths, dtype=np.int64)
-    ref = sell_chunk_imbalance(arr, workers, C=C, sigma=sigma)
-    assert sell_chunk_imbalance_fast(arr, workers, C=C, sigma=sigma) == ref
+    ref = oracle.sell_chunk_imbalance(arr, workers, C=C, sigma=sigma)
+    assert sell_chunk_imbalance(arr, workers, C=C, sigma=sigma) == ref
     widths = sell_chunk_widths(arr, C=C, sigma=sigma)
     assert widths.dtype == np.int64
     srt = arr.copy()
@@ -169,3 +171,59 @@ def test_sell_widths_reject_unsupported_input(lengths, C, sigma, match):
     with pytest.raises(ValueError, match=match):
         sell_chunk_widths(np.array(lengths, dtype=np.int64), C=C,
                           sigma=sigma)
+
+
+_TESTBED_WORKERS = sorted({dev.n_workers for dev in TESTBEDS.values()})
+_TESTBED_WIDTHS = sorted({dev.simd_width_dp for dev in TESTBEDS.values()})
+
+
+@st.composite
+def _profiles(draw):
+    """Row-length profiles: empty, all-zero, one heavy row over light
+    ones, or arbitrary; as int32 or int64."""
+    kind = draw(st.sampled_from(["empty", "zeros", "heavy", "any"]))
+    n = 0 if kind == "empty" else draw(st.integers(1, 3000))
+    if kind in ("empty", "zeros"):
+        lengths = [0] * n
+    elif kind == "heavy":
+        lengths = [draw(st.integers(0, 8))] * n
+        lengths[draw(st.integers(0, n - 1))] = draw(
+            st.integers(1_000, 2_000_000)
+        )
+    else:
+        lengths = draw(st.lists(st.integers(0, 5_000), min_size=n,
+                                max_size=n))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return np.array(lengths, dtype=dtype)
+
+
+@given(
+    profile=_profiles(),
+    worker_kind=st.sampled_from(["one", "above_rows", "testbed"]),
+    testbed_workers=st.sampled_from(_TESTBED_WORKERS),
+    width=st.sampled_from(_TESTBED_WIDTHS),
+)
+@settings(max_examples=150, deadline=None)
+def test_dispatcher_matches_loop_partitioners(profile, worker_kind,
+                                              testbed_workers, width):
+    """For every strategy, the production dispatcher — with and without
+    the precomputed prefix sum, SELL chunk widths and warp cycles the
+    fused source passes — equals the loop partitioner of the oracle
+    field for field."""
+    workers = {"one": 1, "above_rows": len(profile) + 7,
+               "testbed": testbed_workers}[worker_kind]
+    csum = np.concatenate(([0], np.cumsum(profile))).astype(np.int64)
+    precomputed = {
+        "csum": csum,
+        "sell_widths": sell_chunk_widths(profile),
+        "warp_cycles": (profile + width - 1) // width,
+    }
+    for strategy in PARTITION_STRATEGIES:
+        want = oracle.imbalance_for_strategy(strategy, profile, workers,
+                                             width)
+        plain = imbalance_for_strategy(strategy, profile, workers, width)
+        shared = imbalance_for_strategy(strategy, profile, workers, width,
+                                        **precomputed)
+        for got in (plain, shared):
+            assert got == want, (strategy, got, want)
+            assert type(got.factor) is type(want.factor), strategy

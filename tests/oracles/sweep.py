@@ -3,9 +3,10 @@
 Before every chunk was scored straight from its specs, a sweep
 materialised one ``MatrixInstance`` per spec (values included) and
 scored those; before that, it could also run a scalar loop: one
-``simulate_spmv``/``simulate_best`` call per (spec, device, format),
-lifted into dict rows.  These are those paths, unchanged, so the
-production tables can be compared with them row for row:
+``simulate_spmv``/``simulate_best`` call per (spec, device, format) of
+the scalar model (``tests/oracles/model.py``), lifted into dict rows.
+These are those paths, unchanged, so the production tables can be
+compared with them row for row:
 
 * :func:`spec_rows` — the scalar rows of one spec;
 * :func:`grid_spec_rows` — dict rows of a spec range, read off one
@@ -23,10 +24,9 @@ from repro.core.dataset import (
     Dataset, SweepTable, _grid_sweep_table, _per_inst_columns,
 )
 from repro.formats.base import FormatError
-from repro.perfmodel.batch import STATUS_OK, simulate_grid
-from repro.perfmodel.simulator import (
-    BOTTLENECKS, simulate_best, simulate_spmv,
-)
+from repro.perfmodel.batch import BOTTLENECKS, STATUS_OK, simulate_grid
+
+from tests.oracles.model import simulate_best, simulate_spmv
 
 
 def _base_row(dataset: Dataset, i: int) -> dict:
@@ -65,7 +65,7 @@ def spec_rows(
     precision: str = "fp64",
 ) -> List[dict]:
     """Measurement rows for spec ``i`` across ``devices`` through the
-    scalar simulator, one call per (device, format)."""
+    scalar oracle model, one call per (device, format)."""
     inst = dataset.instance(i)
     base = _base_row(dataset, i)
     rows: List[dict] = []

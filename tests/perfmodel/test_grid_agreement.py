@@ -1,12 +1,15 @@
-"""Batched-vs-scalar agreement: the golden suite.
+"""Grid-vs-scalar agreement: the golden suite.
 
 :func:`repro.perfmodel.simulate_grid` promises row-for-row *bit-identical*
-output to the scalar :func:`simulate_spmv` oracle over the full
-(testbed device x its Table-II format list x fp64/fp32) grid — including
-which cells are capacity-gated, with the very same reason strings.  These
-tests enforce that promise on a varied pool of generated instances; if a
-future change to either path breaks the lockstep, a cell here fails with
-the exact coordinates.
+output to the historical scalar simulator (``tests/oracles/model.py``)
+over the full (testbed device x its Table-II format list x fp64/fp32)
+grid — including which cells are capacity-gated, with the very same
+reason strings.  The public one-triple entry points (``simulate_spmv``,
+``simulate_best``, ``simulate_best_detailed``) are one-cell grid calls
+and must equal the oracle field for field, exceptions included.  These
+tests enforce that on a varied pool of generated instances; if a change
+to the model breaks the lockstep, a cell here fails with the exact
+coordinates.
 """
 
 import numpy as np
@@ -25,12 +28,13 @@ from repro.perfmodel import (
     simulate_spmv,
 )
 from repro.perfmodel.batch import (
+    BOTTLENECKS,
     STATUS_CAPACITY_ERROR,
     STATUS_FORMAT_ERROR,
     STATUS_OK,
 )
-from repro.perfmodel.simulator import BOTTLENECKS
 
+from tests.oracles import model as oracle
 from tests.oracles.sweep import grid_spec_rows, scalar_sweep, spec_rows
 
 PRECISIONS = ("fp64", "fp32")
@@ -78,9 +82,10 @@ def grid(instances):
 
 
 def _scalar_cell(inst, fmt, dev, precision):
-    """(status, payload): payload is the measurement or the reason str."""
+    """(status, payload) of the oracle: payload is the measurement or the
+    reason str."""
     try:
-        return STATUS_OK, simulate_spmv(
+        return STATUS_OK, oracle.simulate_spmv(
             inst, fmt, dev, seed=SEED, precision=precision
         )
     except CapacityError as exc:
@@ -147,8 +152,8 @@ def test_best_per_matches_simulate_best(grid, instances):
     for p, precision in enumerate(grid.precisions):
         for i, inst in enumerate(instances):
             for d, dev in enumerate(DEVICES):
-                m = simulate_best(inst, dev, seed=SEED,
-                                  precision=precision)
+                m = oracle.simulate_best(inst, dev, seed=SEED,
+                                         precision=precision)
                 idx = best[p, i, d]
                 if m is None:
                     assert idx == -1, (inst.name, dev.name, precision)
@@ -214,10 +219,73 @@ def test_grid_rows_schema_and_order(grid):
     assert precs == sorted(precs, key=list(PRECISIONS).index)
 
 
+def _outcome(fn, *args, **kwargs):
+    """``("ok", result)`` or ``("raised", class, message)``."""
+    try:
+        return ("ok", fn(*args, **kwargs))
+    except (KeyError, ValueError) as exc:  # FormatError is a ValueError
+        return ("raised", type(exc), str(exc))
+
+
+def _assert_python_floats(m):
+    for value in (m.gflops, m.time_s, m.watts, m.gflops_per_watt,
+                  *m.diagnostics.values()):
+        assert type(value) is float, (m, value)
+    assert tuple(m.diagnostics) == _DIAG_KEYS
+
+
+@pytest.mark.parametrize("device_name", sorted(TESTBEDS))
+def test_public_entry_points_equal_oracle(instances, device_name):
+    """``simulate_spmv`` on every (instance, format, precision) cell of
+    one device — its Table-II formats plus the refusing ELL and DIA —
+    and ``simulate_best``/``simulate_best_detailed`` on every (instance,
+    precision) equal the scalar oracle field for field: Python floats,
+    every diagnostics key, exception class and message, and
+    ``FormatSkip.capacity``."""
+    dev = TESTBEDS[device_name]
+    formats = list(dev.formats) + ["ELL", "DIA"]
+    for precision in PRECISIONS:
+        for inst in instances:
+            for fmt in formats:
+                got = _outcome(simulate_spmv, inst, fmt, dev, seed=SEED,
+                               precision=precision)
+                want = _outcome(oracle.simulate_spmv, inst, fmt, dev,
+                                seed=SEED, precision=precision)
+                assert got == want, (inst.name, fmt, precision)
+                if got[0] == "ok":
+                    _assert_python_floats(got[1])
+            for fmts in (None, formats):
+                got = simulate_best_detailed(inst, dev, formats=fmts,
+                                             seed=SEED, precision=precision)
+                want = oracle.simulate_best_detailed(
+                    inst, dev, formats=fmts, seed=SEED, precision=precision
+                )
+                assert got == want, (inst.name, fmts, precision)
+                for skip in got.skipped:
+                    assert type(skip.capacity) is bool
+                if got.best is not None:
+                    _assert_python_floats(got.best)
+                assert simulate_best(
+                    inst, dev, formats=fmts, seed=SEED, precision=precision
+                ) == want.best
+
+
+def test_empty_format_list_attempts_nothing(instances):
+    """``formats=[]`` scores nothing, although ``simulate_grid`` reads an
+    empty list as "every device format"."""
+    for dev in DEVICES:
+        got = simulate_best_detailed(instances[0], dev, formats=[])
+        assert got == oracle.simulate_best_detailed(
+            instances[0], dev, formats=[]
+        )
+        assert got.attempted == () and got.best is None
+
+
 class TestSweepEngines:
     """The pipeline's batched chunk scoring is row-for-row identical to
-    the scalar ``spec_rows`` reference in ``tests/oracles/sweep.py`` —
-    the property that lets the grid path be the only sweep engine."""
+    the scalar ``spec_rows`` reference in ``tests/oracles/sweep.py``
+    (scored by the oracle model) — the property that lets the grid path
+    be the only sweep engine."""
 
     @pytest.fixture(scope="class")
     def dataset(self):

@@ -1,5 +1,5 @@
 """Hypothesis property tests for simulator invariants shared by the
-scalar and batched paths.
+historical scalar simulator (``tests/oracles/model.py``) and the grid.
 
 Each property is asserted on *both* engines for the same randomly
 generated instance, so a violation pinpoints whether the model or the
@@ -19,17 +19,17 @@ from hypothesis import strategies as st
 
 from repro.core.generator import MatrixSpec, artificial_matrix_generation
 from repro.devices import TESTBEDS
-from repro.devices.cache import x_access_model
 from repro.formats.base import CapacityError, FormatError
 from repro.perfmodel import (
     MatrixInstance,
     measurement_noise,
     noise_factors,
     simulate_grid,
-    simulate_spmv,
 )
 from repro.perfmodel.batch import STATUS_CAPACITY_ERROR, STATUS_OK
 from repro.perfmodel.noise import component_hash
+
+from tests.oracles.model import simulate_spmv, x_access_model
 
 DEVICE_NAMES = sorted(TESTBEDS)
 
@@ -57,7 +57,7 @@ def small_instances(draw):
 
 
 def _cell(inst, fmt, dev, **kw):
-    """Scalar + batched measurement of one cell (noise off by default)."""
+    """Oracle + grid measurement of one cell (noise off by default)."""
     kw.setdefault("noise_sigma", 0.0)
     scalar = simulate_spmv(inst, fmt, dev, **kw)
     grid = simulate_grid(

@@ -5,7 +5,7 @@ import pytest
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
 from repro.perfmodel import MatrixInstance, simulate_best, simulate_spmv
-from repro.perfmodel.simulator import PRECISIONS
+from repro.perfmodel.batch import PRECISIONS
 
 
 @pytest.fixture(scope="module")

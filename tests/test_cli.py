@@ -1,5 +1,7 @@
 """CLI: every subcommand end-to-end on small inputs."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -82,6 +84,42 @@ class TestValidate:
                      "--friends", "3"]) == 0
         out = capsys.readouterr().out
         assert "scircuit" in out and "MAPE" in out
+
+
+GOLDEN = Path(__file__).parent / "fixtures" / "cli"
+
+
+class TestGoldenOutputs:
+    """``repro simulate`` and ``repro validate`` print exactly the tables
+    committed under ``tests/fixtures/cli``.  Measurement noise is keyed on
+    the matrix path argument, so the matrix is generated into a fixed
+    working directory and passed by its relative name."""
+
+    @pytest.fixture()
+    def in_tmp(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main([
+            "generate", "--rows", "2000", "--avg", "8", "--skew", "10",
+            "--seed", "3", "--out", "m.mtx",
+        ]) == 0
+
+    @pytest.mark.parametrize("golden, flags", [
+        ("simulate_all.txt", []),
+        ("simulate_csr5.txt", ["--format", "CSR5"]),
+        ("simulate_fp32.txt", ["--fp32"]),
+        ("simulate_dia.txt", ["--format", "DIA"]),
+    ])
+    def test_simulate(self, in_tmp, capsys, golden, flags):
+        capsys.readouterr()
+        assert main(["simulate", "m.mtx", *flags]) == 0
+        assert capsys.readouterr().out == (GOLDEN / golden).read_text()
+
+    def test_validate(self, capsys):
+        assert main(["validate", "--ids", "1,11", "--friends", "3",
+                     "--device", "INTEL-XEON"]) == 0
+        assert capsys.readouterr().out == (
+            GOLDEN / "validate.txt"
+        ).read_text()
 
 
 class TestSweep:
