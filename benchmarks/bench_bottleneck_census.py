@@ -12,7 +12,7 @@ from conftest import emit
 
 
 def _census_table(dataset_sweep):
-    census = bottleneck_census(dataset_sweep.rows, by="device")
+    census = bottleneck_census(dataset_sweep, by="device")
     rows = []
     for dev, fractions in census.items():
         rows.append([

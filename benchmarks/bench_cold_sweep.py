@@ -2,15 +2,16 @@
 
 A *cold* sweep (no instance cache) pays, per instance, one structural
 scoring pass over every format of every device.  The materialising
-engine converts each format for real — padded value/index arrays for
-ELL/SELL-C-sigma/DIA/BCSR, scatter passes for the rest — only to reduce
-the result to six numbers; the analytic engine
-(`SparseFormat.stats_from_csr`) computes the same six numbers straight
-from the CSR structure arrays.  This bench times both engines on fresh
-instance pools over the full testbed format union, asserts the stats
-(and refusals) are identical cell-for-cell, gates the analytic path at
->= 5x instance throughput, and records the presorted selector-tree
-training speedup.  Results land in
+engine (the oracle in ``tests/oracles/stats.py``) converts each format
+for real — padded value/index arrays for ELL/SELL-C-sigma/DIA/BCSR,
+scatter passes for the rest — only to reduce the result to six numbers;
+the analytic engine (``MatrixInstance.format_stats``) computes the same
+six numbers straight from the CSR structure arrays.  This bench times
+both engines on fresh instance pools over the full testbed format
+union, asserts the stats (and refusals) are identical cell-for-cell,
+gates the analytic path at >= 5x instance throughput, and records the
+presorted selector-tree training speedup over the re-sorting oracle
+(``tests/oracles/tree.py``).  Results land in
 ``benchmarks/results/BENCH_cold_sweep.json`` next to the grid and
 pipeline benches.
 
@@ -31,6 +32,8 @@ from repro.formats.base import FormatError
 from repro.perfmodel import MatrixInstance
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
+from tests.oracles.stats import materialised_format_stats
+from tests.oracles.tree import ResortingTree
 
 BENCH_PATH = RESULTS_DIR / "BENCH_cold_sweep.json"
 
@@ -45,34 +48,38 @@ ALL_FORMATS = sorted(
 MIN_SPEEDUP = 5.0
 
 
-def _instances(engine: str):
-    """Fresh pool (cold structural caches) pinned to one stats engine."""
+def _instances():
+    """Fresh pool (cold structural caches)."""
     specs = build_dataset_specs(SCALE)
-    pool = [
+    return [
         MatrixInstance.from_spec(s, max_nnz=MAX_NNZ, name=f"cold[{k}]")
         for k, s in enumerate(specs)
     ]
-    for inst in pool:
-        inst.stats_engine = engine
-    return pool
 
 
-def _stats_pass(pool):
+# Stats engine name -> ``stats(instance, format_name)``.
+ENGINES = {
+    "analytic": lambda inst, fmt: inst.format_stats(fmt),
+    "materialise": materialised_format_stats,
+}
+
+
+def _stats_pass(pool, stats):
     """One cold scoring pass; returns {(instance, format): stats-or-msg}."""
     cells = {}
     for inst in pool:
         for fmt in ALL_FORMATS:
             try:
-                cells[(inst.name, fmt)] = inst.format_stats(fmt)
+                cells[(inst.name, fmt)] = stats(inst, fmt)
             except FormatError as exc:
                 cells[(inst.name, fmt)] = str(exc)
     return cells
 
 
 def _run_engine(engine: str):
-    pool = _instances(engine)
+    pool = _instances()
     t0 = time.perf_counter()
-    cells = _stats_pass(pool)
+    cells = _stats_pass(pool, ENGINES[engine])
     elapsed = time.perf_counter() - t0
     return pool, cells, elapsed
 
@@ -87,10 +94,10 @@ def _tree_fit_times():
     X[:, 0] = np.round(X[:, 0], 1)
     y = X @ rng.normal(size=d) + 0.3 * rng.normal(size=n)
     t0 = time.perf_counter()
-    fast = DecisionTreeRegressor(presort=True).fit(X, y)
+    fast = DecisionTreeRegressor().fit(X, y)
     t_presort = time.perf_counter() - t0
     t0 = time.perf_counter()
-    ref = DecisionTreeRegressor(presort=False).fit(X, y)
+    ref = ResortingTree().fit(X, y)
     t_legacy = time.perf_counter() - t0
     np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
     return t_presort, t_legacy

@@ -8,6 +8,7 @@ unbalanced / irregular) matrices even though vendor formats lead overall.
 from collections import defaultdict
 
 from repro.analysis import box_stats, format_table, format_wins
+from repro.core.table import SweepTable
 from repro.formats import get_format
 
 from conftest import emit
@@ -35,7 +36,9 @@ def _fig7(formats_sweep):
         for r in formats_sweep.rows:
             if r["device"] == dev:
                 per_fmt[r["format"]].append(r["gflops"])
-        wins = format_wins(_best_rows(formats_sweep, dev))
+        wins = format_wins(
+            SweepTable.from_rows(_best_rows(formats_sweep, dev))
+        )
         wins_by_dev[dev] = wins
         table_rows = []
         for fmt, values in sorted(per_fmt.items()):

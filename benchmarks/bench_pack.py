@@ -40,8 +40,6 @@ from repro.pipeline.cache import pack_cache_dir
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
 
 BENCH_PATH = RESULTS_DIR / "BENCH_pack.json"
-# Committed snapshot at the repo root (also a CI artifact).
-ROOT_BENCH_PATH = RESULTS_DIR.parent.parent / "BENCH_pack.json"
 
 DEVICES = [TESTBEDS["Tesla-A100"]]
 REPEATS = 3
@@ -168,7 +166,6 @@ def test_pack_floors(tmp_path):
     }
     text = json.dumps(payload_json, indent=2, sort_keys=True)
     BENCH_PATH.write_text(text)
-    ROOT_BENCH_PATH.write_text(text + "\n")
 
     emit(
         "pack_floors",

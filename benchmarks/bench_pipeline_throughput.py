@@ -5,11 +5,11 @@ Times the sweep execution engine end-to-end — the instance cold path
 then score) vs the default sweep path (fused spec-to-grid scoring,
 writing the record cache) vs a warm re-sweep from those records, all
 in-process so the ratios compare engines, not parallelism — and the
-three matrix-generation engines at ~1M nnz, then writes the numbers to
-``benchmarks/results/BENCH_pipeline.json`` (mirrored to the repo-root
-``BENCH_pipeline.json`` snapshot) so the repo's performance trajectory
-is machine-readable run over run.  The JSON keys keep their names:
-``cold`` is the instance oracle and ``fused`` the default path.
+matrix-generation engines at ~1M nnz (the sequential Listing-1 one
+from ``tests/oracles/generator.py``), then writes the numbers to
+``benchmarks/results/BENCH_pipeline.json`` so the repo's performance
+trajectory is machine-readable run over run.  The JSON keys keep their
+names: ``cold`` is the instance oracle and ``fused`` the default path.
 
 Sweeps are seconds-long single-shot workloads, so this bench times them
 directly with ``perf_counter`` instead of pytest-benchmark's repeat loop;
@@ -18,9 +18,7 @@ warm and serial-reference runs (speed must not change results).
 """
 
 import json
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -30,13 +28,10 @@ from repro.core.generator import artificial_matrix_generation
 from repro.devices import TESTBEDS
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
-
-sys.path.append(str(Path(__file__).resolve().parent.parent))
-from tests.oracles.sweep import instance_sweep  # noqa: E402
+from tests.oracles.generator import rowwise_baseline_generation
+from tests.oracles.sweep import instance_sweep
 
 BENCH_PATH = RESULTS_DIR / "BENCH_pipeline.json"
-# Committed snapshot at the repo root (also a CI artifact).
-ROOT_BENCH_PATH = RESULTS_DIR.parent.parent / "BENCH_pipeline.json"
 
 # Acceptance floor: the default (fused spec-to-grid) path, record
 # write-back included, must beat cold instance materialisation by at
@@ -73,7 +68,6 @@ def results():
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     BENCH_PATH.write_text(text)
-    ROOT_BENCH_PATH.write_text(text + "\n")
 
 
 def _specs():
@@ -171,9 +165,14 @@ def test_generator_engines(results):
         best = float("inf")
         for _ in range(3):
             t0 = time.perf_counter()
-            m = artificial_matrix_generation(
-                GEN_ROWS, GEN_ROWS, GEN_AVG, seed=7, method=method
-            )
+            if method == "rowwise-baseline":
+                m = rowwise_baseline_generation(
+                    GEN_ROWS, GEN_ROWS, GEN_AVG, seed=7
+                )
+            else:
+                m = artificial_matrix_generation(
+                    GEN_ROWS, GEN_ROWS, GEN_AVG, seed=7, method=method
+                )
             best = min(best, time.perf_counter() - t0)
         timings[method] = (best, m.nnz)
 

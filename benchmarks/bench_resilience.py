@@ -13,22 +13,16 @@ to the repo-root snapshot) alongside the other bench floors.
 """
 
 import json
-import sys
 import time
-from pathlib import Path
 
 from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 
 from conftest import MAX_NNZ, RESULTS_DIR, SCALE, emit
-
-sys.path.append(str(Path(__file__).resolve().parent.parent))
-from tests.oracles.dispatch import pool_sweep  # noqa: E402
+from tests.oracles.dispatch import pool_sweep
 
 BENCH_PATH = RESULTS_DIR / "BENCH_resilience.json"
-# Committed snapshot at the repo root (also a CI artifact).
-ROOT_BENCH_PATH = RESULTS_DIR.parent.parent / "BENCH_resilience.json"
 
 # Acceptance ceiling: fault-free resilient dispatch within 5% of the
 # plain multiprocessing.Pool baseline.  The crew does strictly more
@@ -89,7 +83,6 @@ def test_resilient_dispatch_overhead():
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     BENCH_PATH.write_text(text)
-    ROOT_BENCH_PATH.write_text(text + "\n")
 
     emit(
         "resilience_dispatch_overhead",

@@ -3,13 +3,13 @@ stacked router vs per-format routing.
 
 Cross-validated experiments evaluate a fitted
 :class:`~repro.ml.FormatSelector` over whole held-out folds.  The scalar
-oracle re-enters ``model.predict`` once per (instance, format) — for a
-25-tree forest over 8 formats that is 200 single-row tree walks per
-matrix — while the batched path builds the feature matrix once and
-scores the entire fold in one pass.  This bench fits one selector,
-scores the same held-out set through both paths, asserts the reports
-are identical, gates the batched path at >= 5x, and times a small
-end-to-end k-fold experiment for context.
+oracle (``tests/oracles/selector.py``) re-enters ``model.predict`` once
+per (instance, format) — for a 25-tree forest over 8 formats that is
+200 single-row tree walks per matrix — while the batched path builds
+the feature matrix once and scores the entire fold in one pass.  This
+bench fits one selector, scores the same held-out set through both
+paths, asserts the reports are identical, gates the batched path at
+>= 5x, and times a small end-to-end k-fold experiment for context.
 
 A second test times ``predict_gflops_batch`` on the served selector's
 shape (6 formats x 25 trees) against the per-format router it replaced
@@ -25,12 +25,11 @@ Standalone usage (one path at a time):
     PYTHONPATH=../src python bench_selector_eval.py --scalar
 """
 
+import functools
 import json
 import os
 import statistics
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -38,9 +37,8 @@ from repro.devices import TESTBEDS
 from repro.ml import FormatSelector
 
 from conftest import RESULTS_DIR, emit
-
-sys.path.append(str(Path(__file__).resolve().parent.parent))
-from tests.oracles.routing import selector_predict_gflops_batch  # noqa: E402
+from tests.oracles.routing import selector_predict_gflops_batch
+from tests.oracles.selector import scalar_evaluate
 
 BENCH_PATH = RESULTS_DIR / "BENCH_selector.json"
 
@@ -106,8 +104,11 @@ def _fitted():
 
 
 def _time_evaluate(selector, held_out, batch):
+    evaluate = selector.evaluate if batch else functools.partial(
+        scalar_evaluate, selector
+    )
     t0 = time.perf_counter()
-    report = selector.evaluate(held_out, batch=batch)
+    report = evaluate(held_out)
     return report, time.perf_counter() - t0
 
 

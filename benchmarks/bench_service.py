@@ -5,15 +5,12 @@ call per micro-batch, and that call routes every tree of every format
 in one stacked pass (``repro.ml.forest.ForestStack``).  This bench
 drives the real HTTP stack (loopback sockets, keep-alive connections,
 thread-per-request server) with a duration-based randomized load from
->= 8 concurrent clients, in three legs on the same fitted selector:
+>= 8 concurrent clients, in two legs on the same fitted selector:
 
-* ``batched`` — the production server (micro-batching on, stacked
-  router);
+* ``batched`` — the production server (micro-batches, stacked router);
 * ``per_format`` — the same server with its predictions routed one
   format and one tree at a time (``tests/oracles/routing.py``), the
-  routing the stacked router replaced;
-* ``unbatched`` — the stacked router with micro-batching off (recorded,
-  not gated).
+  routing the stacked router replaced.
 
 It gates:
 
@@ -23,22 +20,18 @@ It gates:
   payloads — coalescing and routing must be invisible to every client.
 
 Results (QPS, client-side p50/p99 latency, batch-size distribution)
-land in ``benchmarks/results/BENCH_service.json`` and a copy at the
-repo root.
+land in ``benchmarks/results/BENCH_service.json``.
 
-Standalone usage (one mode at a time):
+Standalone usage (the production server only):
 
-    PYTHONPATH=../src python bench_service.py --batched
-    PYTHONPATH=../src python bench_service.py --unbatched
+    PYTHONPATH=../src python bench_service.py
 """
 
 import http.client
 import json
 import os
-import sys
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -47,18 +40,13 @@ from repro.ml import FormatSelector
 from repro.service import ReproService, ServiceApp
 
 from conftest import RESULTS_DIR, emit
-
-sys.path.append(str(Path(__file__).resolve().parent.parent))
-from tests.oracles.routing import selector_predict_gflops_batch  # noqa: E402
+from tests.oracles.routing import selector_predict_gflops_batch
 
 BENCH_PATH = RESULTS_DIR / "BENCH_service.json"
-ROOT_BENCH_PATH = RESULTS_DIR.parent.parent / "BENCH_service.json"
 
 # Acceptance floor: the production server (micro-batches, stacked
 # router) must beat the same server routing per format and per tree by
-# at least this factor in sustained QPS.  Against request-at-a-time
-# inference the gap is small now that one predict costs well under a
-# millisecond, so unbatched QPS is recorded but not gated.
+# at least this factor in sustained QPS.
 MIN_SPEEDUP = 3.0
 
 # The gate requires >= 8 concurrent clients; 12 keeps the measured
@@ -131,14 +119,14 @@ def _per_format(selector):
     return oracle
 
 
-def _run_load(selector, table, micro_batch, seed=7):
+def _run_load(selector, table, seed=7):
     """Serve for DURATION_S under N_CLIENTS keep-alive clients.
 
     Returns ``(qps, latencies_ms, records, server_stats)`` where
     ``records`` is every (payload, response) pair, for the bit-identity
     check against the direct library calls.
     """
-    app = ServiceApp(selector, table, micro_batch=micro_batch)
+    app = ServiceApp(selector, table)
     per_client = [([], []) for _ in range(N_CLIENTS)]
     start_barrier = threading.Barrier(N_CLIENTS + 1)
     stop = threading.Event()
@@ -217,18 +205,15 @@ def test_service_micro_batching_throughput():
     selector, table = _fitted()
 
     qps_oracle, lat_oracle, rec_oracle, _ = _run_load(
-        _per_format(selector), table, micro_batch=True
+        _per_format(selector), table
     )
     qps_batched, lat_batched, rec_batched, stats = _run_load(
-        selector, table, micro_batch=True
-    )
-    qps_direct, lat_direct, rec_direct, _ = _run_load(
-        selector, table, micro_batch=False
+        selector, table
     )
 
     # Throughput means nothing if coalescing or routing changed any
     # answer.
-    for records in (rec_oracle, rec_batched, rec_direct):
+    for records in (rec_oracle, rec_batched):
         _check_bit_identity(selector, records)
 
     speedup = qps_batched / qps_oracle
@@ -239,21 +224,15 @@ def test_service_micro_batching_throughput():
         "n_formats": len(FORMATS),
         "per_format_qps": round(qps_oracle, 1),
         "batched_qps": round(qps_batched, 1),
-        "unbatched_qps": round(qps_direct, 1),
         "speedup": round(speedup, 2),
-        "batched_vs_unbatched": round(qps_batched / qps_direct, 2),
         "per_format_latency": _percentiles(lat_oracle),
         "batched_latency": _percentiles(lat_batched),
-        "unbatched_latency": _percentiles(lat_direct),
         "mean_batch_size": batcher["mean_size"],
         "max_batch_size": batcher["max_size"],
-        "bit_identical_responses": (
-            len(rec_oracle) + len(rec_batched) + len(rec_direct)
-        ),
+        "bit_identical_responses": len(rec_oracle) + len(rec_batched),
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
     BENCH_PATH.write_text(text)
-    ROOT_BENCH_PATH.write_text(text + "\n")
 
     def row(label, qps, key):
         lat = payload[key]
@@ -268,7 +247,6 @@ def test_service_micro_batching_throughput():
         f"{DURATION_S:.0f}s per leg\n"
         + row("per-format:", qps_oracle, "per_format_latency")
         + row("batched:", qps_batched, "batched_latency")
-        + row("unbatched:", qps_direct, "unbatched_latency")
         + f"  speedup:   {speedup:.1f}x over per-format routing  "
         f"(mean batch {batcher['mean_size']}, "
         f"max {batcher['max_size']})\n"
@@ -282,27 +260,12 @@ def test_service_micro_batching_throughput():
 
 
 def main():
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        description="Sustained /select QPS for one batching mode"
-    )
-    group = parser.add_mutually_exclusive_group()
-    group.add_argument("--batched", dest="batched", action="store_true",
-                       default=True, help="micro-batching on (default)")
-    group.add_argument("--unbatched", dest="batched",
-                       action="store_false",
-                       help="request-at-a-time inference")
-    args = parser.parse_args()
     selector, table = _fitted()
-    qps, latencies, records, _ = _run_load(
-        selector, table, micro_batch=args.batched
-    )
+    qps, latencies, records, _ = _run_load(selector, table)
     _check_bit_identity(selector, records)
-    label = "batched" if args.batched else "unbatched"
     pct = _percentiles(latencies)
     print(
-        f"{label}: {qps:,.1f} req/s over {DURATION_S:.0f}s with "
+        f"batched: {qps:,.1f} req/s over {DURATION_S:.0f}s with "
         f"{N_CLIENTS} clients (p50 {pct['p50_ms']:.1f}ms, "
         f"p99 {pct['p99_ms']:.1f}ms; {len(records)} responses "
         "bit-identical to direct calls)"

@@ -14,9 +14,15 @@ over worker processes (0 = auto-detect cores) and ``REPRO_CACHE_DIR``
 persists per-spec scoring records so repeat bench runs start warm.
 Both leave the measurement rows byte-identical to a serial, uncached
 sweep.
+
+Importing this module also puts the repo root on ``sys.path``, so the
+benches that time a production path against its reference
+implementation can import it from ``tests.oracles`` after their
+``from conftest import ...`` line, under pytest and standalone alike.
 """
 
 import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +30,10 @@ import pytest
 from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.append(str(ROOT))
 
 RESULTS_DIR = Path(__file__).parent / "results"
 RESULTS_DIR.mkdir(exist_ok=True)

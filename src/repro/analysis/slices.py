@@ -5,18 +5,17 @@ paper extracts per-bottleneck insight from the dataset (Section V-F).
 :func:`feature_slice` implements it over a measurement table, and
 :func:`bottleneck_census` summarises which bottleneck dominates where.
 
-Every function accepts either a :class:`~repro.core.table.SweepTable`
-(vectorised column reductions) or legacy dict rows (the reference path
-the parity suite pins the columnar reductions against).  Grid sweeps
-take few distinct values per feature axis, so the columnar
-:func:`feature_slice` applies the caller's Python predicates once per
-*unique* value and broadcasts the verdicts back through the codes.
+Every function reduces a :class:`~repro.core.table.SweepTable`'s
+columns; the parity suite pins them to the dict-row reference in
+``tests/oracles/analysis.py``, key order included.  Grid sweeps take
+few distinct values per feature axis, so :func:`feature_slice` applies
+the caller's Python predicates once per *unique* value and broadcasts
+the verdicts back through the codes.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional
 
 import numpy as np
 
@@ -47,13 +46,14 @@ def _unique_mask(
 
 
 def feature_slice(
-    rows,
+    table: SweepTable,
     sweep_key: str,
     fixed: Dict[str, Callable[[float], bool]],
     value_key: str = "gflops",
 ) -> Dict[float, BoxStats]:
     """Distribution of ``value_key`` per value of ``sweep_key``, restricted
-    to rows whose other features pass the ``fixed`` predicates.
+    to rows whose other features pass the ``fixed`` predicates, in
+    ascending order of the swept value.
 
     Example (Fig 9: neighbours sweep with good fixed features)::
 
@@ -64,71 +64,49 @@ def feature_slice(
                    "req_skew": lambda v: v <= 100},
         )
     """
-    if isinstance(rows, SweepTable):
-        keep = np.ones(len(rows), dtype=bool)
-        for key, pred in fixed.items():
-            keep &= _unique_mask(rows, key, pred)
-        sweep_vals = rows.column(sweep_key)[keep]
-        values = rows.column(value_key)[keep]
-        out: Dict[float, BoxStats] = {}
-        for v in np.unique(sweep_vals):
-            sample = values[sweep_vals == v]
-            if len(sample):
-                out[_scalar(v)] = box_stats(sample)
-        return out
-    filtered = [
-        r for r in rows
-        if all(pred(r[key]) for key, pred in fixed.items())
-    ]
-    by_value: Dict[float, List[float]] = defaultdict(list)
-    for r in filtered:
-        by_value[r[sweep_key]].append(r[value_key])
-    return {
-        v: box_stats(vals) for v, vals in sorted(by_value.items()) if vals
-    }
+    keep = np.ones(len(table), dtype=bool)
+    for key, pred in fixed.items():
+        keep &= _unique_mask(table, key, pred)
+    sweep_vals = table.column(sweep_key)[keep]
+    values = table.column(value_key)[keep]
+    out: Dict[float, BoxStats] = {}
+    for v in np.unique(sweep_vals):
+        sample = values[sweep_vals == v]
+        if len(sample):
+            out[_scalar(v)] = box_stats(sample)
+    return out
 
 
 def bottleneck_census(
-    rows, by: str = "device"
+    table: SweepTable, by: str = "device"
 ) -> Dict[str, Dict[str, float]]:
     """Fraction of matrices dominated by each bottleneck, grouped by
-    ``by`` (device, format, ...).
+    ``by`` (device, format, ...) in order of first appearance.
 
     Quantifies the paper's conclusion section: SpMV stays memory-bound
     overall, low ILP shows up for short rows, latency on GPUs, while
     imbalance is mostly absorbed by the formats.
     """
-    if isinstance(rows, SweepTable):
-        group, group_keys = rows.group_index(by)
-        b_codes = rows.codes("bottleneck")
-        b_cats = rows.categories("bottleneck")
-        joint = np.bincount(
-            group * len(b_cats) + b_codes,
-            minlength=len(group_keys) * len(b_cats),
-        ).reshape(len(group_keys), len(b_cats))
-        out: Dict[str, Dict[str, float]] = {}
-        for gi, key in enumerate(group_keys):
-            total = int(joint[gi].sum())
-            out[key] = {
-                b: 100.0 * int(c) / total
-                for b, c in sorted(zip(b_cats, joint[gi]))
-                if c
-            }
-        return out
-    groups: Dict[str, Counter] = defaultdict(Counter)
-    for r in rows:
-        groups[r[by]][r["bottleneck"]] += 1
-    out = {}
-    for key, counts in groups.items():
-        total = sum(counts.values())
+    group, group_keys = table.group_index(by)
+    b_codes = table.codes("bottleneck")
+    b_cats = table.categories("bottleneck")
+    joint = np.bincount(
+        group * len(b_cats) + b_codes,
+        minlength=len(group_keys) * len(b_cats),
+    ).reshape(len(group_keys), len(b_cats))
+    out: Dict[str, Dict[str, float]] = {}
+    for gi, key in enumerate(group_keys):
+        total = int(joint[gi].sum())
         out[key] = {
-            b: 100.0 * c / total for b, c in sorted(counts.items())
+            b: 100.0 * int(c) / total
+            for b, c in sorted(zip(b_cats, joint[gi]))
+            if c
         }
     return out
 
 
 def optimal_ranges(
-    rows,
+    table: SweepTable,
     feature_key: str,
     value_key: str = "gflops",
     top_fraction: float = 0.25,
@@ -139,34 +117,17 @@ def optimal_ranges(
     device": among the top ``top_fraction`` of rows by ``value_key``,
     report min/median/max of ``feature_key``.
     """
-    if isinstance(rows, SweepTable):
-        if len(rows) == 0:
-            return None
-        if not 0 < top_fraction <= 1:
-            raise ValueError("top_fraction must be in (0, 1]")
-        values = rows.column(value_key).astype(np.float64, copy=False)
-        cutoff = np.quantile(values, 1.0 - top_fraction)
-        arr = rows.column(feature_key)[values >= cutoff].astype(
-            np.float64, copy=False
-        )
-        if len(arr) == 0:
-            return None
-        return {
-            "min": float(arr.min()),
-            "median": float(np.median(arr)),
-            "max": float(arr.max()),
-            "n": len(arr),
-        }
-    if not rows:
+    if len(table) == 0:
         return None
     if not 0 < top_fraction <= 1:
         raise ValueError("top_fraction must be in (0, 1]")
-    values = np.array([r[value_key] for r in rows])
+    values = table.column(value_key).astype(np.float64, copy=False)
     cutoff = np.quantile(values, 1.0 - top_fraction)
-    top = [r[feature_key] for r in rows if r[value_key] >= cutoff]
-    if not top:
+    arr = table.column(feature_key)[values >= cutoff].astype(
+        np.float64, copy=False
+    )
+    if len(arr) == 0:
         return None
-    arr = np.array(top, dtype=np.float64)
     return {
         "min": float(arr.min()),
         "median": float(np.median(arr)),

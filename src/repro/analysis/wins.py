@@ -1,9 +1,8 @@
 """Format 'wins' accounting (the bars behind Fig 7's boxplots).
 
-Every function accepts either a :class:`~repro.core.table.SweepTable`
-(vectorised column reductions — the production path) or legacy dict
-rows (the reference implementation the parity suite pins the columnar
-path against, field for field).
+The reductions run over a :class:`~repro.core.table.SweepTable`'s
+columns; the parity suite pins them to the dict-row reference in
+``tests/oracles/analysis.py``, key order included.
 """
 
 from __future__ import annotations
@@ -18,45 +17,30 @@ from ..core.table import SweepTable
 __all__ = ["format_wins", "win_table", "confusion_table"]
 
 
-def format_wins(rows) -> Dict[str, float]:
+def format_wins(table: SweepTable) -> Dict[str, float]:
     """Percentage of matrices on which each format was the best.
 
-    ``rows`` must carry one *best* measurement per matrix (the output of a
-    ``best_only`` sweep for one device): keys ``format``.
+    ``table`` must carry one *best* measurement per matrix (the output of
+    a ``best_only`` sweep for one device): column ``format``.
     """
-    if isinstance(rows, SweepTable):
-        if len(rows) == 0:
-            return {}
-        codes = rows.codes("format")
-        cats = rows.categories("format")
-        counts = np.bincount(codes, minlength=len(cats))
-        total = len(rows)
-        return {
-            fmt: 100.0 * int(c) / total
-            for fmt, c in sorted(zip(cats, counts))
-            if c
-        }
-    counts: Dict[str, int] = defaultdict(int)
-    for r in rows:
-        counts[r["format"]] += 1
-    total = sum(counts.values())
-    if total == 0:
+    if len(table) == 0:
         return {}
-    return {fmt: 100.0 * c / total for fmt, c in sorted(counts.items())}
+    codes = table.codes("format")
+    cats = table.categories("format")
+    counts = np.bincount(codes, minlength=len(cats))
+    total = len(table)
+    return {
+        fmt: 100.0 * int(c) / total
+        for fmt, c in sorted(zip(cats, counts))
+        if c
+    }
 
 
 def win_table(
-    rows, devices: Sequence[str]
+    table: SweepTable, devices: Sequence[str]
 ) -> Dict[str, Dict[str, float]]:
     """Per-device win percentages: ``{device: {format: pct}}``."""
-    out: Dict[str, Dict[str, float]] = {}
-    for dev in devices:
-        if isinstance(rows, SweepTable):
-            dev_rows = rows.where(device=dev)
-        else:
-            dev_rows = [r for r in rows if r["device"] == dev]
-        out[dev] = format_wins(dev_rows)
-    return out
+    return {dev: format_wins(table.where(device=dev)) for dev in devices}
 
 
 def confusion_table(

@@ -267,21 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--host", default="127.0.0.1")
     srv.add_argument("--port", type=int, default=8077,
                      help="listen port (0 picks a free one)")
-    srv.add_argument("--batch-window-ms", type=float, default=0.0,
-                     help="extra wait before a micro-batch flushes; the "
-                          "default 0 flushes as soon as the batcher is "
-                          "free, and /select requests arriving during a "
-                          "flush share the next batched evaluate "
-                          "(responses are bit-identical either way)")
     srv.add_argument("--max-batch", type=int, default=64,
-                     help="flush a micro-batch early at this size")
-    srv.add_argument("--micro-batch",
-                     action=argparse.BooleanOptionalAction,
-                     default=True,
-                     help="coalesce concurrent /select requests "
-                          "(default; --no-micro-batch evaluates each "
-                          "request on its own — same responses, lower "
-                          "throughput)")
+                     help="most /select requests one micro-batch "
+                          "evaluates; requests queued during a flush "
+                          "share the next one (responses are "
+                          "bit-identical to unbatched calls)")
     srv.add_argument("--access-log", default="-", metavar="PATH",
                      help="structured JSON request log: a path, '-' "
                           "for stderr (default), or 'off'")
@@ -769,24 +759,14 @@ def _cmd_serve(args) -> int:
         _prepare_output_path(args.access_log, "the access log")
         log_handle = open(args.access_log, "a")
         access_log = log_handle
-    app = ServiceApp(
-        selector, table,
-        micro_batch=args.micro_batch,
-        window_ms=args.batch_window_ms,
-        max_batch=args.max_batch,
-    )
+    app = ServiceApp(selector, table, max_batch=args.max_batch)
     service = ReproService(
         app, host=args.host, port=args.port, access_log=access_log
     )
     host, port = service.address
-    batching = (
-        f"micro-batch window={args.batch_window_ms}ms "
-        f"max={args.max_batch}"
-        if args.micro_batch else "micro-batch off"
-    )
     print(
         f"serving http://{host}:{port} — {len(table)} corpus rows, "
-        f"{origin}, {batching}"
+        f"{origin}, micro-batch max={args.max_batch}"
     )
     print("endpoints: POST /select, GET /sweep, /healthz, /stats")
     try:

@@ -391,98 +391,6 @@ def _generate_rowwise(
     return CSRMatrix(n_rows, n_cols, indptr, indices, data)
 
 
-def _rowwise_baseline_structure(
-    n_rows: int,
-    n_cols: int,
-    lengths: np.ndarray,
-    bw_scaled: float,
-    cross_row_sim: float,
-    avg_num_neigh: float,
-    rng: np.random.Generator,
-):
-    """The seed's per-element sequential engine (structure pass), kept as
-    the reference implementation for agreement tests and benchmarks."""
-    p_run = min(avg_num_neigh / 2.0, _P_MAX)
-    start, width = _row_windows(n_rows, n_cols, lengths, bw_scaled, rng)
-
-    all_cols = []
-    indptr = np.zeros(n_rows + 1, dtype=np.int64)
-    prev_cols = np.zeros(0, dtype=np.int64)
-    for i in range(n_rows):
-        length = int(lengths[i])
-        if length == 0:
-            prev_cols = np.zeros(0, dtype=np.int64)
-            indptr[i + 1] = indptr[i]
-            continue
-        # Step 1: duplicate columns from the previous row (cross-row
-        # similarity).  Whole runs of adjacent columns are copied together
-        # so duplication preserves the neighbour clustering of the parent
-        # row; each run survives with probability ``cross_row_sim``.
-        cols = set()
-        if len(prev_cols) and cross_row_sim > 0:
-            boundaries = np.concatenate(
-                ([True], np.diff(prev_cols) > 1)
-            )
-            run_ids = np.cumsum(boundaries) - 1
-            n_runs = run_ids[-1] + 1
-            keep = rng.random(n_runs) < cross_row_sim
-            dup = prev_cols[keep[run_ids]][:length]
-            cols.update(int(c) for c in dup)
-        # Step 2: random placement in the bandwidth window, extending each
-        # placement into a run of adjacent neighbours.
-        lo, hi = int(start[i]), int(start[i] + width[i])
-        guard = 0
-        while len(cols) < length and guard < 20 * length + 50:
-            c = int(rng.integers(lo, hi))
-            cols.add(c)
-            guard += 1
-            # Neighbour clustering: keep extending right while the dice
-            # roll succeeds.
-            while (
-                len(cols) < length
-                and c + 1 < n_cols
-                and rng.random() < p_run
-            ):
-                c += 1
-                cols.add(c)
-                guard += 1
-        if len(cols) < length:  # extremely dense row: fill deterministically
-            missing = length - len(cols)
-            pool = np.setdiff1d(
-                np.arange(n_cols, dtype=np.int64),
-                np.fromiter(cols, dtype=np.int64, count=len(cols)),
-                assume_unique=True,
-            )
-            cols.update(int(c) for c in pool[:missing])
-        row_cols = np.sort(np.fromiter(cols, dtype=np.int64, count=len(cols)))
-        all_cols.append(row_cols)
-        indptr[i + 1] = indptr[i] + len(row_cols)
-        prev_cols = row_cols
-
-    indices = (
-        np.concatenate(all_cols) if all_cols else np.zeros(0, dtype=np.int64)
-    )
-    return indptr, indices
-
-
-def _generate_rowwise_baseline(
-    n_rows: int,
-    n_cols: int,
-    lengths: np.ndarray,
-    bw_scaled: float,
-    cross_row_sim: float,
-    avg_num_neigh: float,
-    rng: np.random.Generator,
-) -> CSRMatrix:
-    """Reference sequential engine (full matrix: structure + values)."""
-    indptr, indices = _rowwise_baseline_structure(
-        n_rows, n_cols, lengths, bw_scaled, cross_row_sim, avg_num_neigh,
-        rng,
-    )
-    data = rng.uniform(0.1, 1.0, len(indices))
-    return CSRMatrix(n_rows, n_cols, indptr, indices, data)
-
-
 # ---------------------------------------------------------------------------
 # Chain engine (vectorised)
 # ---------------------------------------------------------------------------
@@ -634,12 +542,10 @@ def _chain_structure(
 # ---------------------------------------------------------------------------
 _FULL_ENGINES = {
     "rowwise": _generate_rowwise,
-    "rowwise-baseline": _generate_rowwise_baseline,
     "chain": _generate_chain,
 }
 _STRUCTURE_ENGINES = {
     "rowwise": _rowwise_structure,
-    "rowwise-baseline": _rowwise_baseline_structure,
     "chain": _chain_structure,
 }
 
@@ -700,13 +606,14 @@ def artificial_matrix_generation(
     (spatial locality, [0, 2]).
 
     ``method`` selects the engine: ``"rowwise"`` (batched-NumPy Listing-1
-    algorithm), ``"rowwise-baseline"`` (the original per-element sequential
-    transcription, kept for agreement tests and benchmarks) or ``"chain"``
-    (vectorised statistical equivalent, the default — orders of magnitude
-    faster for large matrices).
+    algorithm) or ``"chain"`` (vectorised statistical equivalent, the
+    default — orders of magnitude faster for large matrices).
     """
     if method not in _FULL_ENGINES:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(
+            f"unknown method {method!r}; expected one of "
+            f"{sorted(_FULL_ENGINES)}"
+        )
     rng, lengths = _generation_prologue(
         nr_rows, nr_cols, avg_nz_row, std_nz_row, distribution, skew_coeff,
         bw_scaled, cross_row_sim, avg_num_neigh, seed,
@@ -740,7 +647,10 @@ def artificial_structure_generation(
     The fused cold path uses this entry to skip value allocation entirely.
     """
     if method not in _STRUCTURE_ENGINES:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(
+            f"unknown method {method!r}; expected one of "
+            f"{sorted(_STRUCTURE_ENGINES)}"
+        )
     rng, lengths = _generation_prologue(
         nr_rows, nr_cols, avg_nz_row, std_nz_row, distribution, skew_coeff,
         bw_scaled, cross_row_sim, avg_num_neigh, seed,

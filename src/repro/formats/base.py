@@ -31,6 +31,10 @@ __all__ = [
 INDEX_BYTES = 4
 VALUE_BYTES = 8
 
+# Relative gap between a representative's column density and its declared
+# matrix's beyond which density-corrected formats rescale their stats.
+DENSITY_TOLERANCE = 0.05
+
 
 class FormatError(ValueError):
     """A matrix cannot be represented in this format (e.g. padding blowup)."""
@@ -238,6 +242,33 @@ class SparseFormat(abc.ABC):
         if hasattr(fmt, "stats_at_density"):
             return fmt.stats_at_density(cell_density)
         return fmt.stats()
+
+    @classmethod
+    def stats_at_declared_scale(
+        cls, mat: CSRMatrix, nnz: int, n_cols: int
+    ) -> FormatStats:
+        """Analytic statistics of the representative ``mat`` standing in
+        for a declared matrix of ``nnz`` nonzeros over ``n_cols`` columns.
+
+        Rectangular representatives dilute per-column populations, which
+        overstates the padding of column-density-sensitive formats (those
+        exposing ``stats_at_density``).  When the declared column density
+        differs from the representative's by more than
+        ``DENSITY_TOLERANCE``, those formats score at the declared
+        per-channel cell density; every other case is
+        :meth:`stats_from_csr`.  The instance and fused scoring paths
+        both decide through here.
+        """
+        if hasattr(cls, "stats_at_density"):
+            rep_density = mat.nnz / max(mat.n_cols, 1)
+            dec_density = nnz / max(n_cols, 1)
+            if rep_density > 0 and (
+                abs(dec_density / rep_density - 1.0) > DENSITY_TOLERANCE
+            ):
+                return cls.stats_at_density_from_csr(
+                    mat, dec_density / cls.N_CHANNELS
+                )
+        return cls.stats_from_csr(mat)
 
     # Convenience -------------------------------------------------------
     @property

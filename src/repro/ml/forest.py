@@ -138,7 +138,6 @@ class RandomForestRegressor:
         min_samples_leaf: int = 3,
         max_features: Optional[int] = None,
         random_state: int = 0,
-        presort: bool = True,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -147,7 +146,6 @@ class RandomForestRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.presort = presort
         self.trees_ = []
         self._stack: Optional[ForestStack] = None
 
@@ -168,7 +166,6 @@ class RandomForestRegressor:
                 min_samples_leaf=self.min_samples_leaf,
                 max_features=m,
                 random_state=int(rng.integers(0, 2**31 - 1)),
-                presort=self.presort,
             )
             tree.fit(X[idx], y[idx])
             self.trees_.append(tree)

@@ -342,23 +342,20 @@ class FormatSelector:
         return choose_formats(self.predict_gflops_batch(features_seq))
 
     # ------------------------------------------------------------------
-    def evaluate(
-        self, rows, batch: bool = True, detail: bool = False
-    ) -> SelectionReport:
+    def evaluate(self, rows, detail: bool = False) -> SelectionReport:
         """Top-1 accuracy and oracle-relative performance on held-out
         rows (a :class:`~repro.core.table.SweepTable`, dict rows with
         the :meth:`fit` schema, or a ``GridResult``).
 
-        ``batch`` (the default) scores all held-out instances with one
-        ``model.predict`` per format; ``batch=False`` keeps the
-        per-instance scalar loop as the reference oracle.  All input
-        forms and both scoring paths produce bit-identical reports.
-        ``detail`` adds a ``choices`` list with the per-instance
-        (oracle, chosen, retained) triples that the experiment reports
-        aggregate into win/confusion tables.
+        All held-out instances are scored with one batched predict per
+        format; every input form produces a bit-identical report, equal
+        to one :meth:`select` per instance.  ``detail`` adds a
+        ``choices`` list with the per-instance (oracle, chosen,
+        retained) triples that the experiment reports aggregate into
+        win/confusion tables.
         """
         if isinstance(rows, SweepTable):
-            return self._evaluate_table(rows, batch=batch, detail=detail)
+            return self._evaluate_table(rows, detail=detail)
         perf: Dict[tuple, Dict[str, float]] = {}
         feats: Dict[tuple, dict] = {}
         for r in _as_rows(rows):
@@ -368,10 +365,7 @@ class FormatSelector:
         if not perf:
             raise ValueError("no evaluation rows")
         keys = list(perf)
-        if batch:
-            chosen_per_key = self.select_batch([feats[k] for k in keys])
-        else:
-            chosen_per_key = [self.select(feats[k]) for k in keys]
+        chosen_per_key = self.select_batch([feats[k] for k in keys])
         hits, retained, choices = 0, [], []
         for key, chosen in zip(keys, chosen_per_key):
             truth = perf[key]
@@ -397,7 +391,7 @@ class FormatSelector:
         return report
 
     def _evaluate_table(
-        self, table: SweepTable, batch: bool, detail: bool
+        self, table: SweepTable, detail: bool
     ) -> SelectionReport:
         """Columnar :meth:`evaluate`: the per-group perf dicts become a
         dense (group, format) matrix, built with two fancy-index
@@ -408,18 +402,9 @@ class FormatSelector:
             raise RuntimeError("selector not fitted")
         g, keys, X = self._table_groups(table)
         n_groups = len(keys)
-        if batch:
-            chosen_names = choose_formats(
-                dict(zip(self._models, self._scores(X)))
-            )
-        else:
-            chosen_names = []
-            for i in range(n_groups):
-                scores = {
-                    fmt: float(model.predict(X[i:i + 1])[0])
-                    for fmt, model in self._models.items()
-                }
-                chosen_names.append(choose_formats(scores)[0])
+        chosen_names = choose_formats(
+            dict(zip(self._models, self._scores(X)))
+        )
 
         fmt_codes = table.codes("format")
         fmt_cats = table.categories("format")

@@ -1,12 +1,11 @@
 """CART regression tree (variance-reduction splits), vectorised.
 
 The split search evaluates every candidate threshold of a feature in one
-NumPy pass (prefix sums of sorted targets).  With ``presort`` (the
-default) each feature is argsorted once per ``fit`` and the per-feature
-sorted orders are *partitioned* down the recursion — an O(n) subset per
-node instead of an O(n log n) re-sort, while producing bit-identical
-trees to the re-sorting search (``presort=False``, kept as the
-reference).
+NumPy pass (prefix sums of sorted targets).  Each feature is argsorted
+once per ``fit`` and the per-feature sorted orders are *partitioned*
+down the recursion — an O(n) subset per node instead of an O(n log n)
+re-sort, while producing bit-identical trees to the re-sorting search
+(the oracle in ``tests/oracles/tree.py``).
 """
 
 from __future__ import annotations
@@ -44,53 +43,17 @@ def _threshold(lo: float, hi: float) -> float:
     return mid if mid < hi else lo
 
 
-def _best_split(X, y, min_leaf):
-    """Best (feature, threshold, sse) over all features, or None.
-
-    For each feature, candidates split between consecutive distinct
-    sorted values (:func:`_threshold`); split SSE is computed from
-    prefix sums.
-    """
-    n, d = X.shape
-    total = y.sum()
-    total_sq = (y**2).sum()
-    best = None  # (sse, feature, threshold)
-    for j in range(d):
-        order = np.argsort(X[:, j], kind="stable")
-        xs = X[order, j]
-        ys = y[order]
-        csum = np.cumsum(ys)
-        csum_sq = np.cumsum(ys**2)
-        # split after position i (left = first i+1 points)
-        k = np.arange(1, n)  # left sizes
-        valid = (xs[1:] != xs[:-1]) & (k >= min_leaf) & (n - k >= min_leaf)
-        if not valid.any():
-            continue
-        left_sum = csum[:-1]
-        left_sq = csum_sq[:-1]
-        right_sum = total - left_sum
-        right_sq = total_sq - left_sq
-        sse = (
-            left_sq - left_sum**2 / k
-            + right_sq - right_sum**2 / (n - k)
-        )
-        sse = np.where(valid, sse, np.inf)
-        i = int(np.argmin(sse))
-        if np.isfinite(sse[i]) and (best is None or sse[i] < best[0]):
-            best = (float(sse[i]), j,
-                    _threshold(float(xs[i]), float(xs[i + 1])))
-    return best
-
-
 def _best_split_presorted(X, y, idx, sorted_idx, feats, min_leaf):
-    """`_best_split` over a node given per-feature presorted row indices.
+    """Best (sse, local feature index, threshold) of a node, or None.
 
     ``idx`` holds the node's rows in original order (for the totals);
     ``sorted_idx[:, f]`` holds the same rows sorted by feature ``f``.
+    Candidates split between consecutive distinct sorted values
+    (:func:`_threshold`); split SSE is computed from prefix sums.
     Because stable argsorts and order-preserving partitions both sort by
     (value, original position), the per-feature orders — and hence every
-    prefix sum, tie-break and threshold — match the re-sorting search
-    bit for bit.
+    prefix sum, tie-break and threshold — match a per-node re-sorting
+    search bit for bit.
     """
     n = len(idx)
     y_node = y[idx]
@@ -133,7 +96,6 @@ class DecisionTreeRegressor:
         min_impurity_decrease: float = 0.0,
         max_features: Optional[int] = None,
         random_state: Optional[int] = None,
-        presort: bool = True,
     ):
         if max_depth < 1:
             raise ValueError("max_depth must be >= 1")
@@ -144,7 +106,6 @@ class DecisionTreeRegressor:
         self.min_impurity_decrease = min_impurity_decrease
         self.max_features = max_features
         self.random_state = random_state
-        self.presort = presort
         self._root: Optional[_Node] = None
         self._flat: Optional[dict] = None
         self._stack = None
@@ -159,16 +120,13 @@ class DecisionTreeRegressor:
         self._flat = None
         self._stack = None
         rng = np.random.default_rng(self.random_state)
-        if self.presort:
-            # One stable argsort per feature for the whole fit; nodes
-            # partition these orders instead of re-sorting their subsets.
-            sorted_idx = np.argsort(X, axis=0, kind="stable")
-            self._root = self._grow_presorted(
-                X, y, np.arange(len(y), dtype=np.int64), sorted_idx,
-                depth=0, rng=rng,
-            )
-        else:
-            self._root = self._grow(X, y, depth=0, rng=rng)
+        # One stable argsort per feature for the whole fit; nodes
+        # partition these orders instead of re-sorting their subsets.
+        sorted_idx = np.argsort(X, axis=0, kind="stable")
+        self._root = self._grow_presorted(
+            X, y, np.arange(len(y), dtype=np.int64), sorted_idx,
+            depth=0, rng=rng,
+        )
         return self
 
     def _choose_features(self, d, rng) -> np.ndarray:
@@ -177,37 +135,12 @@ class DecisionTreeRegressor:
             return rng.choice(d, size=self.max_features, replace=False)
         return np.arange(d)
 
-    def _grow(self, X, y, depth, rng) -> _Node:
-        node = _Node(value=float(y.mean()))
-        n = len(y)
-        if (
-            depth >= self.max_depth
-            or n < 2 * self.min_samples_leaf
-            or np.all(y == y[0])
-        ):
-            return node
-        feats = self._choose_features(X.shape[1], rng)
-        found = _best_split(X[:, feats], y, self.min_samples_leaf)
-        if found is None:
-            return node
-        sse, j_local, thr = found
-        parent_sse = float(((y - y.mean()) ** 2).sum())
-        if parent_sse - sse < self.min_impurity_decrease * max(n, 1):
-            return node
-        j = int(feats[j_local])
-        mask = X[:, j] <= thr
-        node.feature = j
-        node.threshold = thr
-        node.left = self._grow(X[mask], y[mask], depth + 1, rng)
-        node.right = self._grow(X[~mask], y[~mask], depth + 1, rng)
-        return node
-
     def _grow_presorted(self, X, y, idx, sorted_idx, depth, rng) -> _Node:
-        """`_grow` over row-index views of the full training arrays.
+        """Grow a node over row-index views of the full training arrays.
 
         ``idx`` is the node's rows in original order; ``sorted_idx`` its
         (n_node, d) per-feature sorted orders.  Every statistic is computed
-        over exactly the arrays the copying path would build, in the same
+        over exactly the arrays a copying grower would build, in the same
         order, so the grown tree is identical bit for bit.
         """
         y_node = y[idx]

@@ -10,4 +10,4 @@ from .simulator import (
 )
 from .batch import BOTTLENECKS, GridResult, GridSkip, simulate_grid
 from .fused import FusedSpecSource
-from .noise import measurement_noise, noise_factors, NOISE_SIGMA
+from .noise import noise_factors, NOISE_SIGMA

@@ -323,24 +323,13 @@ class FusedSpecSource:
         if hasattr(cls, "stats_at_density"):
             # Density-corrected formats decide per matrix whether the
             # rectangular representative dilutes the per-column
-            # population — same branch as MatrixInstance.format_stats.
+            # population (SparseFormat.stats_at_declared_scale).
             fsb = FormatStatsBatch.empty(len(todo))
             for k, i in enumerate(todo):
-                mat = self.matrix(i)
-                rep_density = mat.nnz / max(mat.n_cols, 1)
-                dec_density = int(self.nnz[i]) / max(
-                    int(self._decl_cols[i]), 1
-                )
-                cell_density = None
-                if rep_density > 0 and (
-                    abs(dec_density / rep_density - 1.0) > 0.05
-                ):
-                    cell_density = dec_density / cls.N_CHANNELS
                 try:
-                    stats = (
-                        cls.stats_at_density_from_csr(mat, cell_density)
-                        if cell_density is not None
-                        else cls.stats_from_csr(mat)
+                    stats = cls.stats_at_declared_scale(
+                        self.matrix(i), int(self.nnz[i]),
+                        int(self._decl_cols[i]),
                     )
                 except FormatError as exc:
                     fsb.fail[k] = True

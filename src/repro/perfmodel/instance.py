@@ -70,16 +70,6 @@ class MatrixInstance:
     spec: Optional[MatrixSpec] = None
     name: str = ""
 
-    # How `format_stats` computes structural statistics: "analytic" scores
-    # via `SparseFormat.stats_from_csr` (closed forms over the CSR arrays,
-    # no payload materialisation — the cold-sweep fast path), "materialise"
-    # converts with `from_csr` and reduces, as the original engine did.
-    # Both produce identical stats and raise identical errors (enforced by
-    # tests/formats/test_stats_agreement.py); the switch exists for the
-    # cold-sweep bench and as an escape hatch.  Class-level default;
-    # assign per instance to override.
-    stats_engine = "analytic"
-
     def __post_init__(self):
         self._features: Optional[Features] = None
         self._profile: Optional[np.ndarray] = None
@@ -192,54 +182,21 @@ class MatrixInstance:
     def format_stats(self, format_name: str) -> FormatStats:
         """Score the format once and cache the structural statistics.
 
-        The default ("analytic") engine computes the stats directly from
-        the CSR structure arrays via
-        :meth:`~repro.formats.base.SparseFormat.stats_from_csr` — the
-        simulator never reads format payloads, so the full conversion
-        (padded value/index allocation for ELL/SELL-C-σ/DIA/BCSR, scatter
-        passes for the rest) is skipped entirely on cold sweeps.  Raises
-        :class:`FormatError` (replayed from cache) when the format refuses
-        the matrix — same error, same message, either engine.
+        The stats come straight from the CSR structure arrays via
+        :meth:`~repro.formats.base.SparseFormat.stats_at_declared_scale`
+        — the simulator never reads format payloads, so the full
+        conversion (padded value/index allocation for ELL/SELL-C-σ/DIA/
+        BCSR, scatter passes for the rest) is skipped entirely.  Raises
+        :class:`FormatError` (replayed from cache) when the format
+        refuses the matrix, with the message ``from_csr`` would raise.
         """
-        if self.stats_engine not in ("analytic", "materialise"):
-            raise ValueError(
-                f"unknown stats_engine {self.stats_engine!r}; "
-                "expected 'analytic' or 'materialise'"
-            )
         if format_name in self._format_fail:
             raise FormatError(self._format_fail[format_name])
         if format_name not in self._format_stats:
-            cls = get_format(format_name)
-            analytic = self.stats_engine == "analytic"
-            # Rectangular representatives dilute per-column populations,
-            # which overstates the padding of column-density-sensitive
-            # formats; those expose a density-corrected estimate.  Decide
-            # the correction up front so each engine computes the stats
-            # exactly once.
-            cell_density = None
-            if hasattr(cls, "stats_at_density"):
-                rep_density = self.matrix.nnz / max(self.matrix.n_cols, 1)
-                dec_density = self.nnz / max(self.n_cols, 1)
-                if rep_density > 0 and (
-                    abs(dec_density / rep_density - 1.0) > 0.05
-                ):
-                    cell_density = dec_density / cls.N_CHANNELS
             try:
-                if analytic:
-                    stats = (
-                        cls.stats_at_density_from_csr(
-                            self.matrix, cell_density
-                        )
-                        if cell_density is not None
-                        else cls.stats_from_csr(self.matrix)
-                    )
-                else:
-                    fmt = cls.from_csr(self.matrix)
-                    stats = (
-                        fmt.stats_at_density(cell_density)
-                        if cell_density is not None
-                        else fmt.stats()
-                    )
+                stats = get_format(format_name).stats_at_declared_scale(
+                    self.matrix, self.nnz, self.n_cols
+                )
             except FormatError as exc:
                 self._format_fail[format_name] = str(exc)
                 raise

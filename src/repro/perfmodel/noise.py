@@ -11,16 +11,14 @@ splitmix64 finaliser chain, and the lognormal deviate comes from a
 Box-Muller transform of two splitmix64-derived uniforms.  Unlike a
 stateful RNG object, this pipeline is pure array arithmetic, so the
 batched grid simulator (:mod:`repro.perfmodel.batch`) evaluates millions
-of noise factors in one NumPy pass.
+of noise factors in one NumPy pass; a one-cell grid call draws its
+single factor the same way.
 
-The scalar :func:`measurement_noise` is a hand-synchronised *mirror* of
-:func:`noise_factors`, not a call into it: its integer mixing runs on
-exact mod-2^64 Python ints (:func:`_mix_int`, value-for-value equal to
-the uint64 :func:`_mix`) because constructing arrays per scalar query
-costs more than the whole computation.  ANY edit to one pipeline (salts,
-mixing constants, the uniform/Box-Muller derivation) MUST be applied to
-both — ``test_noise_scalar_equals_vectorised`` and the grid agreement
-suite enforce the bit-identity and will fail on drift.
+The scalar model in ``tests/oracles/model.py`` keeps a Python-int mirror
+of this pipeline with its own copies of the constants, so
+``test_noise_scalar_equals_vectorised`` and the grid agreement suite
+fail on any edit to the salts, the mixing constants or the
+uniform/Box-Muller derivation.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ import hashlib
 import numpy as np
 
 __all__ = [
-    "measurement_noise",
     "noise_factors",
     "component_hash",
     "NOISE_SIGMA",
@@ -50,25 +47,12 @@ _U2_SALT = np.uint64(0x8BB84B93962EACC9)
 _TWO_M53 = 2.0 ** -53
 
 
-_MASK64 = (1 << 64) - 1
-
-
 def _mix(x: np.ndarray) -> np.ndarray:
     """splitmix64 finaliser over a uint64 array (wrapping arithmetic)."""
     x = x + _GAMMA
     x = (x ^ (x >> np.uint64(30))) * _MIX1
     x = (x ^ (x >> np.uint64(27))) * _MIX2
     return x ^ (x >> np.uint64(31))
-
-
-def _mix_int(x: int) -> int:
-    """The same splitmix64 finaliser on Python ints (explicit mod-2^64
-    wrap), exactly matching :func:`_mix` value-for-value — the fast path
-    for one-off scalar noise queries."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
 
 
 def component_hash(part) -> np.uint64:
@@ -114,33 +98,3 @@ def noise_factors(
     z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
     out = np.exp(sigma * z)
     return out.reshape(shape)
-
-
-def measurement_noise(
-    device_name: str,
-    format_name: str,
-    matrix_key,
-    seed: int = 0,
-    sigma: float = NOISE_SIGMA,
-) -> float:
-    """Multiplicative noise factor for one (device, format, matrix) run.
-
-    Lognormal with median 1; ``sigma=0`` disables noise entirely.
-    Bit-for-bit identical to :func:`noise_factors` on the same hashed
-    coordinates — by *mirroring* it step for step (exact mod-2^64 Python
-    ints through the same splitmix64 chain, then the same NumPy ufuncs),
-    not by calling it.  Keep the two pipelines in sync when editing
-    either (see the module docstring).
-    """
-    if sigma <= 0:
-        return 1.0
-    h = _mix_int(int(component_hash(device_name)))
-    h = _mix_int(h ^ int(component_hash(format_name)))
-    h = _mix_int(h ^ int(component_hash(matrix_key)))
-    h = _mix_int(h ^ (int(seed) % (1 << 64)))
-    s1 = _mix_int(h ^ int(_U1_SALT))
-    s2 = _mix_int(h ^ int(_U2_SALT))
-    u1 = ((s1 >> 11) + 1.0) * _TWO_M53
-    u2 = (s2 >> 11) * _TWO_M53
-    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
-    return float(np.exp(sigma * z))

@@ -252,35 +252,24 @@ def _parse_select_payload(payload,
 class ServiceApp:
     """Loaded state plus endpoint logic (HTTP-agnostic).
 
-    ``select`` routes through the micro-batcher when enabled; the
-    response for a given payload is identical either way — batching
-    is purely a throughput mechanism (see docs/service.md).
+    ``select`` routes every request through the micro-batcher; a
+    response is identical to a direct call whatever batch it shares —
+    batching is purely a throughput mechanism (see docs/service.md).
     """
 
     def __init__(
         self,
         selector: FormatSelector,
         table: SweepTable,
-        micro_batch: bool = True,
-        window_ms: float = 0.0,
         max_batch: int = 64,
         stats: Optional[ServiceStats] = None,
     ) -> None:
         self.selector = selector
         self.table = table
         self.stats = stats or ServiceStats()
-        self.micro_batch = micro_batch
-        self.window_ms = window_ms
         self.max_batch = max_batch
-        self._batcher = (
-            MicroBatcher(
-                self._evaluate_batch,
-                window_s=window_ms / 1000.0,
-                max_batch=max_batch,
-                stats=self.stats,
-            )
-            if micro_batch
-            else None
+        self._batcher = MicroBatcher(
+            self._evaluate_batch, max_batch=max_batch, stats=self.stats,
         )
         self._sweep_cache: "OrderedDict[tuple, Tuple[bytes, str]]" = (
             OrderedDict()
@@ -315,9 +304,7 @@ class ServiceApp:
         features = _parse_select_payload(
             payload, self.selector.feature_keys
         )
-        if self._batcher is not None:
-            return self._batcher.submit(features)
-        return self._evaluate_batch([features])[0]
+        return self._batcher.submit(features)
 
     # -- /sweep --------------------------------------------------------
     def _coerce_filter(self, name: str, raw: str):
@@ -443,8 +430,6 @@ class ServiceApp:
             if "matrix" in self.table.names else 0,
             "formats": list(self.selector.formats),
             "feature_keys": list(self.selector.feature_keys),
-            "micro_batch": self.micro_batch,
-            "window_ms": self.window_ms,
             "max_batch": self.max_batch,
         }
 
@@ -454,5 +439,4 @@ class ServiceApp:
     # -- lifecycle -----------------------------------------------------
     def close(self) -> None:
         """Flush and stop the batcher (graceful-shutdown tail)."""
-        if self._batcher is not None:
-            self._batcher.close()
+        self._batcher.close()

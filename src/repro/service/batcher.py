@@ -3,9 +3,9 @@
 Concurrent ``/select`` requests land here one at a time; the batcher
 issues **one** batched evaluate per flush over everything queued (up to
 a max batch size), demuxing the per-request results back to the
-waiting handler threads.  By default a flush starts as soon as the
-flusher is free, and requests that arrive during a flush form the next
-batch; an optional window holds each batch open a little longer.
+waiting handler threads.  A flush starts as soon as the flusher is
+free, and requests that arrive during a flush form the next batch, so
+a lone request never waits and concurrent ones still share a call.
 
 The contract that makes this safe is the library's: the selector's
 batch paths are bit-identical per entry to the scalar calls for every
@@ -17,7 +17,6 @@ the bytes a solo call would have produced.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Callable, List, Optional, Sequence
 
 __all__ = ["MicroBatcher"]
@@ -41,13 +40,9 @@ class MicroBatcher:
     evaluate:
         ``evaluate(items) -> results`` with ``len(results) ==
         len(items)`` and result ``i`` depending only on item ``i``.
-    window_s:
-        After the first request of a batch arrives, wait at most this
-        long for company before flushing.  The default 0 flushes
-        immediately with whatever has queued up — still a batch under
-        concurrency, since requests queue while a flush runs.
     max_batch:
-        Flush early once this many requests are waiting.
+        The most requests one flush evaluates; the rest wait for the
+        next flush.
     stats:
         Optional :class:`~repro.service.stats.ServiceStats`; every
         flush records its batch size.
@@ -56,16 +51,12 @@ class MicroBatcher:
     def __init__(
         self,
         evaluate: Callable[[Sequence], List],
-        window_s: float = 0.0,
         max_batch: int = 64,
         stats=None,
     ) -> None:
-        if window_s < 0:
-            raise ValueError("window_s must be >= 0")
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self._evaluate = evaluate
-        self.window_s = window_s
         self.max_batch = max_batch
         self._stats = stats
         self._cond = threading.Condition()
@@ -111,18 +102,6 @@ class MicroBatcher:
                     self._cond.wait()
                 if not self._pending:
                     return  # closed and drained
-                if self.window_s > 0 and not self._closed:
-                    # The first queued request opened the window; keep
-                    # gathering until it elapses or the batch is full.
-                    deadline = time.monotonic() + self.window_s
-                    while (
-                        len(self._pending) < self.max_batch
-                        and not self._closed
-                    ):
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
                 batch = self._pending[: self.max_batch]
                 del self._pending[: self.max_batch]
             self._flush(batch)

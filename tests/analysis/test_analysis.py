@@ -14,6 +14,7 @@ from repro.analysis import (
     geometric_mean,
     win_table,
 )
+from repro.core.table import SweepTable
 
 
 class TestBoxStats:
@@ -78,11 +79,11 @@ class TestGeometricMean:
 class TestWins:
     def test_percentages(self):
         rows = [{"format": "A"}] * 3 + [{"format": "B"}]
-        wins = format_wins(rows)
+        wins = format_wins(SweepTable.from_rows(rows))
         assert wins == {"A": 75.0, "B": 25.0}
 
     def test_empty(self):
-        assert format_wins([]) == {}
+        assert format_wins(SweepTable.from_rows([])) == {}
 
     def test_win_table_by_device(self):
         rows = [
@@ -90,7 +91,7 @@ class TestWins:
             {"device": "d1", "format": "A"},
             {"device": "d2", "format": "B"},
         ]
-        table = win_table(rows, ["d1", "d2"])
+        table = win_table(SweepTable.from_rows(rows), ["d1", "d2"])
         assert table["d1"] == {"A": 100.0}
         assert table["d2"] == {"B": 100.0}
 

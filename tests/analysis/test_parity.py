@@ -2,10 +2,11 @@
 field, over a full testbed grid.
 
 `format_wins`/`win_table`/`feature_slice`/`bottleneck_census`/
-`optimal_ranges` each keep their historical dict-row implementation as
-the reference path; feeding the SweepTable itself must produce exactly
-the same values (same floats, same keys) through the vectorised column
-reductions.
+`optimal_ranges` reduce a SweepTable's columns; their historical
+dict-row implementations live in ``tests/oracles/analysis.py``.  Fed
+the table's rows, the oracle must produce exactly the same values (same
+floats, same keys, in the same order at every nesting level: the
+paper-claim benches print in iteration order).
 """
 
 import os
@@ -20,10 +21,24 @@ from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
 
+from tests.oracles import analysis as oracle
+
 TINY = build_dataset_specs("tiny")
 SPECS = TINY if os.environ.get("REPRO_EXHAUSTIVE") == "1" else TINY[::7]
 DEVICES = [TESTBEDS[name] for name in
            ("AMD-EPYC-24", "Tesla-A100", "Alveo-U280")]
+
+
+def _ordered(value):
+    """``value`` with every dict, at any depth, replaced by its item
+    list, so equality also compares key order."""
+    if isinstance(value, dict):
+        return [(k, _ordered(v)) for k, v in value.items()]
+    return value
+
+
+def assert_same(columnar, reference):
+    assert _ordered(columnar) == _ordered(reference)
 
 
 @pytest.fixture(scope="module")
@@ -47,27 +62,27 @@ def formats_table():
 class TestWinsParity:
     def test_format_wins(self, best_table):
         cpu = best_table.where(device="AMD-EPYC-24")
-        assert format_wins(cpu) == format_wins(cpu.rows)
+        assert_same(format_wins(cpu), oracle.format_wins(cpu.rows))
 
     def test_format_wins_per_format_rows(self, formats_table):
-        assert format_wins(formats_table) == \
-            format_wins(formats_table.rows)
+        assert_same(format_wins(formats_table),
+                    oracle.format_wins(formats_table.rows))
 
     def test_format_wins_empty(self, best_table):
         empty = best_table.where(device="no-such-device")
-        assert format_wins(empty) == {} == format_wins(empty.rows)
+        assert format_wins(empty) == {} == oracle.format_wins(empty.rows)
 
     def test_win_table(self, best_table):
         devices = [d.name for d in DEVICES] + ["no-such-device"]
-        assert win_table(best_table, devices) == \
-            win_table(best_table.rows, devices)
+        assert_same(win_table(best_table, devices),
+                    oracle.win_table(best_table.rows, devices))
 
 
 class TestCensusParity:
     @pytest.mark.parametrize("by", ["device", "format", "matrix"])
     def test_bottleneck_census(self, best_table, by):
-        assert bottleneck_census(best_table, by=by) == \
-            bottleneck_census(best_table.rows, by=by)
+        assert_same(bottleneck_census(best_table, by=by),
+                    oracle.bottleneck_census(best_table.rows, by=by))
 
     def test_census_values_sum_to_100(self, best_table):
         census = bottleneck_census(best_table)
@@ -85,24 +100,25 @@ class TestFeatureSliceParity:
     @pytest.mark.parametrize("sweep_key", ["req_neigh", "req_skew"])
     def test_feature_slice(self, best_table, sweep_key):
         columnar = feature_slice(best_table, sweep_key, self.FIXED)
-        reference = feature_slice(best_table.rows, sweep_key, self.FIXED)
-        assert columnar == reference
+        reference = oracle.feature_slice(best_table.rows, sweep_key,
+                                         self.FIXED)
+        assert_same(columnar, reference)
         assert columnar  # the slice actually selected something
 
     def test_all_rows_filtered_out(self, best_table):
         fixed = {"req_footprint_mb": lambda v: False}
         assert feature_slice(best_table, "req_neigh", fixed) == {} == \
-            feature_slice(best_table.rows, "req_neigh", fixed)
+            oracle.feature_slice(best_table.rows, "req_neigh", fixed)
 
     def test_categorical_fixed_and_sweep_keys(self, best_table):
         """Regression: predicates on categorical columns (decoded str
         values carry no .item()) and categorical sweep keys must work
         and match the dict path."""
         fixed = {"device": lambda d: d == "AMD-EPYC-24"}
-        assert feature_slice(best_table, "req_neigh", fixed) == \
-            feature_slice(best_table.rows, "req_neigh", fixed)
-        assert feature_slice(best_table, "format", {}) == \
-            feature_slice(best_table.rows, "format", {})
+        assert_same(feature_slice(best_table, "req_neigh", fixed),
+                    oracle.feature_slice(best_table.rows, "req_neigh", fixed))
+        assert_same(feature_slice(best_table, "format", {}),
+                    oracle.feature_slice(best_table.rows, "format", {}))
 
 
 class TestOptimalRangesParity:
@@ -111,8 +127,8 @@ class TestOptimalRangesParity:
     ])
     def test_optimal_ranges(self, best_table, feature_key):
         columnar = optimal_ranges(best_table, feature_key)
-        reference = optimal_ranges(best_table.rows, feature_key)
-        assert columnar == reference
+        reference = oracle.optimal_ranges(best_table.rows, feature_key)
+        assert_same(columnar, reference)
         assert columnar is not None
 
     def test_top_fraction_validation(self, best_table):

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.analysis import bottleneck_census, feature_slice, optimal_ranges
+from repro.core.table import SweepTable
 
 
-ROWS = [
+ROWS = SweepTable.from_rows([
     {"device": "cpu", "req_neigh": 0.05, "req_skew": 0, "gflops": 10.0,
      "bottleneck": "memory_bandwidth"},
     {"device": "cpu", "req_neigh": 1.9, "req_skew": 0, "gflops": 20.0,
@@ -14,7 +15,7 @@ ROWS = [
      "bottleneck": "low_ilp"},
     {"device": "gpu", "req_neigh": 0.05, "req_skew": 0, "gflops": 50.0,
      "bottleneck": "memory_latency"},
-]
+])
 
 
 class TestFeatureSlice:
@@ -62,7 +63,7 @@ class TestBottleneckCensus:
         ds = Dataset(build_dataset_specs("tiny")[:30], max_nnz=30_000,
                      name="census")
         table = sweep(ds, [TESTBEDS["AMD-EPYC-64"]])
-        census = bottleneck_census(table.rows)["AMD-EPYC-64"]
+        census = bottleneck_census(table)["AMD-EPYC-64"]
         assert census.get("memory_bandwidth", 0.0) > 50.0
 
 
@@ -73,7 +74,7 @@ class TestOptimalRanges:
         assert out["min"] <= out["median"] <= out["max"]
 
     def test_empty_rows(self):
-        assert optimal_ranges([], "x") is None
+        assert optimal_ranges(SweepTable.from_rows([]), "x") is None
 
     def test_bad_fraction(self):
         with pytest.raises(ValueError):

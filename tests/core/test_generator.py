@@ -10,6 +10,16 @@ from repro.core.generator import (
     row_length_profile,
 )
 
+from tests.oracles.generator import rowwise_baseline_generation
+
+
+def _generate(*args, method, **kwargs):
+    """``artificial_matrix_generation`` for the production engines; the
+    sequential Listing-1 oracle for ``"rowwise-baseline"``."""
+    if method == "rowwise-baseline":
+        return rowwise_baseline_generation(*args, **kwargs)
+    return artificial_matrix_generation(*args, method=method, **kwargs)
+
 
 class TestRowLengthProfile:
     def test_exact_total(self):
@@ -68,8 +78,9 @@ class TestArgumentValidation:
             artificial_matrix_generation(10, 10, 2, skew_coeff=-1)
 
     def test_unknown_method(self):
-        with pytest.raises(ValueError, match="method"):
+        with pytest.raises(ValueError, match="method") as err:
             artificial_matrix_generation(10, 10, 2, method="magic")
+        assert "['chain', 'rowwise']" in str(err.value)
 
     def test_negative_dims(self):
         with pytest.raises(ValueError):
@@ -83,15 +94,13 @@ class TestFidelity:
     engine replaced."""
 
     def test_average_row_length(self, method):
-        m = artificial_matrix_generation(
-            3000, 3000, 15, seed=1, method=method
-        )
+        m = _generate(3000, 3000, 15, seed=1, method=method)
         f = extract_features(m)
         assert f.avg_nnz_per_row == pytest.approx(15, rel=0.06)
 
     def test_similarity_grid(self, method):
         for target in (0.05, 0.5, 0.95):
-            m = artificial_matrix_generation(
+            m = _generate(
                 2500, 2500, 15, cross_row_sim=target, seed=2, method=method
             )
             f = extract_features(m)
@@ -104,7 +113,7 @@ class TestFidelity:
         # is tight everywhere.
         tol = 0.15 if method == "chain" else 0.25
         for target in (0.05, 0.95, 1.9):
-            m = artificial_matrix_generation(
+            m = _generate(
                 2500, 2500, 15, avg_num_neigh=target, seed=3, method=method
             )
             f = extract_features(m)
@@ -113,7 +122,7 @@ class TestFidelity:
     def test_skew_orders_of_magnitude(self, method):
         realised = []
         for target in (0.0, 100.0):
-            m = artificial_matrix_generation(
+            m = _generate(
                 4000, 4000, 8, skew_coeff=target, seed=4, method=method
             )
             realised.append(extract_features(m).skew_coeff)
@@ -121,26 +130,22 @@ class TestFidelity:
         assert realised[1] == pytest.approx(100, rel=0.35)
 
     def test_determinism(self, method):
-        a = artificial_matrix_generation(500, 500, 10, seed=42,
-                                         method=method)
-        b = artificial_matrix_generation(500, 500, 10, seed=42,
-                                         method=method)
+        a = _generate(500, 500, 10, seed=42, method=method)
+        b = _generate(500, 500, 10, seed=42, method=method)
         assert a == b
 
     def test_seed_changes_matrix(self, method):
-        a = artificial_matrix_generation(500, 500, 10, seed=1, method=method)
-        b = artificial_matrix_generation(500, 500, 10, seed=2, method=method)
+        a = _generate(500, 500, 10, seed=1, method=method)
+        b = _generate(500, 500, 10, seed=2, method=method)
         assert a != b
 
     def test_valid_csr(self, method):
-        m = artificial_matrix_generation(
-            800, 800, 12, skew_coeff=50, seed=5, method=method
-        )
+        m = _generate(800, 800, 12, skew_coeff=50, seed=5, method=method)
         m.validate()
         assert m.has_sorted_indices()
 
     def test_values_nonzero(self, method):
-        m = artificial_matrix_generation(200, 200, 5, seed=6, method=method)
+        m = _generate(200, 200, 5, seed=6, method=method)
         assert np.all(m.data != 0.0)
 
 
@@ -179,7 +184,7 @@ class TestEngineAgreement:
         statistical, not bitwise)."""
         fs = []
         for method in ("rowwise", "rowwise-baseline"):
-            m = artificial_matrix_generation(
+            m = _generate(
                 2000, 2000, 12, skew_coeff=skew, cross_row_sim=sim,
                 avg_num_neigh=neigh, seed=13, method=method,
             )

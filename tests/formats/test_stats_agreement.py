@@ -7,19 +7,21 @@ scoring path (:meth:`repro.perfmodel.MatrixInstance.format_stats`)
 trusts the analytic engine without ever materialising a format.  These
 tests enforce that promise over the full testbed x format grid on a
 structurally varied instance pool, the archetype fixtures, and the
-instance-level cache/density-hook plumbing.
+instance-level cache/density-hook plumbing, whose comparand is the
+materialising engine in ``tests/oracles/stats.py``.
 """
 
 import dataclasses
 
 import pytest
 
-from repro.core.generator import MatrixSpec
+from repro.core.generator import MatrixSpec, artificial_matrix_generation
 from repro.devices import TESTBEDS
 from repro.formats import FORMAT_REGISTRY, FormatError
 from repro.formats.base import SparseFormat, get_format
 from repro.perfmodel import MatrixInstance
 from tests.conftest import empty_matrix
+from tests.oracles.stats import materialised_format_stats
 
 ALL_FORMATS = sorted(FORMAT_REGISTRY)
 ARCHETYPES = ["tiny", "regular", "skewed", "irregular", "banded"]
@@ -104,19 +106,15 @@ def test_empty_matrix_agrees(fmt_name):
 
 @pytest.mark.parametrize("fmt_name", ALL_FORMATS)
 def test_instance_engines_agree(instances, fmt_name):
-    """`MatrixInstance.format_stats` returns identical stats (or replays
-    identical failures) under the analytic and materialising engines —
-    including the density-corrected VSL estimate on scaled instances."""
+    """`MatrixInstance.format_stats` returns the stats (or replays the
+    failure) of the materialising oracle — including the
+    density-corrected VSL estimate on scaled instances."""
     for inst in instances:
         analytic = MatrixInstance(matrix=inst.matrix, spec=inst.spec,
                                   name=inst.name)
-        analytic.stats_engine = "analytic"
-        materialise = MatrixInstance(matrix=inst.matrix, spec=inst.spec,
-                                     name=inst.name)
-        materialise.stats_engine = "materialise"
         for attempt in range(2):  # second pass replays from the cache
             a, a_err = _outcome(analytic.format_stats, fmt_name)
-            m, m_err = _outcome(materialise.format_stats, fmt_name)
+            m, m_err = _outcome(materialised_format_stats, inst, fmt_name)
             assert a == m and a_err == m_err, (
                 f"{inst.name} x {fmt_name} (attempt {attempt})"
             )
@@ -135,18 +133,26 @@ def test_density_hook_fires_and_agrees():
     corrected = inst.format_stats("VSL")
     uncorrected = vsl.stats_from_csr(inst.matrix)
     assert corrected != uncorrected
-    materialise = MatrixInstance(matrix=inst.matrix, spec=inst.spec,
-                                 name=inst.name)
-    materialise.stats_engine = "materialise"
-    assert materialise.format_stats("VSL") == corrected
+    assert materialised_format_stats(inst, "VSL") == corrected
 
 
-def test_unknown_stats_engine_rejected():
-    """A typo'd engine must fail loudly, not silently materialise."""
-    inst = MatrixInstance.from_matrix(empty_matrix(3, 4), name="typo")
-    inst.stats_engine = "analytical"
-    with pytest.raises(ValueError, match="unknown stats_engine"):
-        inst.format_stats("Naive-CSR")
+@pytest.mark.parametrize("declared_cols,corrected", [
+    (952, True),    # declared column density 1.0504x the representative's
+    (953, False),   # 1.0493x
+    (1052, False),  # 0.9506x
+    (1053, True),   # 0.9497x
+])
+def test_density_tolerance_boundary_agrees(declared_cols, corrected):
+    """Declared column densities just inside and just outside the 5%
+    tolerance take the same branch in the analytic path as in the
+    oracle's own copy of the rule."""
+    mat = artificial_matrix_generation(1000, 1000, 10, seed=0)
+    spec = MatrixSpec(n_rows=1000, n_cols=declared_cols,
+                      avg_nnz_per_row=10)
+    inst = MatrixInstance(matrix=mat, spec=spec, name="boundary")
+    stats = inst.format_stats("VSL")
+    assert stats == materialised_format_stats(inst, "VSL")
+    assert (stats != get_format("VSL").stats_from_csr(mat)) == corrected
 
 
 def test_third_party_format_falls_back_to_materialisation():

@@ -2,7 +2,9 @@
 
 The experiment runner evaluates whole held-out folds with one
 ``model.predict`` per format; these tests pin that path to the
-per-instance scalar loop for every model family the experiments use.
+per-instance scalar calls, and ``evaluate`` to the per-instance loop
+in ``tests/oracles/selector.py``, for every model family the
+experiments use.
 """
 
 import numpy as np
@@ -12,6 +14,8 @@ from repro.ml import (
     FormatSelector, KNeighborsRegressor, RandomForestRegressor,
     RidgeRegression,
 )
+
+from tests.oracles.selector import scalar_evaluate
 
 
 def _rows(n=60, seed=0, fmt_names=("Fast", "Bal", "Rare")):
@@ -68,8 +72,8 @@ class TestBatchAgreement:
     def test_evaluate_batch_matches_scalar(self, model):
         sel = self._fitted(model)
         held_out = _rows(n=30, seed=4)
-        fast = sel.evaluate(held_out, batch=True)
-        oracle = sel.evaluate(held_out, batch=False)
+        fast = sel.evaluate(held_out)
+        oracle = scalar_evaluate(sel, held_out)
         assert fast == oracle
 
     def test_evaluate_detail_choices(self, model):

@@ -1,10 +1,11 @@
 """Presorted split search: bit-identical trees to the re-sorting search.
 
-The presort engine (argsort each feature once per fit, partition the
-sorted orders per node) must reproduce the legacy per-node re-sort
-exactly — same splits, same thresholds, same leaf values — across
-stopping rules, tie-heavy features and forest feature subsampling, and
-through a full fixed-seed selector run.
+The production grower (argsort each feature once per fit, partition the
+sorted orders per node) must reproduce the per-node re-sort of the
+oracle in ``tests/oracles/tree.py`` exactly — same splits, same
+thresholds, same leaf values — across stopping rules, tie-heavy
+features and forest feature subsampling, and through a full fixed-seed
+selector run.
 """
 
 import numpy as np
@@ -12,6 +13,12 @@ import pytest
 
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.tree import DecisionTreeRegressor
+
+from tests.oracles.tree import ResortingForest, ResortingTree
+
+# ``presort`` picks the grower under test: True is the production tree,
+# False the re-sorting oracle.
+TREES = {True: DecisionTreeRegressor, False: ResortingTree}
 
 
 def _signature(node, out=None):
@@ -52,8 +59,8 @@ def _data(n, d, seed, ties=True):
 @pytest.mark.parametrize("seed", [0, 3])
 def test_presort_tree_identical(kwargs, seed):
     X, y = _data(400, 6, seed)
-    fast = DecisionTreeRegressor(presort=True, **kwargs).fit(X, y)
-    ref = DecisionTreeRegressor(presort=False, **kwargs).fit(X, y)
+    fast = DecisionTreeRegressor(**kwargs).fit(X, y)
+    ref = ResortingTree(**kwargs).fit(X, y)
     assert _signature(fast._root) == _signature(ref._root)
     np.testing.assert_array_equal(fast.predict(X), ref.predict(X))
     assert fast.depth() == ref.depth()
@@ -62,20 +69,20 @@ def test_presort_tree_identical(kwargs, seed):
 def test_presort_constant_targets():
     X = np.arange(20, dtype=float).reshape(-1, 1)
     y = np.ones(20)
-    fast = DecisionTreeRegressor(presort=True).fit(X, y)
-    ref = DecisionTreeRegressor(presort=False).fit(X, y)
+    fast = DecisionTreeRegressor().fit(X, y)
+    ref = ResortingTree().fit(X, y)
     assert _signature(fast._root) == _signature(ref._root)
 
 
 def test_presort_single_sample_and_duplicate_rows():
-    fast = DecisionTreeRegressor(presort=True).fit([[1.0, 2.0]], [3.0])
-    ref = DecisionTreeRegressor(presort=False).fit([[1.0, 2.0]], [3.0])
+    fast = DecisionTreeRegressor().fit([[1.0, 2.0]], [3.0])
+    ref = ResortingTree().fit([[1.0, 2.0]], [3.0])
     assert _signature(fast._root) == _signature(ref._root)
 
     X = np.tile(np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]), (5, 1))
     y = np.arange(15, dtype=float)
-    fast = DecisionTreeRegressor(presort=True, min_samples_leaf=1).fit(X, y)
-    ref = DecisionTreeRegressor(presort=False, min_samples_leaf=1).fit(X, y)
+    fast = DecisionTreeRegressor(min_samples_leaf=1).fit(X, y)
+    ref = ResortingTree(min_samples_leaf=1).fit(X, y)
     assert _signature(fast._root) == _signature(ref._root)
 
 
@@ -83,12 +90,8 @@ def test_presort_forest_identical():
     """Bagged trees draw the same bootstrap/feature randomness and grow
     identical forests under either split engine."""
     X, y = _data(250, 5, seed=11)
-    fast = RandomForestRegressor(
-        n_estimators=8, random_state=3, presort=True
-    ).fit(X, y)
-    ref = RandomForestRegressor(
-        n_estimators=8, random_state=3, presort=False
-    ).fit(X, y)
+    fast = RandomForestRegressor(n_estimators=8, random_state=3).fit(X, y)
+    ref = ResortingForest(n_estimators=8, random_state=3).fit(X, y)
     assert len(fast.trees_) == len(ref.trees_)
     for a, b in zip(fast.trees_, ref.trees_):
         assert _signature(a._root) == _signature(b._root)
@@ -109,11 +112,12 @@ def test_presort_selector_run_identical(all_archetypes):
     grid = simulate_grid(instances, [dev], seed=0)
 
     selectors = {}
-    for presort in (True, False):
+    for presort, forest in ((True, RandomForestRegressor),
+                            (False, ResortingForest)):
         sel = FormatSelector(
             list(dev.formats),
-            model_factory=lambda p=presort: RandomForestRegressor(
-                n_estimators=10, random_state=0, presort=p
+            model_factory=lambda cls=forest: cls(
+                n_estimators=10, random_state=0
             ),
         ).fit(grid)
         selectors[presort] = sel
@@ -140,16 +144,12 @@ def test_adjacent_float_split_leaves_no_empty_child(presort):
     lo, hi = _adjacent_pair_rounding_up()
     X = np.array([[lo]] * 4 + [[hi]] * 4)
     y = np.array([0.0] * 4 + [1.0] * 4)
-    tree = DecisionTreeRegressor(
-        max_depth=1, min_samples_leaf=4, presort=presort
-    ).fit(X, y)
+    tree = TREES[presort](max_depth=1, min_samples_leaf=4).fit(X, y)
     assert not tree._root.is_leaf
     assert tree._root.threshold == lo
     values = tree.to_arrays()["value"]
     assert not np.isnan(values).any()
     # Each child holds exactly its own side of the split.
     np.testing.assert_array_equal(tree.predict(X), y)
-    ref = DecisionTreeRegressor(
-        max_depth=1, min_samples_leaf=4, presort=not presort
-    ).fit(X, y)
+    ref = TREES[not presort](max_depth=1, min_samples_leaf=4).fit(X, y)
     assert _signature(tree._root) == _signature(ref._root)

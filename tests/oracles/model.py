@@ -19,11 +19,15 @@ every suite whose point is "the grid equals the scalar model":
   :func:`sell_chunk_imbalance` and :func:`lockstep_channel_imbalance`;
 * :func:`simd_utilisation_of_profile` — SIMD utilisation over rows.
 
+* :func:`measurement_noise` — the scalar noise factor, mirroring the
+  production :func:`~repro.perfmodel.noise.noise_factors` step for step
+  on exact mod-2^64 Python ints (:func:`_mix_int`), with its own copies
+  of the splitmix64 constants and uniform salts.
+
 Structural statistics come from the production
-``MatrixInstance.format_stats`` and noise from the production scalar
-``measurement_noise``; SIMD utilisation and imbalance are memoised per
-instance like the historical instance memos, so a re-scored pool pays
-only the per-cell arithmetic.
+``MatrixInstance.format_stats``; SIMD utilisation and imbalance are
+memoised per instance like the historical instance memos, so a
+re-scored pool pays only the per-cell arithmetic.
 """
 
 from dataclasses import dataclass
@@ -40,7 +44,7 @@ from repro.devices.parallel import (
     row_block_partition,
 )
 from repro.formats.base import CapacityError, FormatError, get_format
-from repro.perfmodel.noise import measurement_noise
+from repro.perfmodel.noise import NOISE_SIGMA, component_hash
 from repro.perfmodel.simulator import (
     BestFormatOutcome, FormatSkip, SpmvMeasurement,
 )
@@ -228,6 +232,46 @@ def simd_utilisation_of_profile(row_profile, simd_width) -> float:
         return 1.0
     issued = np.ceil(lengths / simd_width) * simd_width
     return float(lengths.sum() / issued.sum())
+
+
+# splitmix64 finaliser constants and the two uniform salts, copied from
+# repro.perfmodel.noise so a drifted constant there fails the agreement
+# suites instead of moving both sides at once.
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_U1_SALT = 0xD1B54A32D192ED03
+_U2_SALT = 0x8BB84B93962EACC9
+_MASK64 = (1 << 64) - 1
+_TWO_M53 = 2.0 ** -53
+
+
+def _mix_int(x: int) -> int:
+    """The splitmix64 finaliser on Python ints (explicit mod-2^64 wrap),
+    value for value equal to the uint64 ``repro.perfmodel.noise._mix``."""
+    x = (x + _GAMMA) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX1) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX2) & _MASK64
+    return x ^ (x >> 31)
+
+
+def measurement_noise(device_name, format_name, matrix_key, seed=0,
+                      sigma=NOISE_SIGMA) -> float:
+    """Multiplicative noise factor for one (device, format, matrix) run:
+    lognormal with median 1, ``sigma <= 0`` disables it.  Bit for bit
+    the ``noise_factors`` value of the same hashed coordinates."""
+    if sigma <= 0:
+        return 1.0
+    h = _mix_int(int(component_hash(device_name)))
+    h = _mix_int(h ^ int(component_hash(format_name)))
+    h = _mix_int(h ^ int(component_hash(matrix_key)))
+    h = _mix_int(h ^ (int(seed) % (1 << 64)))
+    s1 = _mix_int(h ^ _U1_SALT)
+    s2 = _mix_int(h ^ _U2_SALT)
+    u1 = ((s1 >> 11) + 1.0) * _TWO_M53
+    u2 = (s2 >> 11) * _TWO_M53
+    z = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)
+    return float(np.exp(sigma * z))
 
 
 def _memo(instance) -> dict:

@@ -20,16 +20,13 @@ from hypothesis import strategies as st
 from repro.core.generator import MatrixSpec, artificial_matrix_generation
 from repro.devices import TESTBEDS
 from repro.formats.base import CapacityError, FormatError
-from repro.perfmodel import (
-    MatrixInstance,
-    measurement_noise,
-    noise_factors,
-    simulate_grid,
-)
+from repro.perfmodel import MatrixInstance, noise_factors, simulate_grid
 from repro.perfmodel.batch import STATUS_CAPACITY_ERROR, STATUS_OK
 from repro.perfmodel.noise import component_hash
 
-from tests.oracles.model import simulate_spmv, x_access_model
+from tests.oracles.model import (
+    measurement_noise, simulate_spmv, x_access_model,
+)
 
 DEVICE_NAMES = sorted(TESTBEDS)
 
@@ -187,8 +184,9 @@ def test_noise_reproducible_per_seed(inst, device, fmt, seed):
                        st.text(max_size=8)))
 @settings(max_examples=50, deadline=None)
 def test_noise_scalar_equals_vectorised(seed, parts):
-    """measurement_noise and noise_factors are one distribution: the
-    Python-int fast path and the uint64 array path agree bitwise."""
+    """The oracle's scalar measurement_noise and noise_factors are one
+    distribution: the Python-int mirror and the uint64 array path agree
+    bitwise."""
     d, f, m = parts
     scalar = measurement_noise(d, f, m, seed)
     vec = noise_factors(

@@ -7,7 +7,7 @@ from repro.core.generator import MatrixSpec
 from repro.core.matrix import csr_from_dense
 from repro.formats import FormatError
 from repro.perfmodel import MatrixInstance
-from repro.perfmodel.noise import measurement_noise
+from repro.perfmodel.noise import component_hash, noise_factors
 
 
 class TestInstance:
@@ -58,29 +58,33 @@ class TestInstance:
             inst.format_stats("DIA")
 
 
+def _noise(device, fmt, matrices, seed=0, **kwargs):
+    """``noise_factors`` of one (device, format) over ``matrices``."""
+    def hashes(parts):
+        return np.array([component_hash(p) for p in parts], dtype=np.uint64)
+
+    return noise_factors(
+        hashes([device]), hashes([fmt]), hashes(matrices), seed=seed,
+        **kwargs,
+    )
+
+
 class TestNoise:
     def test_median_one(self):
-        samples = [
-            measurement_noise("d", "f", i, seed=0) for i in range(500)
-        ]
+        samples = _noise("d", "f", range(500), seed=0)
         assert np.median(samples) == pytest.approx(1.0, abs=0.02)
 
     def test_deterministic(self):
-        assert measurement_noise("d", "f", "m", 1) == measurement_noise(
-            "d", "f", "m", 1
-        )
+        assert _noise("d", "f", ["m"], 1) == _noise("d", "f", ["m"], 1)
 
     def test_coordinates_decorrelate(self):
-        a = measurement_noise("d1", "f", "m", 0)
-        b = measurement_noise("d2", "f", "m", 0)
+        a = _noise("d1", "f", ["m"], 0)
+        b = _noise("d2", "f", ["m"], 0)
         assert a != b
 
     def test_sigma_zero_disables(self):
-        assert measurement_noise("d", "f", "m", 0, sigma=0.0) == 1.0
+        assert _noise("d", "f", ["m"], 0, sigma=0.0) == 1.0
 
     def test_spread_matches_sigma(self):
-        samples = np.array(
-            [measurement_noise("d", "f", i, 0, sigma=0.1)
-             for i in range(2000)]
-        )
+        samples = _noise("d", "f", range(2000), 0, sigma=0.1)
         assert np.log(samples).std() == pytest.approx(0.1, rel=0.1)

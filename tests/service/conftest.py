@@ -1,4 +1,8 @@
-"""Shared fixtures: a tiny per-format corpus and a trained selector."""
+"""Shared fixtures: a tiny per-format corpus, a trained selector, and a
+gate that holds the batcher's first flush open."""
+
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -59,3 +63,44 @@ def feature_payloads(n, seed=0):
             "avg_num_neighbours": float(rng.uniform(0, 2)),
         })
     return payloads
+
+
+class Gate:
+    """An ``evaluate`` wrapper whose first call blocks until :meth:`open`.
+
+    Requests submitted while that first flush is held queue up in the
+    batcher (:func:`wait_queued`) and share the next flush once the gate
+    opens, so tests coalesce requests without depending on timing.
+    """
+
+    def __init__(self, evaluate):
+        self._evaluate = evaluate
+        self.entered = threading.Event()
+        self._open = threading.Event()
+
+    def __call__(self, items):
+        if not self.entered.is_set():
+            self.entered.set()
+            self._open.wait(timeout=30)
+        return self._evaluate(items)
+
+    def open(self) -> None:
+        self._open.set()
+
+
+def gate_app(app) -> Gate:
+    """Hold ``app``'s next batched evaluate at a :class:`Gate`."""
+    gate = Gate(app._batcher._evaluate)
+    app._batcher._evaluate = gate
+    return gate
+
+
+def wait_queued(batcher, n, timeout=30.0) -> None:
+    """Block until at least ``n`` requests wait in ``batcher``'s queue."""
+    deadline = time.monotonic() + timeout
+    while True:
+        with batcher._cond:
+            if len(batcher._pending) >= n:
+                return
+        assert time.monotonic() < deadline, f"{n} requests never queued"
+        time.sleep(0.001)

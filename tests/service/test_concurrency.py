@@ -19,7 +19,7 @@ import pytest
 
 from repro.service import ReproService, ServiceApp
 
-from .conftest import corpus_rows, feature_payloads
+from .conftest import corpus_rows, feature_payloads, gate_app, wait_queued
 
 N_THREADS = 12
 REQUESTS_PER_THREAD = 6
@@ -38,13 +38,11 @@ class TestBatchedBitIdentity:
     def test_hammered_select_matches_serial_direct_calls(
         self, trained_selector, corpus_table
     ):
-        # A generous window so coalescing is guaranteed even when the
-        # test host is loaded and client threads get serialized; the
-        # bit-identity claim is window-independent.
-        app = ServiceApp(
-            trained_selector, corpus_table,
-            micro_batch=True, window_ms=50.0, max_batch=64,
-        )
+        app = ServiceApp(trained_selector, corpus_table, max_batch=64)
+        # Hold the first flush until every other thread's first request
+        # is queued, so coalescing is guaranteed even when the test
+        # host is loaded; the bit-identity claim is timing-independent.
+        gate = gate_app(app)
         payloads = feature_payloads(
             N_THREADS * REQUESTS_PER_THREAD, seed=42
         )
@@ -79,8 +77,12 @@ class TestBatchedBitIdentity:
                 threading.Thread(target=worker, args=(t,))
                 for t in range(N_THREADS)
             ]
-            for t in threads:
+            threads[0].start()
+            assert gate.entered.wait(timeout=30)
+            for t in threads[1:]:
                 t.start()
+            wait_queued(app._batcher, N_THREADS - 1)
+            gate.open()
             for t in threads:
                 t.join()
             stats = app.stats_snapshot()
@@ -93,49 +95,41 @@ class TestBatchedBitIdentity:
         assert stats["endpoints"]["select"]["requests"] == len(payloads)
         assert stats["endpoints"]["select"]["errors"] == 0
 
-    def test_unbatched_app_serves_same_bytes(
-        self, trained_selector, corpus_table
-    ):
-        batched = ServiceApp(trained_selector, corpus_table)
-        direct = ServiceApp(
-            trained_selector, corpus_table, micro_batch=False
-        )
-        payloads = feature_payloads(10, seed=5)
-        try:
-            for features in payloads:
-                a = batched.select({"features": features})
-                b = direct.select({"features": features})
-                assert a == b
-        finally:
-            batched.close()
-            direct.close()
-
 
 class TestGracefulShutdown:
     def test_stop_waits_for_inflight_requests(
         self, trained_selector, corpus_table
     ):
-        # A wide window means an in-flight /select is parked in the
-        # batcher when stop() begins; the drain must still answer it.
-        app = ServiceApp(
-            trained_selector, corpus_table,
-            window_ms=300.0, max_batch=64,
-        )
+        # One /select is held inside a flush and a second is queued
+        # behind it when stop() begins; the drain must answer both.
+        app = ServiceApp(trained_selector, corpus_table, max_batch=64)
+        gate = gate_app(app)
         svc = ReproService(app).start()
+        payloads = feature_payloads(2)
         result = {}
 
-        def client():
-            result["resp"] = _post_select(
-                svc.url, feature_payloads(1)[0]
-            )
+        def client(i):
+            result[i] = _post_select(svc.url, payloads[i])
 
-        t = threading.Thread(target=client)
-        t.start()
-        time.sleep(0.05)  # request is inside the batching window
-        svc.stop()        # must drain, not sever
-        t.join(timeout=5)
-        assert not t.is_alive()
-        assert result["resp"]["format"] in ("Fast", "Bal")
+        clients = [
+            threading.Thread(target=client, args=(i,)) for i in range(2)
+        ]
+        clients[0].start()
+        assert gate.entered.wait(timeout=30)
+        clients[1].start()
+        wait_queued(app._batcher, 1)
+        stopper = threading.Thread(target=svc.stop)
+        stopper.start()   # must drain, not sever
+        assert svc._stopped.wait(timeout=30)
+        gate.open()
+        stopper.join(timeout=30)
+        for t in clients:
+            t.join(timeout=5)
+            assert not t.is_alive()
+        assert not stopper.is_alive()
+        assert [result[i]["format"] for i in range(2)] == [
+            trained_selector.select(f) for f in payloads
+        ]
 
     def test_sigterm_drains_subprocess(self, tmp_path):
         pytest.importorskip("numpy")

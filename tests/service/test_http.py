@@ -50,7 +50,8 @@ class TestHealthz:
         assert body["status"] == "ok"
         assert body["rows"] == len(corpus_table)
         assert body["formats"] == ["Fast", "Bal"]
-        assert body["micro_batch"] is True
+        assert body["max_batch"] == 64
+        assert "micro_batch" not in body and "window_ms" not in body
 
 
 class TestSelect:
@@ -192,25 +193,6 @@ class TestStatsAnd404:
         assert "endpoints" in json.load(err.value)
 
 
-class TestAppWithoutBatcher:
-    def test_direct_path_matches_batched(
-        self, trained_selector, corpus_table
-    ):
-        direct = ServiceApp(
-            trained_selector, corpus_table, micro_batch=False
-        )
-        batched = ServiceApp(
-            trained_selector, corpus_table, micro_batch=True
-        )
-        try:
-            for features in feature_payloads(8, seed=11):
-                payload = {"features": features}
-                assert direct.select(payload) == batched.select(payload)
-        finally:
-            direct.close()
-            batched.close()
-
-
 class _Constant:
     """Stub regressor predicting one value everywhere."""
 
@@ -233,13 +215,12 @@ class TestChoiceRule:
         features = feature_payloads(1, seed=3)[0]
         want = selector.select_batch([features])[0]
         assert want == selector.select(features)
-        for micro_batch in (True, False):
-            app = ServiceApp(selector, corpus_table, micro_batch=micro_batch)
-            with ReproService(app) as svc:
-                status, reply = _post_json(
-                    svc, "/select", {"features": features}
-                )
-            assert status == 200
-            assert reply["format"] == want
-            assert reply["gflops"]["A"] == 1.0
-            assert np.isnan(reply["gflops"]["B"])
+        app = ServiceApp(selector, corpus_table)
+        with ReproService(app) as svc:
+            status, reply = _post_json(
+                svc, "/select", {"features": features}
+            )
+        assert status == 200
+        assert reply["format"] == want
+        assert reply["gflops"]["A"] == 1.0
+        assert np.isnan(reply["gflops"]["B"])

@@ -9,6 +9,8 @@ field-level diff of the SelectionReport (and of the raw measurement
 rows, checked first for a sharper failure signal).
 """
 
+import functools
+
 import pytest
 
 from repro.core.dataset import Dataset, sweep
@@ -17,6 +19,8 @@ from repro.devices import TESTBEDS
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.ml import FormatSelector, KNeighborsRegressor
 
+from tests.oracles.selector import scalar_evaluate
+from tests.oracles.stats import materialised_format_stats
 from tests.oracles.sweep import instance_sweep, scalar_sweep
 
 N_SPECS = 8
@@ -31,20 +35,19 @@ def _dataset():
     )
 
 
-def _chain(jobs=1, scalar=False, stats_engine="analytic", eval_batch=True,
+def _chain(jobs=1, scalar=False, materialised=False, eval_batch=True,
            cache_dir=None):
     """One full sweep -> fit -> evaluate pass; returns (rows, report)."""
-    from repro.perfmodel.instance import MatrixInstance
-
-    assert MatrixInstance.stats_engine == "analytic"  # default unchanged
     dataset = _dataset()
-    if stats_engine != "analytic":
+    if materialised:
         # Sweeps never materialise instances: score the instance oracle
-        # with the engine pinned on each instance (serial runs only).
+        # with every format converted for real (serial runs only).
         assert jobs == 1
         instances = list(dataset.instances())
         for inst in instances:
-            inst.stats_engine = stats_engine
+            inst.format_stats = functools.partial(
+                materialised_format_stats, inst
+            )
         table = instance_sweep(dataset, [TESTBEDS[DEVICE]],
                                best_only=False, seed=0,
                                instances=instances)
@@ -66,7 +69,9 @@ def _chain(jobs=1, scalar=False, stats_engine="analytic", eval_batch=True,
             n_neighbors=3, weights="distance"
         ),
     ).fit(train)
-    return rows, selector.evaluate(test, batch=eval_batch)
+    if not eval_batch:
+        return rows, scalar_evaluate(selector, test)
+    return rows, selector.evaluate(test)
 
 
 @pytest.fixture(scope="module")
@@ -103,7 +108,7 @@ class TestGoldenChain:
         assert report == golden[1]
 
     def test_materialised_stats_match_analytic(self, golden):
-        rows, report = _chain(stats_engine="materialise")
+        rows, report = _chain(materialised=True)
         assert rows == golden[0]
         assert report == golden[1]
 
@@ -146,7 +151,9 @@ class TestColumnarAgreement:
                 n_neighbors=3, weights="distance"
             ),
         ).fit(train)
-        return selector.evaluate(test, batch=eval_batch, detail=True)
+        if not eval_batch:
+            return scalar_evaluate(selector, test, detail=True)
+        return selector.evaluate(test, detail=True)
 
     @pytest.mark.parametrize("eval_batch", [True, False])
     def test_columnar_selector_equals_dict_row_path(self, table,

@@ -63,10 +63,11 @@ class TestPipeline:
 
     def test_analysis_layers_compose(self, micro_table):
         table, _ = micro_table
-        cpu_rows = table.where(device="AMD-EPYC-24").rows
-        wins = format_wins(cpu_rows)
+        cpu = table.where(device="AMD-EPYC-24")
+        cpu_rows = cpu.rows
+        wins = format_wins(cpu)
         assert abs(sum(wins.values()) - 100.0) < 1e-9
-        census = bottleneck_census(table.rows)
+        census = bottleneck_census(table)
         assert all(
             abs(sum(f.values()) - 100.0) < 1e-9 for f in census.values()
         )
