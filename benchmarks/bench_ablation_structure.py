@@ -1,10 +1,11 @@
 """Ablation — structure-measured imbalance vs a closed-form skew formula.
 
-DESIGN.md calls out the simulator's choice to *measure* load imbalance on
-the actual row-length profile instead of deriving it from the skew
-feature.  This bench quantifies the difference: a closed-form proxy
-(1 + skew / workers, a common analytical shortcut) mispredicts the
-imbalance of balance-aware formats by orders of magnitude.
+The simulator *measures* load imbalance on the declared-scale row-length
+profile instead of deriving it from the skew feature
+(``docs/cold_path.md``, step 4 of the pipeline).  This bench quantifies
+the difference: a closed-form proxy (1 + skew / workers, a common
+analytical shortcut) mispredicts the imbalance of balance-aware formats
+by orders of magnitude.
 """
 
 import numpy as np

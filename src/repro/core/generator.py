@@ -672,9 +672,9 @@ class MatrixSpec:
     """Declarative description of an artificial matrix.
 
     A spec fixes the paper's feature coordinates; :meth:`build` materialises
-    the matrix and :meth:`representative` returns a structurally equivalent
-    down-scaled spec whose measured structure statistics stand in for the
-    full-size matrix (see DESIGN.md, substitutions).
+    the matrix and :meth:`representative` returns a down-scaled spec whose
+    measured structure statistics stand in for the full-size matrix (see
+    ``docs/cold_path.md``, "Representatives").
     """
 
     n_rows: int
@@ -732,33 +732,42 @@ class MatrixSpec:
         )
 
     def representative(self, max_nnz: int = 200_000) -> "MatrixSpec":
-        """Down-scaled spec preserving every scale-free feature.
+        """Down-scaled spec that stands for this one inside its bounds.
 
-        Row count shrinks until the estimated nnz fits ``max_nnz``;
-        ``avg_nnz_per_row``, skew, regularity and scaled bandwidth are
-        untouched (they are all row-local or relative quantities).  A floor
-        of 256 rows keeps the structural statistics well-sampled.
+        Only the row and column counts change; the row-length
+        distribution, skew, regularity and scaled bandwidth are the
+        declared ones.  Both counts are sized around the declared longest
+        row, ``min(n_cols, round(avg * (1 + skew)))``, the row
+        :func:`row_length_profile` pins, and neither exceeds the declared
+        matrix:
+
+        * rows shrink until the estimated nnz fits ``max_nnz``, but keep
+          a floor of 256 (well-sampled statistics) and enough rows that
+          ``avg * rows`` holds the longest row, so a representative may
+          exceed ``max_nnz`` when its longest row does;
+        * columns shrink with the rows, but keep the 4x-length placement
+          window :func:`_row_windows` gives the longest row at full size
+          and a window density of at most 2.5% (denser windows make
+          random placements accidentally adjacent and inflate the
+          measured locality of irregular matrices).
+
+        See ``docs/cold_path.md`` ("Representatives") for what this rule
+        costs and the dense-head specs it still misses.
         """
         if self.nnz_estimate <= max_nnz:
             return self
-        scale = max_nnz / self.nnz_estimate
-        new_rows = max(256, int(round(self.n_rows * scale)))
-        # Never shrink columns below what the longest row needs...
-        min_cols = int(
-            math.ceil(self.avg_nnz_per_row * (1.0 + self.skew_coeff))
-        )
-        # ...nor so far that in-window density rises and random placements
-        # become accidentally adjacent, which would inflate the measured
-        # locality features of irregular matrices (density <= 2.5% per
-        # placement window keeps the artefact below measurement noise).
-        min_cols_locality = int(
-            math.ceil(40.0 * self.avg_nnz_per_row / self.bw_scaled)
-        )
-        new_cols = max(
-            min_cols,
-            min(min_cols_locality, self.n_cols),
-            int(round(self.n_cols * new_rows / max(self.n_rows, 1))),
-        )
+        avg = self.avg_nnz_per_row
+        longest = min(self.n_cols, int(round(avg * (1.0 + self.skew_coeff))))
+        new_rows = min(self.n_rows, max(
+            256,
+            int(math.ceil(longest / avg)),
+            int(round(self.n_rows * max_nnz / self.nnz_estimate)),
+        ))
+        new_cols = min(self.n_cols, max(
+            4 * longest,
+            int(math.ceil(40.0 * avg / self.bw_scaled)),
+            int(round(self.n_cols * new_rows / self.n_rows)),
+        ))
         return replace(self, n_rows=new_rows, n_cols=new_cols)
 
     def build(self, max_nnz: Optional[int] = None) -> CSRMatrix:

@@ -86,12 +86,15 @@ def noise_factors(
                                 matrix_h.shape)
     if sigma <= 0:
         return np.ones(shape)
-    h = _mix(device_h)
-    h = _mix(h ^ format_h)
-    h = _mix(h ^ matrix_h)
-    h = _mix(h ^ np.uint64(int(seed) % (1 << 64)))
-    s1 = _mix(h ^ _U1_SALT)
-    s2 = _mix(h ^ _U2_SALT)
+    # The mixing wraps by design.  Array arithmetic wraps silently, but
+    # NumPy warns on every wrap of 0-d (scalar) operands.
+    with np.errstate(over="ignore"):
+        h = _mix(device_h)
+        h = _mix(h ^ format_h)
+        h = _mix(h ^ matrix_h)
+        h = _mix(h ^ np.uint64(int(seed) % (1 << 64)))
+        s1 = _mix(h ^ _U1_SALT)
+        s2 = _mix(h ^ _U2_SALT)
     # 53-bit mantissas: u1 in (0, 1] (safe for log), u2 in [0, 1).
     u1 = ((s1 >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_M53
     u2 = (s2 >> np.uint64(11)).astype(np.float64) * _TWO_M53

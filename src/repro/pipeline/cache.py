@@ -60,9 +60,10 @@ __all__ = [
 # generator or model change alters sweep rows: cache keys fold it in,
 # so stale records are never looked up again, and the run journal
 # digests specs under it, so run dirs begun before the change are
-# refused on resume.  It starts at 2, the cache version the journal
-# digested before, so run dirs journalled then still resume.
-OUTPUT_VERSION = 2
+# refused on resume.  It started at 2, the cache version the journal
+# digested before.  3: representatives stay inside their declared
+# matrix (``MatrixSpec.representative``).
+OUTPUT_VERSION = 3
 
 # Version of the stored record layout; bump it when records change
 # shape.  3: one JSON scoring record per key replaces the npz + json

@@ -57,11 +57,6 @@ __all__ = ["RunJournal", "sweep_config", "JOURNAL_VERSION", "SHARD_STORES"]
 
 JOURNAL_VERSION = 1
 
-# Config keys of older journals that no longer select anything; resume
-# ignores them on either side (each picked between bit-identical
-# engines).
-RETIRED_CONFIG_KEYS = ("batch", "fused")
-
 # Recognised shard layouts (see module docstring).
 SHARD_STORES = ("dir", "pack")
 
@@ -204,8 +199,7 @@ class RunJournal:
         """Raise :class:`ResumeError` naming every differing key."""
         mismatched = sorted(
             key for key in set(self.config) | set(config)
-            if key not in RETIRED_CONFIG_KEYS
-            and self.config.get(key) != config.get(key)
+            if self.config.get(key) != config.get(key)
         )
         if mismatched:
             detail = "; ".join(

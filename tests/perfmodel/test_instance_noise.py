@@ -1,5 +1,7 @@
 """MatrixInstance caching/scaling and the noise model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,3 +90,15 @@ class TestNoise:
     def test_spread_matches_sigma(self):
         samples = _noise("d", "f", range(2000), 0, sigma=0.1)
         assert np.log(samples).std() == pytest.approx(0.1, rel=0.1)
+
+    def test_scalar_hashes_mix_silently(self):
+        """Scalar hashes give the 1-element-array factor, bit for bit,
+        without a wrap-around warning from 0-d arithmetic."""
+        parts = [component_hash(p) for p in ("d", "f", "m")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalar = noise_factors(*parts, seed=3)
+        array = noise_factors(*(np.array([h]) for h in parts), seed=3)
+        assert np.shape(scalar) == ()
+        assert array.shape == (1,)
+        assert np.float64(scalar).tobytes() == array[0].tobytes()

@@ -52,22 +52,18 @@ class TestConfigFingerprint:
         assert {"jobs", "cache_dir", "dispatch"} & set(config()) == set()
 
 
-    def test_batch_key_kept_for_older_journals(self, tmp_path):
-        # Run dirs journalled while ``batch`` was a knob (written as
-        # true ever since) still resume; new journals omit the key.
-        assert "batch" not in config()
-        RunJournal.create(tmp_path / "run", dict(config(), batch=True),
+    @pytest.mark.parametrize("key,value", [("batch", True),
+                                           ("fused", False),
+                                           ("fused", True)])
+    def test_retired_engine_keys_are_refused(self, tmp_path, key, value):
+        # Only journals digested under output version 2 carry the
+        # retired ``batch``/``fused`` knobs; no key is exempt from the
+        # check, so the refusal names them too.
+        assert key not in config()
+        RunJournal.create(tmp_path / "run", dict(config(), **{key: value}),
                           BOUNDS)
-        RunJournal.load(tmp_path / "run").check_config(config())
-
-    @pytest.mark.parametrize("fused", [False, True])
-    def test_retired_fused_key_ignored(self, tmp_path, fused):
-        # Journals written while ``fused`` picked between bit-identical
-        # scoring paths carry it with either value; both still resume.
-        assert "fused" not in config()
-        old = dict(config(), fused=fused)
-        RunJournal.create(tmp_path / "run", old, BOUNDS)
-        RunJournal.load(tmp_path / "run").check_config(config())
+        with pytest.raises(ResumeError, match=f"{key}: journal={value}"):
+            RunJournal.load(tmp_path / "run").check_config(config())
 
     def test_digest_follows_output_version_not_cache_layout(
             self, tmp_path, monkeypatch):

@@ -28,11 +28,10 @@ from repro.pipeline import (
 )
 
 from tests.oracles.dispatch import pool_sweep
-from tests.oracles.sweep import instance_sweep
 from tests.pipeline.golden import assert_bit_identical
 
-# Run dirs journalled before records replaced the npz cache, each
-# stopped after chunk 0 (see the README there).
+# Run dirs journalled under output version 2, each stopped after
+# chunk 0 (see the README there).
 FIXTURES = Path(__file__).parent / "fixtures"
 
 DEVICES = [TESTBEDS["Tesla-A100"]]
@@ -189,24 +188,24 @@ class TestResume:
     @pytest.mark.parametrize("fixture", ["parent_run", "parent_run_fused"])
     def test_resume_run_dir_journalled_before_records(self, tmp_path,
                                                       fixture):
-        """Run dirs journalled before the cache stored scoring records —
-        by the default instance path and by ``fused=True`` alike, both
-        stopped after chunk 0 — resume bit-identically: the journal
-        digest follows the output version, not the cache layout, and
-        the retired ``fused`` key is ignored."""
+        """Run dirs journalled under output version 2 — by the default
+        instance path and by ``fused=True`` alike, both stopped after
+        chunk 0 — are refused on resume: their spec digest no longer
+        matches, so their shards are never merged with rows of the
+        current output version."""
         run_dir = tmp_path / fixture
         shutil.copytree(FIXTURES / fixture, run_dir)
         journal = RunJournal.load(run_dir)
         assert journal.ended == "interrupted" and "fused" in journal.config
         specs = build_dataset_specs("tiny")[::30]
         fixture_ds = Dataset(specs, max_nnz=5_000, name="fixture")
-        device = [TESTBEDS["INTEL-XEON"]]
-        rep = RunReport()
-        table = run_sweep(fixture_ds, device, best_only=False,
-                          run_dir=run_dir, resume=True, report=rep)
-        assert rep.chunks_resumed == 1
-        assert_bit_identical(table, instance_sweep(fixture_ds, device,
-                                                   best_only=False))
+        with pytest.raises(ResumeError, match="dataset_sha"):
+            run_sweep(fixture_ds, [TESTBEDS["INTEL-XEON"]],
+                      best_only=False, run_dir=run_dir, resume=True)
+        # Refused before any work: the run dir is left as it was.
+        journal = RunJournal.load(run_dir)
+        assert journal.ended == "interrupted"
+        assert list(journal.completed_chunks()) == [0]
 
     def test_resume_needs_run_dir(self):
         with pytest.raises(ValueError):

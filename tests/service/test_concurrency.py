@@ -85,7 +85,10 @@ class TestBatchedBitIdentity:
             gate.open()
             for t in threads:
                 t.join()
-            stats = app.stats_snapshot()
+        # A request is counted once its reply is written, so a client
+        # can return before its request is; leaving the block runs
+        # stop(), which joins every handler thread first.
+        stats = app.stats_snapshot()
 
         assert not errors
         # Bit-identical: == on floats round-tripped through JSON.
