@@ -9,8 +9,8 @@ Six subcommands wrap the library's main workflows::
     repro validate   --ids 1,11,39 --device AMD-EPYC-24
     repro experiment --scale tiny --protocol kfold --out result.json
     repro experiment --table t.npz --protocol kfold --out result.json
-    repro pack       cache_dir/ [--prune]     (or: repro pack t.npz)
-    repro unpack     cache_dir/cache.rpak --out restored/
+    repro pack       t.npz --out t.rpak
+    repro unpack     t.rpak --out t.npz       (or: run_dir/shards.rpak)
     repro ls         cache_dir/cache.rpak [--verify]
     repro train      --table t.npz --device Tesla-A100 --out model.npz
     repro serve      --table t.npz --selector model.npz --port 8077
@@ -94,15 +94,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="parallel sweep workers (0 = auto-detect cores; "
                         "output is identical to --jobs 1)")
     w.add_argument("--cache-dir", default=None,
-                   help="persistent cache of per-spec scoring records; "
-                        "warm re-sweeps skip matrix generation")
+                   help="persistent cache of per-spec scoring records, "
+                        "one cache.rpak pack; warm re-sweeps skip "
+                        "matrix generation")
     w.add_argument("--all-formats", action="store_true",
                    help="one row per (matrix, device, format) instead "
                         "of the best format per (matrix, device) — "
                         "required for tables fed to `repro experiment "
                         "--table`")
     w.add_argument("--run-dir", default=None,
-                   help="journal completed chunks (atomic table shards "
+                   help="journal completed chunks (a shards.rpak pack "
                         "+ JSONL log) into this directory so a killed "
                         "run can be resumed")
     w.add_argument("--resume", default=None, metavar="RUN_DIR",
@@ -127,11 +128,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the RunReport (retries, timeouts, "
                         "degraded chunks, quarantined cache entries, "
                         "per-phase wall-clock) as JSON")
-    w.add_argument("--pack-shards", action="store_true",
-                   help="journal chunk shards into a single "
-                        "shards.rpak pack instead of one file per "
-                        "chunk (requires --run-dir; --resume follows "
-                        "the original run's layout)")
     w.add_argument("--out", required=True,
                    help="output table path (.npz lossless columnar, "
                         ".csv typed text, .json dict rows)")
@@ -189,29 +185,22 @@ def build_parser() -> argparse.ArgumentParser:
                         "or .csv (per-fold summary) file")
 
     p = sub.add_parser(
-        "pack",
-        help="fold a cache directory or saved sweep table into a "
-             "single .rpak pack",
+        "pack", help="pack a saved sweep table into a single .rpak file",
     )
     p.add_argument("src",
-                   help="cache directory (from --cache-dir) or saved "
-                        "table (.npz from `repro sweep --out`)")
+                   help="saved table (.npz from `repro sweep --out`)")
     p.add_argument("--out", default=None,
-                   help="pack path (default: <src>/cache.rpak for a "
-                        "directory, <src>.rpak for a table)")
-    p.add_argument("--prune", action="store_true",
-                   help="after verifying every packed entry's checksum, "
-                        "remove the loose cache files the pack now "
-                        "serves (directories only)")
+                   help="pack path (default: <src>.rpak)")
 
     u = sub.add_parser(
         "unpack",
-        help="expand a .rpak pack back into loose files / a table",
+        help="expand a table pack back into a table, or a run dir's "
+             "shards.rpak into one table per chunk",
     )
     u.add_argument("pack", help=".rpak path")
     u.add_argument("--out", required=True,
-                   help="destination: a directory for cache/shard "
-                        "packs, a table path (.npz) for table packs")
+                   help="destination: a table path (.npz) for table "
+                        "packs, a directory for shard packs")
 
     ls = sub.add_parser("ls", help="list the entries of a .rpak pack")
     ls.add_argument("pack", help=".rpak path")
@@ -426,7 +415,6 @@ def _cmd_sweep(args) -> int:
             dataset, devices, best_only=not args.all_formats,
             jobs=args.jobs, cache_dir=args.cache_dir,
             run_dir=run_dir, resume=bool(args.resume),
-            pack_shards=args.pack_shards,
             faults=args.faults, chunk_timeout=args.chunk_timeout,
             max_retries=args.max_retries, report=report,
             progress=lambda i, n: print(f"\r  {i}/{n}", end="",
@@ -588,39 +576,32 @@ _CHUNK_RE = r"chunk-(\d{6})/"
 def _cmd_pack(args) -> int:
     from pathlib import Path
 
+    from .io import load_table
+    from .io.pack import PackWriter
+
     src = Path(args.src)
     if not src.exists():
         raise ValueError(
-            f"{src} does not exist; point `repro pack` at a cache "
-            "directory (--cache-dir) or a saved sweep table (.npz)"
+            f"{src} does not exist; point `repro pack` at a saved sweep "
+            "table (.npz)"
         )
     if src.is_dir():
-        from .pipeline.cache import pack_cache_dir
-
-        entries, out = pack_cache_dir(
-            src, out=args.out, prune=args.prune
+        raise ValueError(
+            f"{src} is a directory; a cache directory already keeps its "
+            "records in one pack (list it with `repro ls "
+            f"{src / 'cache.rpak'}`)"
         )
-        what = f"{entries} cache entr{'y' if entries == 1 else 'ies'}"
-        if args.prune:
-            what += " (loose records pruned)"
-    else:
-        if args.prune:
-            raise ValueError(
-                "--prune only applies to cache directories; a packed "
-                "table never shadows loose files"
-            )
-        from .io import load_table
-        from .io.pack import PackWriter
-
-        table = load_table(src)
-        out = Path(args.out) if args.out else src.with_suffix(".rpak")
-        blobs = table.to_blobs(prefix=_TABLE_PREFIX)
-        with PackWriter.create(out) as writer:
-            for key in sorted(blobs):
-                kind = "meta" if key.endswith("__meta__") else "col"
-                writer.add(key, kind, blobs[key])
-        what = f"{len(table)} table rows ({len(blobs)} column blobs)"
-    print(f"packed {what} into {out} ({out.stat().st_size} bytes)")
+    table = load_table(src)
+    out = Path(args.out) if args.out else src.with_suffix(".rpak")
+    blobs = table.to_blobs(prefix=_TABLE_PREFIX)
+    with PackWriter.create(out) as writer:
+        for key in sorted(blobs):
+            kind = "meta" if key.endswith("__meta__") else "col"
+            writer.add(key, kind, blobs[key])
+    print(
+        f"packed {len(table)} table rows ({len(blobs)} column blobs) "
+        f"into {out} ({out.stat().st_size} bytes)"
+    )
     return 0
 
 
@@ -654,24 +635,21 @@ def _cmd_unpack(args) -> int:
             m.group(1) for m in
             (re.match(_CHUNK_RE, key) for key in keys) if m
         })
-        if chunk_ids:
-            out.mkdir(parents=True, exist_ok=True)
-            for cid in chunk_ids:
-                prefix = f"chunk-{cid}/"
-                table = SweepTable.from_blobs(
-                    {k: pack.read(k) for k in keys
-                     if k.startswith(prefix)},
-                    prefix=prefix,
-                )
-                table.to_npz(out / f"chunk-{cid}.npz")
-            print(
-                f"unpacked {len(chunk_ids)} chunk shards to {out}"
+        if not chunk_ids:
+            raise ValueError(
+                f"{args.pack} holds neither a table nor journalled "
+                "chunks; cache records live only in their pack — list "
+                f"them with `repro ls {args.pack}`"
             )
-            return 0
-    from .pipeline.cache import unpack_cache
-
-    written = unpack_cache(args.pack, out)
-    print(f"unpacked {written} cache files to {out}")
+        out.mkdir(parents=True, exist_ok=True)
+        for cid in chunk_ids:
+            prefix = f"chunk-{cid}/"
+            table = SweepTable.from_blobs(
+                {k: pack.read(k) for k in keys if k.startswith(prefix)},
+                prefix=prefix,
+            )
+            table.to_npz(out / f"chunk-{cid}.npz")
+    print(f"unpacked {len(chunk_ids)} chunk tables to {out}")
     return 0
 
 

@@ -216,7 +216,6 @@ def sweep(
     precision: str = "fp64",
     run_dir: Optional[str] = None,
     resume: bool = False,
-    pack_shards: bool = False,
     faults=None,
     chunk_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -234,8 +233,9 @@ def sweep(
     ``jobs`` sets the parallelism: 1 (the default) runs every chunk in
     this process, ``jobs > 1`` shards over a worker crew and 0
     auto-detects the core count.  ``cache_dir`` enables the persistent
-    cache of per-spec scoring records, so warm re-sweeps derive only
-    what the records lack.  Every chunk is scored straight from the
+    cache of per-spec scoring records, kept in the directory's one
+    ``cache.rpak`` pack, so warm re-sweeps derive only what the records
+    lack.  Every chunk is scored straight from the
     specs (structure generation + batched analytic stats) through the
     vectorised grid simulator.  ``precision`` scores every cell at fp64
     (the default) or fp32.  Output is row-for-row identical across
@@ -243,8 +243,8 @@ def sweep(
     :func:`repro.pipeline.run_sweep`.
 
     Resilience controls pass straight through to the engine: ``run_dir``
-    journals completed chunks (``resume=True`` skips them on a rerun,
-    ``pack_shards`` stores them in a single ``shards.rpak`` pack),
+    journals completed chunks, their table shards in one
+    ``shards.rpak`` pack (``resume=True`` skips them on a rerun),
     ``chunk_timeout``/``max_retries`` set the per-chunk deadline and
     retry budget, ``faults`` arms a deterministic
     :class:`~repro.pipeline.faults.FaultPlan` and ``report`` receives a
@@ -257,8 +257,7 @@ def sweep(
         dataset, devices, best_only=best_only, formats=formats,
         seed=seed, jobs=jobs, cache_dir=cache_dir, progress=progress,
         precision=precision,
-        run_dir=run_dir, resume=resume, pack_shards=pack_shards,
-        faults=faults,
+        run_dir=run_dir, resume=resume, faults=faults,
         chunk_timeout=chunk_timeout, max_retries=max_retries,
         report=report,
     )

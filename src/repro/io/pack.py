@@ -1,64 +1,68 @@
 """Single-file binary pack store for sweep artifacts.
 
-The content-keyed :class:`~repro.pipeline.cache.InstanceCache` and the
-run journal's per-chunk shards historically persisted every artifact as
-its own small file, so a warm corpus cost thousands of ``stat``/``open``
-calls and could not be shipped as one object.  A *pack* folds those
-artifacts into one versioned binary file::
+The record cache (:class:`~repro.pipeline.cache.InstanceCache`) and the
+run journal's per-chunk shards each keep their artifacts in one *pack*:
+a versioned binary file with random access by content key::
 
     offset 0   header (64 bytes)
                magic   8s   b"RPACK1\\n\\0"
                version u32  PACK_VERSION (schema of this layout)
                reserved u32 0
-               index_offset u64  where the live entry table starts
-               index_count  u64  number of entry records
-               index_sha    32s  SHA-256 of the entry-table bytes
-    64         blob region: entry payloads, appended only
-    ...        entry table: ``index_count`` fixed-size records
-               (content key, kind, offset, compressed size, original
-               size, SHA-256, flags)
+               tip_offset u64  where the newest segment starts
+               tip_count  u64  entry records in the newest segment
+               tip_sha    32s  SHA-256 of the newest segment's bytes
+    64         one run per write, in file order:
+               blobs    the write's entry payloads
+               segment  the write's entry records, 136 bytes each
+                        (content key, kind, offset, compressed size,
+                        original size, SHA-256, flags), then a 48-byte
+                        link to the segment before it (offset, count,
+                        SHA-256; offset 0 ends the chain)
 
-The entry table is a contiguous array of 136-byte records parsed in one
-:func:`numpy.frombuffer` call, so opening a pack is one read regardless
-of entry count, and lookups are a dict hit — no directory scans.  Blob
-reads come out of an ``mmap`` as zero-copy memoryviews (compressed
-entries are inflated on read); every read verifies the entry's SHA-256
-before handing bytes out.
+Opening a pack walks the chain from the header back to the first
+segment, checks every segment against the SHA-256 that names it, and
+parses each one's records with a single :func:`numpy.frombuffer` call,
+so lookups are a dict hit — no directory scans.  Blob reads come out of
+an ``mmap`` as zero-copy memoryviews (compressed entries are inflated on
+read); every read verifies the entry's SHA-256 before handing bytes
+out.
 
-Atomicity contract (docs/pack_store.md has the full derivation):
+Write contract (docs/pack_store.md has the full derivation):
 
 * **Sealed writes** (:meth:`PackWriter.create` … :meth:`PackWriter.close`)
-  build the whole pack in a temp file next to the target and commit it
-  with one ``os.replace`` — readers see the old pack or the new one,
+  build a one-segment pack in a temp file next to the target and commit
+  it with one ``os.replace`` — readers see the old pack or the new one,
   never a torn file.
-* **Appends** (:func:`append_entries`) never rewrite existing blobs or
-  the live entry table: new blobs and a *new* entry table (old records
-  + new) are written after the current end of file and fsynced, and
-  only then does a single 64-byte header write at offset 0 switch the
-  pack to the new table.  A crash before the switch leaves the old pack
-  intact with an ignored tail; the superseded table becomes a small
-  dead region reclaimed by the next :func:`compact`.  Appends assume
-  one writer at a time (the sweep engine appends shards from the parent
-  process only).
+* **Appends** (:func:`append_entries`) hold an exclusive ``fcntl.flock``
+  on the pack file.  The new blobs and a segment of only the new
+  records land after the current end of file and are fsynced; only then
+  does a single 64-byte header write switch the pack to the new
+  segment.  A crash before the switch leaves the old pack intact with
+  an ignored tail, and no table is ever rewritten, so appends leave
+  nothing dead behind.  An append to a missing path builds the pack in
+  a locked temp file and links it into place, so no reader sees a
+  partial pack.  :meth:`Pack.open` reads the header and segments under
+  a shared lock and drops it before returning.
 
 Corruption never panics and never destroys evidence: a bad magic,
-truncated file, entry-table checksum mismatch or schema-version drift
+truncated file, segment checksum mismatch or schema-version drift
 raises an actionable :class:`PackError` / :class:`PackVersionError`,
-and the cache layer quarantines the damaged pack instead of deleting
-it (see ``repro.pipeline.cache``).
+and the cache and journal quarantine the damaged pack instead of
+deleting it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
-import io
 import mmap
 import os
 import struct
 import tempfile
 import zlib
 from pathlib import Path
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, NamedTuple, Optional,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -75,9 +79,10 @@ __all__ = [
 ]
 
 PACK_MAGIC = b"RPACK1\n\x00"
-# Bump on any change to the header or entry-record layout an older
-# reader would misinterpret (policy in docs/pack_store.md).
-PACK_VERSION = 1
+# Bump on any change to the header, segment or entry-record layout an
+# older reader would misinterpret (policy in docs/pack_store.md).
+# 2: linked segments replace the one rewritten entry table.
+PACK_VERSION = 2
 
 _HEADER = struct.Struct("<8sIIQQ32s")
 HEADER_SIZE = _HEADER.size  # 64 bytes
@@ -94,6 +99,13 @@ _ENTRY_DTYPE = np.dtype([
     ("pad", "S4"),
 ])
 ENTRY_SIZE = _ENTRY_DTYPE.itemsize  # 136 bytes
+
+# The tail of every segment: offset, record count and SHA-256 of the
+# segment written before it.  The header holds the same triple for the
+# newest segment.
+_LINK = struct.Struct("<QQ32s")
+LINK_SIZE = _LINK.size  # 48 bytes
+_FIRST = (0, 0, bytes(32))  # the link of a pack's first segment
 
 _FLAG_ZLIB = 1
 
@@ -141,14 +153,26 @@ def _check_kind(kind: str) -> bytes:
     return raw
 
 
-def _pack_header(index_offset: int, count: int, table: bytes) -> bytes:
-    return _HEADER.pack(
-        PACK_MAGIC, PACK_VERSION, 0, index_offset, count,
-        hashlib.sha256(table).digest(),
-    )
+def _stored(key: str, kind: str, data, offset: int,
+            compress: bool) -> Tuple[PackEntry, bytes]:
+    """The entry and stored bytes of one blob written at ``offset``;
+    ``compress`` deflates it (small text payloads), raw otherwise keeps
+    reads zero-copy."""
+    _check_key(key)
+    _check_kind(kind)
+    payload = bytes(data) if not isinstance(data, bytes) else data
+    osize = len(payload)
+    flags = 0
+    if compress:
+        payload = zlib.compress(payload, 6)
+        flags |= _FLAG_ZLIB
+    return PackEntry(key, kind, offset, len(payload), osize,
+                     hashlib.sha256(payload).digest(), flags), payload
 
 
-def _encode_entries(entries: Iterable[PackEntry]) -> bytes:
+def _segment(entries: Iterable[PackEntry], link: tuple) -> bytes:
+    """Encoded entry records followed by the link to the previous
+    segment."""
     entries = list(entries)
     table = np.zeros(len(entries), dtype=_ENTRY_DTYPE)
     for i, e in enumerate(entries):
@@ -156,7 +180,14 @@ def _encode_entries(entries: Iterable[PackEntry]) -> bytes:
             _check_key(e.key), _check_kind(e.kind), e.offset,
             e.csize, e.osize, e.sha, e.flags, b"",
         )
-    return table.tobytes()
+    return table.tobytes() + _LINK.pack(*link)
+
+
+def _header(offset: int, count: int, segment: bytes) -> bytes:
+    return _HEADER.pack(
+        PACK_MAGIC, PACK_VERSION, 0, offset, count,
+        hashlib.sha256(segment).digest(),
+    )
 
 
 def _decode_keys(table: np.ndarray) -> List[str]:
@@ -177,30 +208,34 @@ def _entry_from_record(key: str, rec) -> PackEntry:
     )
 
 
-def _materialize_entries(table: np.ndarray) -> List[PackEntry]:
-    keys = _decode_keys(table)
-    return [_entry_from_record(k, table[i]) for i, k in enumerate(keys)]
-
-
-def _read_index(fh, size: int, path: Path) -> Tuple[int, np.ndarray]:
-    """Validate the header and read the live entry table.
-
-    Returns ``(index_offset, table)`` with the table as the raw
-    structured record array — callers materialize :class:`PackEntry`
-    objects lazily so opening a large pack stays cheap.  Every failure
-    mode is its own actionable message: wrong magic, version drift,
-    truncation, table checksum mismatch.
-    """
+def _load(fh, path: Path) -> Tuple[mmap.mmap, np.ndarray, tuple]:
+    """Map a pack file and read its chain (the map is closed again when
+    the pack fails validation)."""
+    size = os.fstat(fh.fileno()).st_size
     if size < HEADER_SIZE:
         raise PackError(
             f"{path}: file is {size} bytes, shorter than the "
             f"{HEADER_SIZE}-byte pack header — truncated or not a pack"
         )
-    fh.seek(0)
-    header = fh.read(HEADER_SIZE)
-    magic, version, _reserved, index_offset, count, sha = (
-        _HEADER.unpack(header)
-    )
+    mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    try:
+        return (mm, *_read_chain(mm, path))
+    except BaseException:
+        mm.close()
+        raise
+
+
+def _read_chain(mm: mmap.mmap, path: Path) -> Tuple[np.ndarray, tuple]:
+    """Validate the header, walk the segment chain and return every
+    entry record in file order plus the link to the newest segment.
+
+    Records come back as the raw structured array — callers materialize
+    :class:`PackEntry` objects lazily so opening a large pack stays
+    cheap.  Every failure mode is its own actionable message: wrong
+    magic, version drift, truncation, segment checksum mismatch.
+    """
+    size = len(mm)
+    magic, version, _reserved, *tip = _HEADER.unpack(mm[:HEADER_SIZE])
     if magic != PACK_MAGIC:
         raise PackError(
             f"{path}: bad magic {magic!r} — not a repro pack "
@@ -209,30 +244,33 @@ def _read_index(fh, size: int, path: Path) -> Tuple[int, np.ndarray]:
     if version != PACK_VERSION:
         raise PackVersionError(
             f"{path}: pack layout version {version}, but this build "
-            f"reads version {PACK_VERSION}; regenerate the pack with "
-            "`repro pack` from this build"
+            f"reads version {PACK_VERSION}; regenerate the pack from "
+            "this build (caches and run dirs rebuild it by themselves)"
         )
-    table_size = count * ENTRY_SIZE
-    if index_offset < HEADER_SIZE or index_offset + table_size > size:
-        raise PackError(
-            f"{path}: entry table ({count} entries at offset "
-            f"{index_offset}) extends past the {size}-byte file — "
-            "the pack is truncated"
-        )
-    fh.seek(index_offset)
-    raw = fh.read(table_size)
-    if len(raw) != table_size:
-        raise PackError(
-            f"{path}: short read of the entry table — the pack is "
-            "truncated"
-        )
-    if hashlib.sha256(raw).digest() != sha:
-        raise PackError(
-            f"{path}: entry-table checksum mismatch — the table was "
-            "torn or the file was modified; restore the pack or "
-            "regenerate it with `repro pack`"
-        )
-    table = np.frombuffer(raw, dtype=_ENTRY_DTYPE)
+    tables = []
+    offset, count, sha = tip
+    end = size  # a segment ends before the one linked after it
+    while offset:
+        seg_size = count * ENTRY_SIZE + LINK_SIZE
+        if offset < HEADER_SIZE or offset + seg_size > end:
+            raise PackError(
+                f"{path}: segment of {count} entries at offset "
+                f"{offset} extends past the {size}-byte file or the "
+                "segment after it — the pack is truncated"
+            )
+        segment = mm[offset:offset + seg_size]
+        if hashlib.sha256(segment).digest() != sha:
+            raise PackError(
+                f"{path}: entry-table checksum mismatch in the segment "
+                f"at offset {offset} — the table was torn or the file "
+                "was modified; restore the pack or regenerate it"
+            )
+        tables.append(np.frombuffer(segment, dtype=_ENTRY_DTYPE,
+                                    count=count))
+        end = offset
+        offset, count, sha = _LINK.unpack_from(segment, count * ENTRY_SIZE)
+    table = (np.concatenate(tables[::-1]) if tables
+             else np.zeros(0, dtype=_ENTRY_DTYPE))
     if len(table):
         ends = table["offset"] + table["csize"]
         bad = np.nonzero(ends > size)[0]
@@ -246,7 +284,32 @@ def _read_index(fh, size: int, path: Path) -> Tuple[int, np.ndarray]:
                 f"{e.offset}) extends past the {size}-byte file — "
                 "the pack is truncated"
             )
-    return index_offset, table
+    return table, tuple(tip)
+
+
+def _names(path: Path, fh) -> bool:
+    """Does ``path`` still name the file open as ``fh``?"""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(fh.fileno()))
+    except FileNotFoundError:
+        return False
+
+
+def _locked(path: Path, mode: str, op: int):
+    """``path`` opened in ``mode`` with flock ``op`` held on the file the
+    path still names: a quarantine may move the pack while the lock is
+    awaited, so a stale file is closed and the path opened again.
+    Raises ``FileNotFoundError`` when no file is left there."""
+    while True:
+        fh = open(path, mode)
+        try:
+            fcntl.flock(fh, op)
+        except BaseException:
+            fh.close()
+            raise
+        if _names(path, fh):
+            return fh
+        fh.close()
 
 
 class Pack:
@@ -256,7 +319,7 @@ class Pack:
         self.path = path
         # Raw records in file order; PackEntry objects are materialized
         # on demand so opening a pack with thousands of entries costs
-        # one bulk parse, not a Python loop.
+        # one bulk parse per segment, not a Python loop.
         self._table = table
         self._names = _decode_keys(table)
         # Later records shadow earlier ones (append semantics), but the
@@ -271,20 +334,17 @@ class Pack:
     # -- lifecycle -------------------------------------------------------
     @classmethod
     def open(cls, path: Union[str, Path]) -> "Pack":
-        """Open and fully validate a pack; raises :class:`PackError` on
-        any corruption, :class:`PackVersionError` on layout drift."""
+        """Open and fully validate a pack under a shared lock (released
+        before returning); raises :class:`PackError` on any corruption,
+        :class:`PackVersionError` on layout drift."""
         path = Path(path)
         try:
-            fh = open(path, "rb")
+            fh = _locked(path, "rb", fcntl.LOCK_SH)
         except OSError as exc:
             raise PackError(f"{path}: cannot open pack ({exc})") from exc
         try:
-            size = os.fstat(fh.fileno()).st_size
-            _, table = _read_index(fh, size, path)
-            if size:
-                mm = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            else:  # pragma: no cover - size>=HEADER_SIZE was checked
-                mm = None
+            mm, table, _ = _load(fh, path)
+            fcntl.flock(fh, fcntl.LOCK_UN)
         except BaseException:
             fh.close()
             raise
@@ -383,7 +443,8 @@ class Pack:
 
 
 class PackWriter:
-    """Sealed pack construction: temp file, blobs, table, one replace."""
+    """Sealed pack construction: temp file, blobs, one segment, one
+    replace."""
 
     def __init__(self, path: Path, fh, tmp: str):
         self.path = path
@@ -408,34 +469,24 @@ class PackWriter:
             compress: bool = False) -> PackEntry:
         """Append one blob; ``compress`` stores it zlib-deflated (small
         text payloads), raw otherwise (keeps reads zero-copy)."""
-        _check_key(key)
-        _check_kind(kind)
-        payload = bytes(data) if not isinstance(data, bytes) else data
-        osize = len(payload)
-        flags = 0
-        if compress:
-            payload = zlib.compress(payload, 6)
-            flags |= _FLAG_ZLIB
-        entry = PackEntry(
-            key, kind, self._offset, len(payload), osize,
-            hashlib.sha256(payload).digest(), flags,
-        )
+        entry, payload = _stored(key, kind, data, self._offset, compress)
         self._fh.write(payload)
         self._offset += len(payload)
         self._entries.append(entry)
         return entry
 
     def close(self) -> None:
-        """Seal: entry table at the tail, real header, fsync, replace."""
+        """Seal: the one segment at the tail, real header, fsync,
+        replace."""
         if self._closed:
             return
         self._closed = True
         try:
-            table = _encode_entries(self._entries)
-            self._fh.write(table)
+            segment = _segment(self._entries, _FIRST)
+            self._fh.write(segment)
             self._fh.seek(0)
             self._fh.write(
-                _pack_header(self._offset, len(self._entries), table)
+                _header(self._offset, len(self._entries), segment)
             )
             self._fh.flush()
             os.fsync(self._fh.fileno())
@@ -476,77 +527,120 @@ def append_entries(
     path: Union[str, Path],
     items: Iterable[Tuple[str, str, bytes]],
     compress: bool = False,
+    on_damage: Optional[Callable[[Path], None]] = None,
 ) -> int:
-    """Two-phase append of ``(key, kind, data)`` blobs to an existing
-    pack (created first if absent).
+    """Two-phase append of ``(key, kind, data)`` blobs to a pack, under
+    an exclusive lock on the pack file (a missing pack is created).
 
-    Existing blobs and the live entry table are never rewritten: new
-    blobs plus the new table land after the current end of file and are
-    fsynced; only then does the 64-byte header switch the pack over.
-    An identical entry (same key, kind and payload hash) is skipped, so
-    re-appending after a retry is idempotent; a changed payload for an
-    existing key appends a shadowing record (last record wins).
+    The new blobs and a segment holding only their records land after
+    the current end of file and are fsynced; only then does the 64-byte
+    header switch the pack over.  An entry whose key, kind and payload
+    hash match a record already in the pack, and whose stored blob
+    still verifies, is skipped, so re-appending after a retry is
+    idempotent; a changed payload appends a shadowing record (last
+    record wins).
 
-    Returns the number of entries actually appended.  Single-writer:
-    concurrent appends to one pack are not supported (the sweep engine
-    appends only from the parent process).
+    A pack that fails validation raises :class:`PackError`, unless
+    ``on_damage`` is given: it is called with the path, under the lock,
+    to move the pack away, and the append then starts a fresh pack.
+    Returns the number of entries actually appended.
     """
     path = Path(path)
     items = list(items)
-    if not path.exists():
-        with PackWriter.create(path) as writer:
-            for key, kind, data in items:
-                writer.add(key, kind, data, compress=compress)
-        return len(items)
+    if not items:
+        return 0
+    while True:
+        try:
+            fh = _locked(path, "r+b", fcntl.LOCK_EX)
+        except FileNotFoundError:
+            if _create(path, items, compress):
+                return len(items)
+            continue  # another writer created it first: append to it
+        with fh:
+            try:
+                mm, table, tip = _load(fh, path)
+            except PackError:
+                if on_damage is None:
+                    raise
+                on_damage(path)
+                if _names(path, fh):
+                    raise  # not moved: appending again would loop
+                continue
+            with mm:
+                return _commit(fh, items, compress, tip,
+                               _unchanged(table, mm))
 
-    with open(path, "r+b") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        _, table = _read_index(fh, size, path)
-        entries = _materialize_entries(table)
-        known = {e.key: e for e in entries}
-        fh.seek(0, os.SEEK_END)
-        offset = size
-        added = 0
-        for key, kind, data in items:
-            _check_key(key)
-            _check_kind(kind)
-            payload = bytes(data) if not isinstance(data, bytes) else data
-            osize = len(payload)
-            flags = 0
-            if compress:
-                payload = zlib.compress(payload, 6)
-                flags |= _FLAG_ZLIB
-            sha = hashlib.sha256(payload).digest()
-            prev = known.get(key)
-            if (prev is not None and prev.sha == sha
-                    and prev.kind == kind):
-                continue  # idempotent re-append (retried chunk)
-            entry = PackEntry(key, kind, offset, len(payload), osize,
-                              sha, flags)
-            fh.write(payload)
-            offset += len(payload)
-            entries.append(entry)
-            known[key] = entry
-            added += 1
-        if not added:
-            return 0
-        table = _encode_entries(entries)
-        fh.write(table)
-        fh.flush()
-        os.fsync(fh.fileno())
-        # Phase 2: one small header write switches readers to the new
-        # table; until it lands, the old header/table pair stays valid.
-        fh.seek(0)
-        fh.write(_pack_header(offset, len(entries), table))
-        fh.flush()
-        os.fsync(fh.fileno())
-    return added
+
+def _unchanged(table: np.ndarray, mm) -> Callable[[PackEntry], bool]:
+    """Predicate: does the pack's live record for ``entry.key`` hold the
+    same kind and payload, in a blob that still verifies?"""
+    rows = {key: i for i, key in enumerate(_decode_keys(table))}
+
+    def same(entry: PackEntry) -> bool:
+        row = rows.get(entry.key)
+        if row is None:
+            return False
+        old = _entry_from_record(entry.key, table[row])
+        return (old.kind == entry.kind and old.sha == entry.sha
+                and hashlib.sha256(
+                    mm[old.offset:old.offset + old.csize]
+                ).digest() == old.sha)
+
+    return same
+
+
+def _commit(fh, items, compress: bool, tip: tuple,
+            unchanged: Callable[[PackEntry], bool]) -> int:
+    """Write the new blobs and their segment (linked to ``tip``) at the
+    end of ``fh`` and fsync, then switch the header to the new segment
+    and fsync again.  Returns the number of entries written."""
+    offset = fh.seek(0, os.SEEK_END)
+    entries = []
+    for key, kind, data in items:
+        entry, payload = _stored(key, kind, data, offset, compress)
+        if unchanged(entry):
+            continue  # idempotent re-append (retried chunk)
+        fh.write(payload)
+        offset += len(payload)
+        entries.append(entry)
+    if not entries:
+        return 0
+    segment = _segment(entries, tip)
+    fh.write(segment)
+    fh.flush()
+    os.fsync(fh.fileno())
+    # Phase 2: one small header write switches readers to the new
+    # segment; until it lands, the old header stays valid.
+    fh.seek(0)
+    fh.write(_header(offset, len(entries), segment))
+    fh.flush()
+    os.fsync(fh.fileno())
+    return len(entries)
+
+
+def _create(path: Path, items, compress: bool) -> bool:
+    """Build a pack of ``items`` in a locked temp file and link it to
+    ``path``; ``False`` when another writer's pack got there first."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "r+b") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            fh.write(b"\x00" * HEADER_SIZE)
+            _commit(fh, items, compress, _FIRST, lambda entry: False)
+            try:
+                os.link(tmp, path)
+            except FileExistsError:
+                return False
+        return True
+    finally:
+        os.unlink(tmp)
 
 
 def compact(src: Union[str, Path], dst: Union[str, Path]) -> int:
-    """Rewrite a pack without dead regions (superseded tables, shadowed
-    blobs); returns the number of live entries.  ``dst`` may equal
-    ``src`` — the sealed-write temp/replace makes that safe."""
+    """Rewrite a pack as one segment without shadowed blobs; returns the
+    number of live entries.  ``dst`` may equal ``src`` — the
+    sealed-write temp/replace makes that safe."""
     src, dst = Path(src), Path(dst)
     with Pack.open(src) as pack:
         keys = pack.keys()

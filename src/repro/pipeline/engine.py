@@ -21,7 +21,7 @@ same chunk table — the golden resilience suite pins bit-identity under
 every injected-fault scenario.
 
 ``run_dir`` makes a run resumable: completed chunks are journalled with
-atomic table shards (:mod:`repro.pipeline.journal`) and
+their table shards in one pack (:mod:`repro.pipeline.journal`) and
 ``run_sweep(..., resume=True)`` skips them.  ``faults`` arms a
 deterministic :class:`~repro.pipeline.faults.FaultPlan` (also via the
 ``REPRO_FAULTS`` environment variable) for the chaos suites.  A
@@ -33,10 +33,10 @@ Every chunk is scored straight from its specs
 (:func:`~repro.core.dataset.fused_spec_table`).  With a cache, each
 sub-chunk first fetches its specs' scoring records, derives only what
 they lack, and writes back the records that grew.  Workers share one
-:class:`~repro.pipeline.cache.InstanceCache` directory; records are
-content-keyed and written atomically, so the only cost of a cache race
-is a redundant rescoring, never a corrupt record — and a corrupt record
-found on disk is quarantined and rescored, never trusted.
+:class:`~repro.pipeline.cache.InstanceCache` pack; records are
+content-keyed and appended under a lock, so the only cost of a cache
+race is a redundant rescoring, never a corrupt record — and a corrupt
+record found on disk is quarantined and rescored, never trusted.
 """
 
 from __future__ import annotations
@@ -130,9 +130,7 @@ def _chunk_table(
             precision=precision, records=records,
         )
         if cache is not None:
-            for spec, record in zip(specs, records):
-                if record.grown:
-                    cache.store(spec, dataset.max_nnz, record)
+            cache.store(specs, dataset.max_nnz, records)
         parts.append(part)
         if progress_put is not None:
             progress_put(sub_hi - sub_lo)
@@ -504,7 +502,6 @@ def run_sweep(
     precision: str = "fp64",
     run_dir: Optional[str] = None,
     resume: bool = False,
-    pack_shards: bool = False,
     faults: Optional[Union[str, FaultPlan]] = None,
     chunk_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -518,19 +515,16 @@ def run_sweep(
     scores every cell at fp64 (default) or fp32 — the experiment runner
     sweeps one precision slice at a time.
 
-    Resilience controls: ``run_dir`` journals completed chunks for
-    ``resume=True`` (``pack_shards`` stores them in a single
-    ``shards.rpak`` pack instead of one file per chunk; resume always
-    follows the layout journalled at create time, so the flag is
-    ignored when resuming); ``chunk_timeout`` is the per-chunk deadline
+    Resilience controls: ``run_dir`` journals completed chunks, their
+    shards in one ``shards.rpak`` pack, for ``resume=True``;
+    ``chunk_timeout`` is the per-chunk deadline
     in seconds for crew workers (``None`` → no deadline);
     ``max_retries`` caps re-dispatches per chunk before the in-process
     fallback; ``faults`` arms a deterministic :class:`FaultPlan` (spec
     string or instance; default: the ``REPRO_FAULTS`` environment
     variable) — crew workers fire every kind, the in-process path only
     ``stop``; ``report`` is a :class:`RunReport` filled in place.  A
-    ``pack_shards`` without ``run_dir``, a non-positive
-    ``chunk_timeout`` or a negative ``max_retries`` raises
+    non-positive ``chunk_timeout`` or a negative ``max_retries`` raises
     :class:`ValueError` before any work starts.
 
     ``progress`` fires monotonically as specs complete — per completed
@@ -544,7 +538,7 @@ def run_sweep(
             table = _run_sweep_inner(
                 dataset, devices, best_only, formats, seed, jobs,
                 cache_dir, cache, progress, precision,
-                run_dir, resume, pack_shards, faults, chunk_timeout,
+                run_dir, resume, faults, chunk_timeout,
                 max_retries, rep, journal_holder,
             )
         rep.status = "complete"
@@ -565,15 +559,11 @@ def run_sweep(
 
 def _run_sweep_inner(
     dataset, devices, best_only, formats, seed, jobs, cache_dir, cache,
-    progress, precision, run_dir, resume, pack_shards, faults,
+    progress, precision, run_dir, resume, faults,
     chunk_timeout, max_retries, rep, journal_holder,
 ) -> SweepTable:
     if resume and run_dir is None:
         raise ValueError("resume=True requires run_dir")
-    if pack_shards and run_dir is None:
-        raise ValueError(
-            "pack_shards (--pack-shards) requires run_dir (--run-dir)"
-        )
     if chunk_timeout is not None and not chunk_timeout > 0:
         raise ValueError(
             "chunk_timeout (--chunk-timeout) must be a positive number "
@@ -600,10 +590,6 @@ def _run_sweep_inner(
         "n_specs": n, "max_retries": max_retries,
         "chunk_timeout": chunk_timeout,
         "journalled": run_dir is not None, "resumed": bool(resume),
-        "shards": (
-            None if run_dir is None
-            else "pack" if pack_shards and not resume else "dir"
-        ),
     }
 
     # -- chunk bounds: journalled on resume, fresh otherwise -------------
@@ -617,15 +603,11 @@ def _run_sweep_inner(
             journal = RunJournal.load(run_dir)
             journal.check_config(config)
             bounds = journal.bounds
-            rep.engine["shards"] = journal.shard_store
             with rep.phase("resume_load"):
                 completed = journal.completed_chunks()
             rep.chunks_resumed = len(completed)
         else:
-            journal = RunJournal.create(
-                run_dir, config, bounds,
-                shard_store="pack" if pack_shards else "dir",
-            )
+            journal = RunJournal.create(run_dir, config, bounds)
         journal_holder[0] = journal
     rep.chunks_total = len(bounds)
     states = [

@@ -21,10 +21,11 @@ Fault kinds
     NFS mount or livelocked dependency; only a per-chunk timeout
     recovers it.
 ``corrupt``
-    The worker damages one existing cache record (truncation or a
-    flipped byte, chosen deterministically from the plan seed) before
-    running the chunk — models torn writes and disk rot; the cache's
-    quarantine path must absorb it.
+    The worker damages one scoring record inside the cache pack (a
+    zeroed tail or a flipped byte in its stored blob, chosen
+    deterministically from the plan seed) before running the chunk —
+    models torn writes and disk rot; the cache's quarantine path must
+    absorb it.
 ``stop``
     Fires in the *parent* the moment the chunk's result is journalled —
     models a mid-run ``kill``/Ctrl-C for resume tests without spawning
@@ -51,6 +52,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from ..io.pack import Pack, PackError
+from .cache import PACK_NAME
 from .report import SweepError
 
 __all__ = ["Fault", "FaultPlan", "InjectedFaultError", "FAULT_KINDS"]
@@ -216,41 +219,49 @@ class FaultPlan:
     def _corrupt_cache_entry(self, cache_dir: Optional[str],
                              chunk_id: int,
                              keys: Optional[Sequence[str]]) -> None:
-        """Truncate or bit-flip one existing ``<key>.json`` scoring
-        record, chosen deterministically from ``(seed, chunk_id)``."""
+        """Zero the tail of, or flip one byte in, one scoring record's
+        stored blob inside ``cache.rpak``, chosen deterministically from
+        ``(seed, chunk_id)`` among the chunk's own ``keys`` when the
+        pack holds any of them."""
         if not cache_dir:
             return
-        root = Path(cache_dir)
-        if not root.is_dir():
+        path = Path(cache_dir) / PACK_NAME
+        try:
+            with Pack.open(path) as pack:
+                names = sorted(pack.keys())
+                wanted = {f"{key}.json" for key in keys or ()}
+                names = [n for n in names if n in wanted] or names
+                if not names:
+                    return
+                rng = random.Random(f"{self.seed}:{chunk_id}")
+                entry = pack.entry(names[rng.randrange(len(names))])
+        except PackError:
             return
-        files = sorted(
-            p for p in root.iterdir()
-            if p.is_file() and p.suffix == ".json"
-        )
-        if keys:
-            targeted = [p for p in files if p.stem in set(keys)]
-            files = targeted or files
-        if not files:
-            return
-        rng = random.Random(f"{self.seed}:{chunk_id}")
-        target = files[rng.randrange(len(files))]
-        corrupt_file(target, mode=rng.choice(("truncate", "flip")),
-                     rng=rng)
+        corrupt_file(path, mode=rng.choice(("truncate", "flip")), rng=rng,
+                     region=(entry.offset, entry.csize))
 
 
 def corrupt_file(path, mode: str = "truncate",
-                 rng: Optional[random.Random] = None) -> str:
+                 rng: Optional[random.Random] = None,
+                 region: Optional[Tuple[int, int]] = None) -> str:
     """Damage ``path`` in place: ``truncate`` cuts it roughly in half,
-    ``flip`` XOR-flips one byte.  Returns the mode applied (a too-short
-    file falls back to truncation to zero bytes)."""
-    path = Path(path)
-    data = path.read_bytes()
-    if mode == "truncate" or len(data) < 2:
-        path.write_bytes(data[: len(data) // 2])
-        return "truncate"
-    rng = rng or random.Random(0)
-    pos = rng.randrange(len(data))
-    damaged = bytearray(data)
-    damaged[pos] ^= 0xFF
-    path.write_bytes(bytes(damaged))
-    return "flip"
+    ``flip`` XOR-flips one byte.  ``region=(offset, size)`` confines the
+    damage to those bytes, and ``truncate`` then zeroes the region's
+    back half — what a torn write leaves inside a larger file.  Returns
+    the mode applied (a target under 2 bytes falls back to
+    truncation)."""
+    with open(path, "r+b") as fh:
+        lo, size = region or (0, os.fstat(fh.fileno()).st_size)
+        fh.seek(lo)
+        data = bytearray(fh.read(size))
+        if mode == "truncate" or size < 2:
+            mode = "truncate"
+            if region is None:
+                fh.truncate(size // 2)
+                return mode
+            data[size // 2:] = bytes(size - size // 2)
+        else:
+            data[(rng or random.Random(0)).randrange(size)] ^= 0xFF
+        fh.seek(lo)
+        fh.write(data)
+    return mode

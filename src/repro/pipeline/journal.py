@@ -1,4 +1,5 @@
-"""Crash-safe run journal + per-chunk table shards for resumable sweeps.
+"""Crash-safe run journal + packed per-chunk table shards for resumable
+sweeps.
 
 A journalled sweep (``run_sweep(..., run_dir=...)``) leaves a run
 directory that survives any kind of death — worker crash, parent
@@ -6,28 +7,22 @@ directory that survives any kind of death — worker crash, parent
 <run-dir>`` can pick up without redoing completed work::
 
     <run-dir>/
-      journal.jsonl          append-only event log (one JSON per line)
-      shards/chunk-000042.npz  atomic per-chunk SweepTable shards
-      shards.rpak            pack-backed shards (``shard_store="pack"``)
+      journal.jsonl   append-only event log (one JSON per line)
+      shards.rpak     every journalled chunk's SweepTable columns
 
-Records are appended with flush + fsync and shards are written
-temp-file-then-``os.replace``, so at every instant the directory is a
-consistent prefix of the run: a journalled chunk record implies its
-shard is fully on disk.  A torn trailing line (the parent died
-mid-append) is tolerated and ignored on load.
+Each chunk's table becomes a ``chunk-NNNNNN/``-prefixed group of
+deflated column-blob entries in ``shards.rpak`` (:mod:`repro.io.pack`),
+committed with the pack's locked two-phase append before the chunk
+record is appended to the journal with flush + fsync.  So at every
+instant the directory is a consistent prefix of the run: a journalled
+chunk record implies its shard is fully on disk.  A torn trailing line
+(the parent died mid-append) is tolerated and ignored on load, and a
+retried chunk re-appends idempotently.
 
-Shards live in one of two stores, pinned by the ``begin`` record (so
-resume always reads the layout the run was started with; journals
-written before the field existed default to the directory layout):
-
-* ``"dir"`` (default) — one ``shards/chunk-NNNNNN.npz`` file per chunk.
-* ``"pack"`` — all chunks appended into a single ``shards.rpak``
-  (:mod:`repro.io.pack`): each chunk's :class:`SweepTable` becomes a
-  ``chunk-NNNNNN/``-prefixed group of column-blob entries, committed
-  with the pack's two-phase append before the chunk record is
-  journalled.  Appends happen only in the parent process (the same
-  place the journal itself is written), satisfying the pack's
-  single-writer contract; retried chunks re-append idempotently.
+Run dirs journalled with one ``shards/chunk-NNNNNN.npz`` file per chunk,
+or with a version-1 pack, resume by re-executing those chunks: the
+``shards`` field of their begin record is ignored, and the first append
+moves a pack that does not open into ``quarantine/``.
 
 The ``begin`` record pins the sweep *configuration fingerprint* —
 a digest of every spec's fields under
@@ -44,21 +39,17 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.table import SchemaVersionError, SweepTable
 from ..io.pack import Pack, PackError, append_entries
-from .cache import OUTPUT_VERSION, spec_key
+from .cache import OUTPUT_VERSION, quarantine, spec_key
 from .report import ResumeError
 
-__all__ = ["RunJournal", "sweep_config", "JOURNAL_VERSION", "SHARD_STORES"]
+__all__ = ["RunJournal", "sweep_config", "JOURNAL_VERSION"]
 
 JOURNAL_VERSION = 1
-
-# Recognised shard layouts (see module docstring).
-SHARD_STORES = ("dir", "pack")
 
 
 def sweep_config(dataset, devices, best_only, formats, seed,
@@ -91,55 +82,36 @@ def sweep_config(dataset, devices, best_only, formats, seed,
 
 
 class RunJournal:
-    """Append-only journal + shard store for one sweep run."""
+    """Append-only journal + shard pack for one sweep run."""
 
-    def __init__(self, run_dir, shard_store: str = "dir"):
-        if shard_store not in SHARD_STORES:
-            raise ValueError(
-                f"unknown shard store {shard_store!r}; "
-                f"choose one of {SHARD_STORES}"
-            )
+    def __init__(self, run_dir):
         self.run_dir = Path(run_dir)
         self.path = self.run_dir / "journal.jsonl"
-        self.shards_dir = self.run_dir / "shards"
-        self.shard_store = shard_store
+        self.pack_path = self.run_dir / "shards.rpak"
         self.config: dict = {}
         self.bounds: List[Tuple[int, int]] = []
-        # chunk id -> shard file name / pack prefix (last record wins)
-        self._chunks: Dict[int, str] = {}
+        self._chunks: Set[int] = set()
         self.ended: Optional[str] = None
-
-    @property
-    def pack_path(self) -> Path:
-        return self.run_dir / "shards.rpak"
 
     # -- lifecycle -------------------------------------------------------
     @classmethod
     def create(cls, run_dir, config: dict,
-               bounds: Sequence[Tuple[int, int]],
-               shard_store: str = "dir") -> "RunJournal":
+               bounds: Sequence[Tuple[int, int]]) -> "RunJournal":
         """Start a fresh journal; refuses a directory that already holds
         one (resume it or pick a new directory — never silently clobber
         hours of completed shards)."""
-        journal = cls(run_dir, shard_store=shard_store)
+        journal = cls(run_dir)
         if journal.path.exists():
             raise ResumeError(
                 f"{journal.path} already exists; resume it with "
                 f"--resume {journal.run_dir} or choose a fresh --run-dir"
             )
         journal.run_dir.mkdir(parents=True, exist_ok=True)
-        if shard_store == "dir":
-            journal.shards_dir.mkdir(exist_ok=True)
         journal.config = dict(config)
         journal.bounds = [(int(lo), int(hi)) for lo, hi in bounds]
-        # ``shards`` is a top-level begin field, NOT a config key:
-        # check_config compares every config key both ways, and the shard
-        # layout is storage, not sweep configuration — a pack-backed run
-        # must stay resumable against the same sweep flags.
         journal._append({
             "event": "begin",
             "version": JOURNAL_VERSION,
-            "shards": shard_store,
             "config": journal.config,
             "bounds": [[lo, hi] for lo, hi in journal.bounds],
         })
@@ -177,20 +149,13 @@ class RunJournal:
                 f"{begin.get('version')}; this build reads version "
                 f"{JOURNAL_VERSION}"
             )
-        store = begin.get("shards", "dir")
-        if store not in SHARD_STORES:
-            raise ResumeError(
-                f"{journal.path} uses unknown shard store {store!r}; "
-                f"this build reads {SHARD_STORES}"
-            )
-        journal.shard_store = store
         journal.config = begin["config"]
         journal.bounds = [
             (int(lo), int(hi)) for lo, hi in begin["bounds"]
         ]
         for rec in records[1:]:
             if rec.get("event") == "chunk":
-                journal._chunks[int(rec["chunk"])] = rec["shard"]
+                journal._chunks.add(int(rec["chunk"]))
             elif rec.get("event") == "end":
                 journal.ended = rec.get("status")
         return journal
@@ -222,11 +187,10 @@ class RunJournal:
 
     def record_chunk(self, chunk_id: int, lo: int, hi: int,
                      attempt: int) -> None:
-        self._chunks[chunk_id] = self._shard_name(chunk_id)
+        self._chunks.add(chunk_id)
         self._append({
             "event": "chunk", "chunk": int(chunk_id),
             "lo": int(lo), "hi": int(hi), "attempt": int(attempt),
-            "shard": self._shard_name(chunk_id),
         })
 
     def record_end(self, status: str) -> None:
@@ -234,64 +198,37 @@ class RunJournal:
         self._append({"event": "end", "status": status})
 
     # -- shards ----------------------------------------------------------
-    def _shard_name(self, chunk_id: int) -> str:
-        if self.shard_store == "pack":
-            return self._pack_prefix(chunk_id)
-        return f"chunk-{chunk_id:06d}.npz"
-
     @staticmethod
-    def _pack_prefix(chunk_id: int) -> str:
+    def _prefix(chunk_id: int) -> str:
         return f"chunk-{chunk_id:06d}/"
 
-    def shard_path(self, chunk_id: int) -> Path:
-        return self.shards_dir / f"chunk-{chunk_id:06d}.npz"
-
     def write_shard(self, chunk_id: int, table: SweepTable) -> None:
-        """Atomic shard write.
+        """Append the chunk's deflated column blobs to ``shards.rpak``.
 
-        Directory store: temp file in the shards dir, then
-        ``os.replace`` — a reader (or a resume after a kill) only ever
-        sees absent or complete shards.  Pack store: the chunk's column
-        blobs go through the pack's two-phase append (blobs + new entry
-        table written past EOF and fsynced before the header commits),
-        so a kill mid-append leaves the previous pack state intact.
-        Either way the chunk record is journalled only after this
-        returns, preserving "record implies complete shard".
+        One locked two-phase append (blobs + segment written past EOF
+        and fsynced before the header commits), so a kill mid-append
+        leaves the previous pack state intact; the chunk record is
+        journalled only after this returns, preserving "record implies
+        complete shard".  A pack that does not open (damaged, or written
+        by an older layout) is quarantined and a fresh one started.
         """
-        if self.shard_store == "pack":
-            prefix = self._pack_prefix(chunk_id)
-            blobs = table.to_blobs(prefix=prefix)
-            append_entries(
-                self.pack_path,
-                [(key, "meta" if key.endswith("__meta__") else "col",
-                  blob)
-                 for key, blob in sorted(blobs.items())],
-            )
-            return
-        self.shards_dir.mkdir(parents=True, exist_ok=True)
-        path = self.shard_path(chunk_id)
-        fd, tmp = tempfile.mkstemp(
-            dir=self.shards_dir, prefix=f".{path.name}."
+        blobs = table.to_blobs(prefix=self._prefix(chunk_id))
+        append_entries(
+            self.pack_path,
+            [(key, "meta" if key.endswith("__meta__") else "col", blob)
+             for key, blob in sorted(blobs.items())],
+            compress=True,
+            on_damage=lambda path: quarantine(
+                path, self.run_dir / "quarantine"
+            ),
         )
-        os.close(fd)
-        try:
-            table.to_npz(tmp)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def load_shard(self, chunk_id: int) -> SweepTable:
-        if self.shard_store == "pack":
-            with Pack.open(self.pack_path) as pack:
-                return self._shard_from_pack(pack, chunk_id)
-        return SweepTable.from_npz(self.shard_path(chunk_id))
+        with Pack.open(self.pack_path) as pack:
+            return self._shard_from_pack(pack, chunk_id)
 
     def _shard_from_pack(self, pack: Pack, chunk_id: int) -> SweepTable:
-        prefix = self._pack_prefix(chunk_id)
+        prefix = self._prefix(chunk_id)
         blobs = {
             key: pack.read(key)
             for key in pack.keys() if key.startswith(prefix)
@@ -302,32 +239,25 @@ class RunJournal:
         """Journalled chunks whose shards load cleanly.
 
         A journal record normally implies a complete shard (records are
-        appended only after the atomic shard write), but resume stays
-        defensive: an unreadable or missing shard — or, for the pack
-        store, a chunk whose entries fail their checksums — just means
-        that chunk re-executes.  Re-doing work is always safe, trusting
-        a damaged shard never is.  An unreadable pack file means every
-        chunk re-executes (the journal itself is still intact).
+        appended only after the shard's append commits), but resume
+        stays defensive: a chunk whose entries are missing or fail their
+        checksums just re-executes.  Re-doing work is always safe,
+        trusting a damaged shard never is.  A pack that does not open
+        means every chunk re-executes (the journal itself is still
+        intact).
         """
         loaded: Dict[int, SweepTable] = {}
-        if self.shard_store == "pack":
-            try:
-                pack = Pack.open(self.pack_path)
-            except (PackError, OSError):
-                return loaded
-            with pack:
-                for chunk_id in sorted(self._chunks):
-                    try:
-                        loaded[chunk_id] = self._shard_from_pack(
-                            pack, chunk_id
-                        )
-                    except (PackError, SchemaVersionError, OSError,
-                            ValueError, KeyError):
-                        continue
+        try:
+            pack = Pack.open(self.pack_path)
+        except PackError:
             return loaded
-        for chunk_id in sorted(self._chunks):
-            try:
-                loaded[chunk_id] = self.load_shard(chunk_id)
-            except (OSError, ValueError):
-                continue
+        with pack:
+            for chunk_id in sorted(self._chunks):
+                try:
+                    loaded[chunk_id] = self._shard_from_pack(
+                        pack, chunk_id
+                    )
+                except (PackError, SchemaVersionError, OSError,
+                        ValueError, KeyError):
+                    continue
         return loaded

@@ -1,23 +1,35 @@
-"""Pack store: round trips, append atomicity, corruption taxonomy.
+"""Pack store: round trips, linked-segment appends, writer locking,
+corruption taxonomy.
 
-Every corruption mode — truncation, bad magic, entry-table checksum
+Every corruption mode — truncation, bad magic, segment checksum
 mismatch, schema-version drift, per-blob checksum failure — must raise
 an actionable :class:`PackError`/:class:`PackVersionError`, never
 return bad bytes, and never destroy the file (quarantining is the cache
 layer's job, covered in tests/pipeline/test_pack_cache.py).
 """
 
+import fcntl
 import hashlib
+import multiprocessing
+import os
+import shutil
 import struct
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.table import SweepTable, decode_column, encode_column
 from repro.io.pack import (
-    HEADER_SIZE, PACK_MAGIC, PACK_VERSION, Pack, PackError,
+    ENTRY_SIZE, HEADER_SIZE, LINK_SIZE, PACK_VERSION, Pack, PackError,
     PackVersionError, PackWriter, append_entries, compact,
 )
+
+# A shards.rpak journalled by a build that wrote layout version 1.
+V1_PACK = (Path(__file__).parents[1] / "pipeline" / "fixtures"
+           / "parent_run_v3_pack" / "shards.rpak")
 
 
 def make_pack(path, items=(("a", "kind", b"alpha"),
@@ -181,6 +193,189 @@ class TestAppend:
             assert len(pack.records()) == 2
 
 
+class TestSegments:
+    def test_appends_leave_no_dead_tables(self, tmp_path):
+        """K appends cost the header, their blobs, one 136-byte record
+        per entry and one 48-byte link per append — nothing else."""
+        path = tmp_path / "p.rpak"
+        blob_bytes = records = 0
+        for k in range(6):
+            items = [(f"k{k}-{i}", "col", bytes([k]) * (10 * k + i + 1))
+                     for i in range(k + 1)]
+            assert append_entries(path, items) == len(items)
+            blob_bytes += sum(len(data) for _, _, data in items)
+            records += len(items)
+            assert path.stat().st_size == (
+                HEADER_SIZE + blob_bytes + ENTRY_SIZE * records
+                + LINK_SIZE * (k + 1))
+        with Pack.open(path) as pack:
+            assert len(pack) == records == len(pack.records())
+            assert bytes(pack.read("k5-5")) == bytes([5]) * 56
+
+    def test_sealed_pack_is_one_segment(self, tmp_path):
+        path = make_pack(tmp_path / "p.rpak")
+        assert path.stat().st_size == (
+            HEADER_SIZE + len(b"alpha") + len(b"bravo")
+            + 2 * ENTRY_SIZE + LINK_SIZE)
+
+    def test_damaged_older_segment_fails_open(self, tmp_path):
+        path = make_pack(tmp_path / "p.rpak")
+        first_segment = HEADER_SIZE + len(b"alpha") + len(b"bravo")
+        append_entries(path, [("c", "kind", b"charlie")])
+        data = bytearray(path.read_bytes())
+        data[first_segment] ^= 0xFF  # key byte of record "a"
+        path.write_bytes(bytes(data))
+        with pytest.raises(PackError, match="checksum"):
+            Pack.open(path)
+
+    def test_version_1_pack_is_refused(self, tmp_path):
+        path = tmp_path / "shards.rpak"
+        shutil.copy(V1_PACK, path)
+        with pytest.raises(PackVersionError, match="version 1"):
+            Pack.open(path)
+        with pytest.raises(PackVersionError):
+            append_entries(path, [("a", "k", b"alpha")])
+        assert path.read_bytes() == V1_PACK.read_bytes()
+
+    def test_on_damage_moves_the_pack_and_starts_fresh(self, tmp_path):
+        path = tmp_path / "shards.rpak"
+        shutil.copy(V1_PACK, path)
+        # A callback that cannot move the pack gets the error back.
+        with pytest.raises(PackVersionError):
+            append_entries(path, [("a", "k", b"alpha")],
+                           on_damage=lambda p: None)
+        assert path.read_bytes() == V1_PACK.read_bytes()
+        moved = tmp_path / "moved.rpak"
+        assert append_entries(path, [("a", "k", b"alpha")],
+                              on_damage=lambda p: os.replace(p, moved)) == 1
+        assert moved.read_bytes() == V1_PACK.read_bytes()
+        with Pack.open(path) as pack:
+            assert pack.keys() == ["a"]
+
+
+class TestLocking:
+    def test_append_waits_for_the_lock_and_follows_a_move(self, tmp_path):
+        """An append blocked on the writer lock re-opens the path once
+        the lock holder has moved the pack away, so its entries land in
+        a fresh pack instead of the moved one."""
+        path = make_pack(tmp_path / "p.rpak")
+        before = path.read_bytes()
+        holder = open(path, "rb")
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        done = []
+        writer = threading.Thread(target=lambda: done.append(
+            append_entries(path, [("c", "kind", b"charlie")])))
+        writer.start()
+        time.sleep(0.2)
+        assert not done  # blocked behind the lock
+        os.replace(path, tmp_path / "moved.rpak")
+        fcntl.flock(holder, fcntl.LOCK_UN)
+        holder.close()
+        writer.join(10)
+        assert done == [1]
+        assert (tmp_path / "moved.rpak").read_bytes() == before
+        with Pack.open(path) as pack:
+            assert pack.keys() == ["c"]
+
+    def test_open_waits_for_a_writer(self, tmp_path):
+        path = make_pack(tmp_path / "p.rpak")
+        holder = open(path, "rb")
+        fcntl.flock(holder, fcntl.LOCK_EX)
+        opened = []
+        reader = threading.Thread(
+            target=lambda: opened.append(Pack.open(path)))
+        reader.start()
+        time.sleep(0.2)
+        assert not opened
+        fcntl.flock(holder, fcntl.LOCK_UN)
+        holder.close()
+        reader.join(10)
+        with opened[0] as pack:
+            assert pack.keys() == ["a", "b"]
+
+
+N_WRITERS, N_APPENDS, BATCH = 4, 25, 3
+
+
+def _payload(writer, batch, item):
+    return f"writer {writer} batch {batch} item {item};".encode() * (1 + item)
+
+
+def _hammer_writer(path, writer, start):
+    start.wait(60)
+    for batch in range(N_APPENDS):
+        append_entries(path, [
+            (f"w{writer}-b{batch:02d}-{item}", "k",
+             _payload(writer, batch, item))
+            for item in range(BATCH)
+        ], compress=bool(batch % 2))
+
+
+def _hammer_reader(path, start, stop, out):
+    """Re-open the pack until told to stop; report problems and the
+    number of opens on ``out``."""
+    seen, opens, problems = set(), 0, []
+    start.wait(60)
+    try:
+        while not stop.is_set() or not opens:
+            if not os.path.exists(path):
+                continue
+            with Pack.open(path) as pack:
+                keys = set(pack.keys())
+                if seen - keys:
+                    problems.append(f"vanished: {sorted(seen - keys)[:3]}")
+                for key in keys - seen:
+                    writer, batch, item = key.split("-")
+                    if pack.read(key) != _payload(
+                            int(writer[1:]), int(batch[1:]), int(item)):
+                        problems.append(f"bad payload: {key}")
+                    prefix = f"{writer}-{batch}-"
+                    if sum(k.startswith(prefix) for k in keys) != BATCH:
+                        problems.append(f"torn batch: {prefix}")
+                seen = keys
+            opens += 1
+    except PackError as exc:
+        problems.append(f"PackError: {exc}")
+    out.put((opens, problems))
+
+
+def test_hammer_concurrent_writers_and_readers(tmp_path):
+    """Four writer processes make 25 appends each while two readers
+    re-open the pack in a loop: no reader hits a PackError or sees an
+    entry vanish or a batch torn, and the pack ends with all 100
+    batches and no dead bytes."""
+    ctx = multiprocessing.get_context("spawn")
+    path = str(tmp_path / "p.rpak")
+    # Everyone starts work together, after the slow spawn start-up.
+    start = ctx.Barrier(N_WRITERS + 2)
+    stop, out = ctx.Event(), ctx.Queue()
+    readers = [ctx.Process(target=_hammer_reader,
+                           args=(path, start, stop, out))
+               for _ in range(2)]
+    writers = [ctx.Process(target=_hammer_writer, args=(path, w, start))
+               for w in range(N_WRITERS)]
+    for proc in readers + writers:
+        proc.start()
+    for proc in writers:
+        proc.join(120)
+    stop.set()
+    results = [out.get(timeout=60) for _ in readers]
+    for proc in readers:
+        proc.join(30)
+    assert [proc.exitcode for proc in writers + readers] == [0] * 6
+    assert [problems for _, problems in results] == [[], []]
+    assert all(opens > 0 for opens, _ in results)
+    with Pack.open(path) as pack:
+        keys = pack.keys()
+        assert len(keys) == len(pack.records()) == (
+            N_WRITERS * N_APPENDS * BATCH)
+        stored = sum(pack.entry(key).csize for key in keys)
+    assert os.path.getsize(path) == (
+        HEADER_SIZE + stored + ENTRY_SIZE * len(keys)
+        + LINK_SIZE * N_WRITERS * N_APPENDS)
+    assert sorted(os.listdir(tmp_path)) == ["p.rpak"]  # no temp left
+
+
 class TestCorruption:
     def test_truncated_pack(self, tmp_path):
         path = make_pack(tmp_path / "p.rpak")
@@ -203,7 +398,7 @@ class TestCorruption:
     def test_entry_table_checksum_mismatch(self, tmp_path):
         path = make_pack(tmp_path / "p.rpak")
         data = bytearray(path.read_bytes())
-        data[-1] ^= 0xFF  # last byte lives in the entry table
+        data[-1] ^= 0xFF  # last byte lives in the newest segment
         path.write_bytes(bytes(data))
         with pytest.raises(PackError, match="checksum"):
             Pack.open(path)

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from repro.io.pack import Pack, PackError, PackWriter
 from repro.pipeline import Fault, FaultPlan, InjectedFaultError, corrupt_file
+from repro.pipeline.cache import PACK_NAME
 from repro.pipeline.faults import FAULT_KINDS, HANG_SECONDS
 
 
@@ -153,18 +155,33 @@ class TestCorruptFile:
         assert path.read_bytes() == b""
 
     def test_corrupt_fault_targets_the_given_keys(self, tmp_path):
-        # Only scoring records are targets; a leftover of an older
-        # cache layout under the same key is left alone.
-        for name in ("aaa.json", "bbb.json", "bbb.npz", "ccc.json"):
-            (tmp_path / name).write_bytes(bytes(range(64)))
+        # Only the targeted record's stored blob inside the cache pack
+        # is damaged; its neighbours, before and after it, are not.
+        payload = bytes(range(64))
+        pack_path = tmp_path / PACK_NAME
+        with PackWriter.create(pack_path) as writer:
+            for key in ("aaa", "bbb", "ccc"):
+                writer.add(f"{key}.json", "json", payload)
+        before = pack_path.read_bytes()
         plan = FaultPlan([Fault("corrupt", 0)], seed=1)
         plan.fire(0, 0, cache_dir=str(tmp_path), keys=["bbb"])
-        for name in ("aaa.json", "bbb.npz", "ccc.json"):
-            assert (tmp_path / name).read_bytes() == bytes(range(64))
-        assert (tmp_path / "bbb.json").read_bytes() != bytes(range(64))
+        after = pack_path.read_bytes()
+        assert len(after) == len(before)
+        with Pack.open(pack_path) as pack:
+            assert bytes(pack.read("aaa.json")) == payload
+            assert bytes(pack.read("ccc.json")) == payload
+            with pytest.raises(PackError, match="checksum"):
+                pack.read("bbb.json")
+            entry = pack.entry("bbb.json")
+        diffs = [i for i in range(len(after)) if after[i] != before[i]]
+        assert diffs and all(
+            entry.offset <= i < entry.offset + entry.csize for i in diffs)
 
     def test_corrupt_fault_tolerates_missing_targets(self, tmp_path):
         plan = FaultPlan([Fault("corrupt", 0)], seed=1)
         plan.fire(0, 0, cache_dir=None)                    # no cache
         plan.fire(0, 0, cache_dir=str(tmp_path / "nope"))  # no directory
-        plan.fire(0, 0, cache_dir=str(tmp_path))           # no files
+        plan.fire(0, 0, cache_dir=str(tmp_path))           # no pack
+        with PackWriter.create(tmp_path / PACK_NAME):
+            pass
+        plan.fire(0, 0, cache_dir=str(tmp_path))           # no records

@@ -1,4 +1,4 @@
-"""RunJournal: crash-safe JSONL log, atomic shards, config fingerprint."""
+"""RunJournal: crash-safe JSONL log, packed shards, config fingerprint."""
 
 import json
 
@@ -7,7 +7,9 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
-from repro.pipeline import ResumeError, RunJournal, run_sweep, sweep_config
+from repro.io.pack import Pack
+from repro.pipeline import (ResumeError, RunJournal, corrupt_file, run_sweep,
+                            sweep_config)
 from repro.pipeline import journal as journal_mod
 from repro.pipeline.journal import JOURNAL_VERSION
 
@@ -170,8 +172,8 @@ class TestShards:
                                                 chunk_table):
         journal = RunJournal.create(tmp_path / "run", config(), BOUNDS)
         journal.write_shard(0, chunk_table)
-        names = sorted(p.name for p in journal.shards_dir.iterdir())
-        assert names == ["chunk-000000.npz"]
+        names = sorted(p.name for p in journal.run_dir.iterdir())
+        assert names == ["journal.jsonl", "shards.rpak"]
 
     def test_rewrite_last_record_wins(self, tmp_path, chunk_table):
         journal = RunJournal.create(tmp_path / "run", config(), BOUNDS)
@@ -188,7 +190,12 @@ class TestShards:
         journal.record_chunk(0, 0, 2, attempt=0)
         journal.write_shard(1, chunk_table)
         journal.record_chunk(1, 2, 4, attempt=0)
-        journal.shard_path(1).write_bytes(b"not a zip archive")
+        with Pack.open(journal.pack_path) as pack:
+            entry = pack.entry(next(
+                key for key in pack.keys() if key.startswith("chunk-000001/")
+            ))
+        corrupt_file(journal.pack_path, mode="flip",
+                     region=(entry.offset, entry.csize))
         loaded = RunJournal.load(tmp_path / "run")
         # Chunk 1 silently drops out of the completed set: it will be
         # re-executed on resume, which is always safe.

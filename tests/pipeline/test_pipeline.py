@@ -13,8 +13,10 @@ from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
+from repro.io.pack import Pack, append_entries
 from repro.perfmodel.fused import FusedSpecSource
-from repro.pipeline import InstanceCache, run_sweep, resolve_jobs, spec_key
+from repro.pipeline import (InstanceCache, corrupt_file, run_sweep,
+                            resolve_jobs, spec_key)
 
 from tests.oracles.sweep import scalar_sweep
 from tests.pipeline.golden import assert_bit_identical
@@ -132,7 +134,7 @@ class TestCache:
         record = source.records[0]
         assert record.grown
         cache = InstanceCache(tmp_path)
-        assert cache.store(spec, MAX_NNZ, record)
+        assert cache.store([spec], MAX_NNZ, [record]) == 1
         assert not record.grown
 
         restored = InstanceCache(tmp_path).fetch(spec, MAX_NNZ)
@@ -151,10 +153,10 @@ class TestCache:
         source = FusedSpecSource([spec], ["x[0]"], max_nnz=MAX_NNZ)
         record = source.records[0]
         source.features(0)
-        assert cache.store(spec, MAX_NNZ, record) is True
-        assert cache.store(spec, MAX_NNZ, record) is False  # nothing grew
+        assert cache.store([spec], MAX_NNZ, [record]) == 1
+        assert cache.store([spec], MAX_NNZ, [record]) == 0  # nothing grew
         source.format_stats_columns("COO")  # new derived state -> grown
-        assert cache.store(spec, MAX_NNZ, record) is True
+        assert cache.store([spec], MAX_NNZ, [record]) == 1
 
     def test_records_are_name_free(self, tmp_path):
         """Names label rows and seed the measurement noise, but records
@@ -167,16 +169,19 @@ class TestCache:
         cache = InstanceCache(tmp_path)
         warm_b = run_sweep(Dataset(specs, max_nnz=MAX_NNZ, name="b"),
                            DEVICES, cache=cache)
-        assert cache.hits_disk == len(specs) and cache.misses == 0
+        assert cache.hits_pack == len(specs) and cache.misses == 0
         assert_bit_identical(warm_b, cold_b)
         assert warm_b.categories("matrix") == [f"b[{i}]" for i in range(3)]
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         spec = TINY[3]
         cache = InstanceCache(tmp_path)
-        cache.store(spec, MAX_NNZ, _scored_source(spec).records[0])
-        for p in tmp_path.glob("*.json"):
-            p.write_text("{ not json")
+        cache.store([spec], MAX_NNZ, _scored_source(spec).records)
+        # A record that does not parse: the pack's checksums hold, the
+        # record's own check fails.
+        append_entries(cache.pack_path,
+                       [(f"{spec_key(spec, MAX_NNZ)}.json", "json",
+                         b"{ not json")], compress=True)
         fresh = InstanceCache(tmp_path)
         assert fresh.fetch(spec, MAX_NNZ) is None
 
@@ -184,20 +189,23 @@ class TestCache:
         spec = TINY[3]
         cache = InstanceCache(tmp_path)
         record = _scored_source(spec).records[0]
-        cache.store(spec, MAX_NNZ, record)
-        path = next(tmp_path.glob("*.json"))
-        path.write_bytes(b"garbage, not a record")
+        cache.store([spec], MAX_NNZ, [record])
+        with Pack.open(cache.pack_path) as pack:
+            entry = pack.entry(pack.keys()[0])
+        corrupt_file(cache.pack_path, mode="truncate",
+                     region=(entry.offset, entry.csize))
         fresh = InstanceCache(tmp_path)
         assert fresh.fetch(spec, MAX_NNZ) is None
         assert fresh.quarantined == 1
-        assert not path.exists()  # cleared so the next store rewrites it
-        assert fresh.store(spec, MAX_NNZ, record) is True
+        assert len(fresh) == 0  # never re-read by this handle
+        record.grown = True     # rescored
+        assert fresh.store([spec], MAX_NNZ, [record]) == 1
         assert InstanceCache(tmp_path).fetch(spec, MAX_NNZ) == record
 
     def test_memo_change_rewrites_record(self, tmp_path):
         spec = TINY[3]
         cache = InstanceCache(tmp_path)
-        cache.store(spec, MAX_NNZ, _scored_source(spec).records[0])
+        cache.store([spec], MAX_NNZ, _scored_source(spec).records)
         warm = InstanceCache(tmp_path)
         got = warm.fetch(spec, MAX_NNZ)
         assert 32 not in got.simd
@@ -205,10 +213,10 @@ class TestCache:
                                  records=[got])
         source.simd_utilisation(0, 8)  # memo hit: nothing grows
         assert not got.grown
-        assert warm.store(spec, MAX_NNZ, got) is False
+        assert warm.store([spec], MAX_NNZ, [got]) == 0
         source.simd_utilisation(0, 32)  # derived memo only
         assert got.grown
-        assert warm.store(spec, MAX_NNZ, got) is True
+        assert warm.store([spec], MAX_NNZ, [got]) == 1
         assert 32 in InstanceCache(tmp_path).fetch(spec, MAX_NNZ).simd
 
 

@@ -1,9 +1,10 @@
 """Cache corruption → quarantine: never silent deletion, never bad data.
 
-A corrupt ``<key>.json`` scoring record anywhere in the corpus must (a)
-leave the sweep bit-identical to a clean run — the record is treated as
-a miss, rescored from its spec and rewritten — and (b) move the damaged
-file into ``quarantine/`` so the evidence survives for inspection.
+A corrupt ``<key>.json`` scoring record anywhere in the cache pack must
+(a) leave the sweep bit-identical to a clean run — the record is treated
+as a miss, rescored from its spec and appended again — and (b) have its
+stored bytes copied into ``quarantine/`` so the evidence survives for
+inspection.
 """
 
 import shutil
@@ -13,9 +14,10 @@ import pytest
 from repro.core.dataset import Dataset
 from repro.core.feature_space import build_dataset_specs
 from repro.devices import TESTBEDS
+from repro.io.pack import Pack
 from repro.perfmodel.fused import FusedSpecSource
 from repro.pipeline import InstanceCache, RunReport, corrupt_file, run_sweep
-from repro.pipeline.cache import decode_record
+from repro.pipeline.cache import PACK_NAME
 
 from tests.pipeline.golden import assert_bit_identical
 
@@ -35,6 +37,17 @@ def golden_and_warm_cache(tmp_path_factory):
     return table, warm
 
 
+def corrupt_entry(cache_dir, mode, pick=lambda names: names[0]):
+    """Damage one record's stored blob inside the cache pack in place;
+    returns the entry's name."""
+    pack_path = cache_dir / PACK_NAME
+    with Pack.open(pack_path) as pack:
+        name = pick(sorted(pack.keys()))
+        entry = pack.entry(name)
+    corrupt_file(pack_path, mode=mode, region=(entry.offset, entry.csize))
+    return name
+
+
 class TestQuarantine:
     @pytest.mark.parametrize("suffix", [".json"])
     @pytest.mark.parametrize("mode", ["truncate", "flip"])
@@ -43,9 +56,9 @@ class TestQuarantine:
         golden, warm = golden_and_warm_cache
         cache_dir = tmp_path / "cache"
         shutil.copytree(warm, cache_dir)
-        victims = sorted(cache_dir.glob(f"*{suffix}"))
-        victim = victims[len(victims) // 2]
-        corrupt_file(victim, mode=mode)
+        victim = corrupt_entry(cache_dir, mode,
+                               pick=lambda names: names[len(names) // 2])
+        assert victim.endswith(suffix)
 
         cache = InstanceCache(cache_dir)
         rep = RunReport()
@@ -54,30 +67,32 @@ class TestQuarantine:
         assert cache.quarantined == 1
         assert rep.cache_quarantined == 1
         moved = sorted(p.name for p in cache.quarantine_dir.iterdir())
-        assert moved == [victim.name]
-        # The record was rescored from its spec and rewritten: it parses
-        # again, the full corpus is back on disk, and the quarantine
-        # subdirectory does not inflate the census.
-        decode_record(victim.stem, victim.read_bytes())
-        assert len(InstanceCache(cache_dir)) == len(SPECS)
+        assert moved == [victim]
+        # The record was rescored from its spec and appended again: a
+        # fresh handle serves the full corpus from the pack.
+        fresh = InstanceCache(cache_dir)
+        assert_bit_identical(run_sweep(dataset(), DEVICES, cache=fresh),
+                             golden)
+        assert fresh.hits_pack == len(SPECS) and fresh.quarantined == 0
+        assert len(fresh) == len(SPECS)
 
     def test_collisions_get_suffixes_not_overwritten(self, tmp_path):
         spec = SPECS[0]
-        source = FusedSpecSource([spec], ["x[0]"], max_nnz=MAX_NNZ)
-        source.scalar_arrays()
         for _ in range(2):
+            source = FusedSpecSource([spec], ["x[0]"], max_nnz=MAX_NNZ)
+            source.scalar_arrays()
             store = InstanceCache(tmp_path)
-            store.store(spec, MAX_NNZ, source.records[0])
-            next(tmp_path.glob("*.json")).write_text("{ torn")
+            assert store.store([spec], MAX_NNZ, source.records) == 1
+            corrupt_entry(tmp_path, "flip")
             fresh = InstanceCache(tmp_path)
             assert fresh.fetch(spec, MAX_NNZ) is None
             assert fresh.quarantined == 1
+            assert len(fresh) == 0
         names = sorted(p.name for p in (tmp_path / "quarantine").iterdir())
-        # The record moved twice; the second one picked up a ``.1``
-        # suffix instead of clobbering the first round's evidence.
+        # The record was copied out twice; the second copy picked up a
+        # ``.1`` suffix instead of clobbering the first round's evidence.
         assert len(names) == 2
         assert sum(n.endswith(".1") for n in names) == 1
-        assert len(InstanceCache(tmp_path)) == 0
 
     def test_worker_side_corrupt_fault(self, golden_and_warm_cache,
                                        tmp_path):

@@ -19,8 +19,9 @@ from repro.core.dataset import Dataset, fused_spec_table
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
+from repro.io.pack import Pack, append_entries
 from repro.pipeline import InstanceCache, run_sweep, spec_key
-from repro.pipeline.cache import decode_record, encode_record
+from repro.pipeline.cache import PACK_NAME, decode_record, encode_record
 
 from tests.oracles.sweep import instance_spec_table, instance_sweep
 from tests.pipeline.golden import assert_bit_identical
@@ -74,13 +75,21 @@ def calls(monkeypatch):
     return seen
 
 
-def _edit_record(cache_dir, spec, edit):
+def _read_record(cache_dir, spec):
     key = spec_key(spec, MAX_NNZ)
-    path = cache_dir / f"{key}.json"
-    record = decode_record(key, path.read_bytes())
+    with Pack.open(cache_dir / PACK_NAME) as pack:
+        return decode_record(key, pack.read(f"{key}.json"))
+
+
+def _edit_record(cache_dir, spec, edit):
+    """Append an edited copy of ``spec``'s record, shadowing the old
+    one."""
+    key = spec_key(spec, MAX_NNZ)
+    record = _read_record(cache_dir, spec)
     edit(record)
-    path.write_bytes(encode_record(key, record))
-    return path
+    append_entries(cache_dir / PACK_NAME, [
+        (f"{key}.json", "json", encode_record(key, record))
+    ], compress=True)
 
 
 def _warm_sweep(golden_and_warm_cache, tmp_path):
@@ -97,21 +106,19 @@ def test_complete_records_generate_nothing(golden_and_warm_cache,
     table = run_sweep(dataset(), DEVICES, best_only=False, cache=cache)
     assert_bit_identical(table, golden)
     assert calls == {"structure": [], "profile": 0}
-    assert cache.hits_disk == len(SPECS) and cache.misses == 0
+    assert cache.hits_pack == len(SPECS) and cache.misses == 0
 
 
 def test_missing_format_regenerates_only_that_structure(
         golden_and_warm_cache, tmp_path, calls):
     golden, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
     spec = SPECS[VICTIM]
-    path = _edit_record(cache_dir, spec,
-                        lambda rec: rec.formats.pop("Naive-CSR"))
+    _edit_record(cache_dir, spec, lambda rec: rec.formats.pop("Naive-CSR"))
     table = run_sweep(dataset(), DEVICES, best_only=False,
                       cache_dir=str(cache_dir))
     assert_bit_identical(table, golden)
     assert calls == {"structure": [[spec]], "profile": 0}
-    key = spec_key(spec, MAX_NNZ)
-    assert "Naive-CSR" in decode_record(key, path.read_bytes()).formats
+    assert "Naive-CSR" in _read_record(cache_dir, spec).formats
 
 
 @pytest.mark.parametrize("fmt", ["Naive-CSR", "VSL"])
@@ -150,12 +157,12 @@ def test_missing_memo_regenerates_only_that_profile(
         dropped.append(sorted(memos)[0])
         del memos[dropped[0]]
 
-    path = _edit_record(cache_dir, spec, drop_one)
+    _edit_record(cache_dir, spec, drop_one)
     table = run_sweep(dataset(), DEVICES, best_only=False,
                       cache_dir=str(cache_dir))
     assert_bit_identical(table, golden)
     assert calls == {"structure": [], "profile": 1}
-    restored = decode_record(spec_key(spec, MAX_NNZ), path.read_bytes())
+    restored = _read_record(cache_dir, spec)
     assert dropped[0] in getattr(restored, memo)
 
 
@@ -192,17 +199,20 @@ def test_damaged_record_is_rescored_and_rewritten(golden_and_warm_cache,
 
     golden, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
     spec = SPECS[VICTIM]
-    path = cache_dir / f"{spec_key(spec, MAX_NNZ)}.json"
-    corrupt_file(path, mode=mode)
+    name = f"{spec_key(spec, MAX_NNZ)}.json"
+    pack_path = cache_dir / PACK_NAME
+    with Pack.open(pack_path) as pack:
+        entry = pack.entry(name)
+    corrupt_file(pack_path, mode=mode, region=(entry.offset, entry.csize))
     cache = InstanceCache(cache_dir)
     table = run_sweep(dataset(), DEVICES, best_only=False, cache=cache)
     assert_bit_identical(table, golden)
     assert cache.quarantined == 1
-    assert [p.name for p in cache.quarantine_dir.iterdir()] == [path.name]
+    assert [p.name for p in cache.quarantine_dir.iterdir()] == [name]
     # Only the damaged spec was rescored from scratch, and its record
     # is whole again.
     assert calls["structure"] == [[spec]]
-    decode_record(spec_key(spec, MAX_NNZ), path.read_bytes())
+    _read_record(cache_dir, spec)
 
 
 def test_record_crc_catches_a_silent_digit_change(golden_and_warm_cache,
@@ -211,12 +221,15 @@ def test_record_crc_catches_a_silent_digit_change(golden_and_warm_cache,
     caught by the record's checksum."""
     _, cache_dir = _warm_sweep(golden_and_warm_cache, tmp_path)
     spec = SPECS[VICTIM]
-    path = cache_dir / f"{spec_key(spec, MAX_NNZ)}.json"
-    data = path.read_bytes()
+    name = f"{spec_key(spec, MAX_NNZ)}.json"
+    pack_path = cache_dir / PACK_NAME
+    with Pack.open(pack_path) as pack:
+        data = pack.read(name)
     pos = data.index(b'"rows":') + len(b'"rows":')
     digit = data[pos:pos + 1]
-    path.write_bytes(data[:pos] + (b"9" if digit != b"9" else b"8")
-                     + data[pos + 1:])
+    # Appended whole, so the pack's own checksums hold.
+    append_entries(pack_path, [(name, "json", data[:pos] + (
+        b"9" if digit != b"9" else b"8") + data[pos + 1:])], compress=True)
     cache = InstanceCache(cache_dir)
     assert cache.fetch(spec, MAX_NNZ) is None
     assert cache.quarantined == 1

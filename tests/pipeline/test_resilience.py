@@ -30,8 +30,8 @@ from repro.pipeline import (
 from tests.oracles.dispatch import pool_sweep
 from tests.pipeline.golden import assert_bit_identical
 
-# Run dirs journalled under output version 2, each stopped after
-# chunk 0 (see the README there).
+# Run dirs journalled by older builds and stopped part way (see the
+# README there).
 FIXTURES = Path(__file__).parent / "fixtures"
 
 DEVICES = [TESTBEDS["Tesla-A100"]]
@@ -46,6 +46,12 @@ def dataset():
 @pytest.fixture(scope="module")
 def golden():
     return run_sweep(dataset(), DEVICES)
+
+
+def _tree(root):
+    """Every file under ``root`` with its bytes."""
+    return {p.relative_to(root): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
 
 
 class TestFaultScenarios:
@@ -203,9 +209,40 @@ class TestResume:
             run_sweep(fixture_ds, [TESTBEDS["INTEL-XEON"]],
                       best_only=False, run_dir=run_dir, resume=True)
         # Refused before any work: the run dir is left as it was.
+        assert _tree(run_dir) == _tree(FIXTURES / fixture)
+
+    @pytest.mark.parametrize("fixture", ["parent_run_v3_dir",
+                                         "parent_run_v3_pack"])
+    def test_resume_run_dir_of_an_older_shard_layout(self, tmp_path,
+                                                     fixture):
+        """Run dirs journalled under output version 3 with one npz file
+        per chunk, or with a version-1 ``shards.rpak``, both stopped
+        after chunk 1, resume by re-executing every chunk into a fresh
+        pack; the table is byte-identical to an uninterrupted sweep."""
+        run_dir = tmp_path / fixture
+        shutil.copytree(FIXTURES / fixture, run_dir)
         journal = RunJournal.load(run_dir)
         assert journal.ended == "interrupted"
-        assert list(journal.completed_chunks()) == [0]
+        assert sorted(journal._chunks) == [0, 1]
+        assert journal.completed_chunks() == {}
+        fixture_ds = Dataset(build_dataset_specs("tiny")[::30],
+                             max_nnz=5_000, name="fixture")
+        devices = [TESTBEDS["INTEL-XEON"]]
+        rep = RunReport()
+        resumed = run_sweep(fixture_ds, devices, best_only=False,
+                            run_dir=run_dir, resume=True, report=rep)
+        assert rep.chunks_resumed == 0
+        assert rep.chunks_completed == rep.chunks_total == 4
+        resumed.to_npz(tmp_path / "resumed.npz")
+        run_sweep(fixture_ds, devices, best_only=False).to_npz(
+            tmp_path / "clean.npz")
+        assert ((tmp_path / "resumed.npz").read_bytes()
+                == (tmp_path / "clean.npz").read_bytes())
+        assert sorted(RunJournal.load(run_dir).completed_chunks()) == [
+            0, 1, 2, 3]
+        # The version-1 pack was moved aside, not deleted.
+        old_pack = run_dir / "quarantine" / "shards.rpak"
+        assert old_pack.exists() == (fixture == "parent_run_v3_pack")
 
     def test_resume_needs_run_dir(self):
         with pytest.raises(ValueError):
@@ -236,18 +273,18 @@ class TestResume:
             env=env, start_new_session=True,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
         )
-        shards = run_dir / "shards"
+        journal = run_dir / "journal.jsonl"
         try:
             deadline = time.monotonic() + 120
             while time.monotonic() < deadline:
-                if (shards.is_dir()
-                        and len(list(shards.glob("chunk-*.npz"))) >= 2):
+                if (journal.exists() and journal.read_text().count(
+                        '"event": "chunk"') >= 2):
                     break
                 assert proc.poll() is None, \
                     "sweep subprocess exited before it could be killed"
                 time.sleep(0.1)
             else:
-                pytest.fail("no journalled shards appeared within 120s")
+                pytest.fail("no journalled chunks appeared within 120s")
         finally:
             # Kill the whole process group: the parent AND its workers.
             try:
@@ -272,7 +309,7 @@ class TestBadArguments:
     """Bad resilience controls fail before any work starts."""
 
     @pytest.mark.parametrize("kwargs, flag", [
-        ({"pack_shards": True}, "pack_shards"),
+        ({"resume": True, "run_dir": None}, "resume"),
         ({"chunk_timeout": 0}, "chunk_timeout"),
         ({"chunk_timeout": -1.0}, "chunk_timeout"),
         ({"chunk_timeout": float("nan")}, "chunk_timeout"),
@@ -280,8 +317,7 @@ class TestBadArguments:
     ])
     def test_rejected_before_work(self, tmp_path, kwargs, flag):
         cache_dir, run_dir = tmp_path / "cache", tmp_path / "run"
-        if not kwargs.get("pack_shards"):
-            kwargs = {**kwargs, "run_dir": run_dir}
+        kwargs = {"run_dir": run_dir, **kwargs}
         rep = RunReport()
         with pytest.raises(ValueError, match=flag):
             run_sweep(dataset(), DEVICES, jobs=2, cache_dir=str(cache_dir),

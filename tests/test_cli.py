@@ -175,8 +175,8 @@ class TestSweep:
                 "--cache-dir", str(cache_dir), "--out", str(out_csv),
             ]) == 0
             assert read_rows(out_csv) == read_rows(serial_csv)
-        assert list(cache_dir.glob("*.json"))  # cache was populated
-        assert not list(cache_dir.glob("*.npz"))  # records only
+        # The cache is one pack of records, nothing else.
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["cache.rpak"]
 
     def test_npz_out_feeds_experiment(self, tmp_path, capsys,
                                       monkeypatch):

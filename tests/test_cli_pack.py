@@ -1,7 +1,5 @@
 """CLI pack/unpack/ls: byte-identical round trips + actionable errors."""
 
-import shutil
-
 import pytest
 
 from repro.cli import main
@@ -26,46 +24,8 @@ def warm_cache(tmp_path_factory):
 
 
 class TestCachePackRoundTrip:
-    def test_pack_unpack_byte_identical(self, warm_cache, tmp_path,
-                                        capsys):
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(warm_cache, cache_dir)
-        originals = {
-            p.name: p.read_bytes()
-            for p in cache_dir.iterdir() if p.is_file()
-        }
-        pack_path = cache_dir / "cache.rpak"
-        assert main(["pack", str(cache_dir)]) == 0
-        assert "packed" in capsys.readouterr().out
-        assert pack_path.exists()
-
-        out_dir = tmp_path / "restored"
-        assert main(["unpack", str(pack_path),
-                     "--out", str(out_dir)]) == 0
-        restored = {
-            p.name: p.read_bytes() for p in out_dir.iterdir()
-        }
-        assert restored == originals
-
-    def test_pack_prune_serves_from_pack_alone(self, warm_cache,
-                                               tmp_path):
-        from repro.pipeline import InstanceCache
-
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(warm_cache, cache_dir)
-        assert main(["pack", str(cache_dir), "--prune"]) == 0
-        assert not list(cache_dir.glob("*.json"))
-        cache = InstanceCache(cache_dir)
-        assert len(cache) == len(SPECS)
-        assert cache.fetch(SPECS[0], MAX_NNZ) is not None
-        assert cache.hits_pack == 1
-
-    def test_ls_lists_entries(self, warm_cache, tmp_path, capsys):
-        cache_dir = tmp_path / "cache"
-        shutil.copytree(warm_cache, cache_dir)
-        main(["pack", str(cache_dir)])
-        capsys.readouterr()
-        assert main(["ls", str(cache_dir / "cache.rpak"),
+    def test_ls_lists_entries(self, warm_cache, capsys):
+        assert main(["ls", str(warm_cache / "cache.rpak"),
                      "--verify"]) == 0
         out = capsys.readouterr().out
         assert f"{len(SPECS)} entries" in out
@@ -76,6 +36,18 @@ class TestCachePackRoundTrip:
         rc = main(["pack", str(tmp_path / "nope")])
         assert rc == 2
         assert "does not exist" in capsys.readouterr().err
+
+    def test_pack_cache_dir_exits_2_naming_ls(self, warm_cache, capsys):
+        assert main(["pack", str(warm_cache)]) == 2
+        assert "repro ls" in capsys.readouterr().err
+
+    def test_unpack_cache_pack_exits_2_naming_ls(self, warm_cache,
+                                                 tmp_path, capsys):
+        rc = main(["unpack", str(warm_cache / "cache.rpak"),
+                   "--out", str(tmp_path / "restored")])
+        assert rc == 2
+        assert "repro ls" in capsys.readouterr().err
+        assert not (tmp_path / "restored").exists()
 
 
 class TestTablePackRoundTrip:
@@ -106,16 +78,6 @@ class TestTablePackRoundTrip:
         assert rc == 2
         assert ".npz" in capsys.readouterr().err
 
-    def test_prune_rejected_for_tables(self, tmp_path, capsys):
-        table_path = tmp_path / "t.npz"
-        main([
-            "sweep", "--scale", "tiny", "--devices", "Tesla-A100",
-            "--max-nnz", str(MAX_NNZ), "--out", str(table_path),
-        ])
-        capsys.readouterr()
-        assert main(["pack", str(table_path), "--prune"]) == 2
-        assert "--prune" in capsys.readouterr().err
-
 
 class TestLsErrors:
     def test_ls_corrupt_pack_exits_2(self, tmp_path, capsys):
@@ -138,7 +100,7 @@ class TestShardPackUnpack:
         run_dir = tmp_path / "run"
         run_sweep(
             Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny"), DEVICES,
-            run_dir=str(run_dir), pack_shards=True,
+            run_dir=str(run_dir),
         )
         out = tmp_path / "shards"
         assert main(["unpack", str(run_dir / "shards.rpak"),
@@ -147,13 +109,3 @@ class TestShardPackUnpack:
         assert shards
         total = sum(len(SweepTable.from_npz(p)) for p in shards)
         assert total > 0
-
-    def test_cli_pack_shards_flag(self, tmp_path, capsys):
-        run_dir = tmp_path / "run"
-        assert main([
-            "sweep", "--scale", "tiny", "--devices", "Tesla-A100",
-            "--max-nnz", str(MAX_NNZ), "--out", str(tmp_path / "t.npz"),
-            "--run-dir", str(run_dir), "--pack-shards",
-        ]) == 0
-        assert (run_dir / "shards.rpak").exists()
-        assert not (run_dir / "shards").exists()

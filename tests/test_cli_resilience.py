@@ -102,7 +102,7 @@ class TestBadArguments:
         assert "already exists" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, flags", [
-        ("--pack-shards", ["--pack-shards"]),
+        ("--run-dir", ["--run-dir", "run-a", "--resume", "run-b"]),
         ("--chunk-timeout", ["--jobs", "2", "--chunk-timeout", "-1"]),
         ("--max-retries", ["--max-retries", "-1"]),
     ])
@@ -115,7 +115,7 @@ class TestBadArguments:
 
     @pytest.mark.parametrize("flags", [
         ["--no-batch"], ["--batch"], ["--dispatch", "pool"],
-        ["--fused"], ["--no-fused"],
+        ["--fused"], ["--no-fused"], ["--pack-shards"],
     ])
     def test_engine_selection_flags_are_unknown(self, tmp_path, flags):
         with pytest.raises(SystemExit) as exc:
