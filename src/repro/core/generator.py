@@ -95,7 +95,7 @@ def row_length_profile(
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
 
-    body = np.clip(body, 0.0, float(n_cols))
+    np.clip(body, 0.0, float(n_cols), out=body)
 
     # Natural skew of the body; add the exponential head only when the
     # requested skew exceeds it.
@@ -107,19 +107,27 @@ def row_length_profile(
         c_const = max(
             (1.0 + skew_coeff) / head_mass_frac, 10.0
         )
-        i = np.arange(n_rows, dtype=np.float64)
-        head = target_max * np.exp(-c_const * i / n_rows)
-        head[head < 0.5] = 0.0
+        # Past row n * ln(2 * MAX) / C the head is below 0.5 and zeroed,
+        # so exp runs on the first k rows only.  The mean stays over all
+        # n_rows: pairwise summation of the prefix alone groups
+        # differently and is not bit-identical.
+        k = min(n_rows,
+                int(n_rows * math.log(2.0 * target_max) / c_const) + 2)
+        head = np.zeros(n_rows)
+        top = head[:k]
+        i = np.arange(k, dtype=np.float64)
+        top[:] = target_max * np.exp(-c_const * i / n_rows)
+        top[top < 0.5] = 0.0
         # Recompute body mean so combined average hits the target.
         head_mean = head.mean()
         body_scale_target = max(avg - head_mean, 0.0)
-        if body.mean() > 0:
-            body = body * (body_scale_target / body.mean())
-        lengths = body + head
-    else:
-        lengths = body
+        body_mean = body.mean()
+        if body_mean > 0:
+            body *= body_scale_target / body_mean
+        body[:k] += top
 
-    lengths = np.clip(np.round(lengths), 0, n_cols).astype(np.int64)
+    np.clip(np.round(body, out=body), 0, n_cols, out=body)
+    lengths = body.astype(np.int64)
 
     # Pin the maximum so the realised skew matches the request.
     lengths[0] = max(lengths[0], target_max)
@@ -134,11 +142,11 @@ def row_length_profile(
         # Vectorised passes: at most a few, since each pass fixes up to
         # n_rows - 1 units.
         while remaining > 0:
-            candidates = np.arange(1, n_rows)
             if step > 0:
-                candidates = candidates[lengths[1:] < min(n_cols, target_max)]
+                movable = lengths[1:] < min(n_cols, target_max)
             else:
-                candidates = candidates[lengths[1:] > 0]
+                movable = lengths[1:] > 0
+            candidates = np.flatnonzero(movable) + 1
             if len(candidates) == 0:
                 break
             take = min(remaining, len(candidates))

@@ -6,16 +6,26 @@ nonzero counts rather than estimated from the skew feature.  Every
 partitioner returns an :class:`ImbalanceStats` whose ``factor`` is the
 ratio of the critical (slowest) worker's load to the mean load — the
 multiplicative slowdown of a bulk-synchronous SpMV.
+
+Every partitioner reads the profile through a :class:`RowProfile`, which
+computes each worker-independent pass over the rows on first use and
+keeps it: the total, the prefix sum, the SELL chunk widths and the
+per-width warp cycles.  A caller scoring one profile under several
+(strategy, workers, width) keys passes the same ``RowProfile`` to every
+call, so each full pass over the rows runs once per profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
 __all__ = [
     "ImbalanceStats",
+    "RowProfile",
     "row_block_partition",
     "nnz_balanced_rows",
     "merge_path_imbalance",
@@ -53,22 +63,72 @@ class ImbalanceStats:
         )
 
 
-def _chunk_sums(
-    values: np.ndarray, bounds: np.ndarray, csum: np.ndarray = None
-) -> np.ndarray:
-    """Sums of ``values`` between consecutive ``bounds`` indices.
+class RowProfile:
+    """A row-length profile and its worker-independent passes.
 
-    ``csum`` optionally supplies the precomputed ``[0, cumsum(values)]``
-    prefix array — integer sums, so sharing it across partitioners is
-    exact; the fused cold path computes it once per row profile.
+    ``lengths`` is the integer per-row nonzero count.  The total, the
+    int64 prefix sum ``[0, cumsum(lengths)]``, the SELL chunk widths per
+    layout and, per SIMD width, the warp-cycle counts with their maximum
+    are each computed on first use and kept.  All are integer passes, so
+    sharing them across partitioner calls changes no bit of a result.
     """
-    if csum is None:
-        csum = np.concatenate(([0], np.cumsum(values)))
-    return csum[bounds[1:]] - csum[bounds[:-1]]
+
+    def __init__(self, lengths: np.ndarray):
+        self.lengths = lengths
+        self._sell: Dict[Tuple[int, int], np.ndarray] = {}
+        self._warp: Dict[int, Tuple[np.ndarray, float]] = {}
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    @cached_property
+    def total(self) -> int:
+        return int(self.lengths.sum())
+
+    @cached_property
+    def csum(self) -> np.ndarray:
+        csum = np.empty(len(self.lengths) + 1, dtype=np.int64)
+        csum[0] = 0
+        np.cumsum(self.lengths, out=csum[1:])
+        return csum
+
+    def sell_widths(self, C: int = 32, sigma: int = 1024) -> np.ndarray:
+        """:func:`sell_chunk_widths` of the profile."""
+        if (C, sigma) not in self._sell:
+            self._sell[C, sigma] = sell_chunk_widths(self.lengths, C, sigma)
+        return self._sell[C, sigma]
+
+    def warp_cycles(self, width: int) -> Tuple[np.ndarray, float]:
+        """Per-row ``ceil(len / width)`` warp cycles and their maximum
+        (a non-empty profile)."""
+        if width not in self._warp:
+            lengths = np.asarray(self.lengths, dtype=np.int64)
+            cycles = (lengths + width - 1) // width
+            self._warp[width] = cycles, float(cycles.max())
+        return self._warp[width]
+
+
+Profile = Union[RowProfile, np.ndarray]
+
+
+def _as_profile(row_lengths: Profile) -> RowProfile:
+    if isinstance(row_lengths, RowProfile):
+        return row_lengths
+    return RowProfile(row_lengths)
+
+
+def _interleaved_sums(values: np.ndarray, n_slots: int) -> np.ndarray:
+    """int64 sums of ``values[j::n_slots]`` for every slot ``j``: the
+    full ``(k, n_slots)`` block summed, the remainder added into the
+    first slots."""
+    full = len(values) - len(values) % n_slots
+    loads = values[:full].reshape(-1, n_slots).sum(axis=0, dtype=np.int64)
+    loads[:len(values) - full] += values[full:]
+    return loads
 
 
 def row_block_partition(
-    row_lengths: np.ndarray, n_workers: int, csum: np.ndarray = None
+    row_lengths: Profile, n_workers: int
 ) -> ImbalanceStats:
     """Static contiguous row blocks of equal *row count* (Naive-CSR /
     OpenMP static scheduling).  Skewed matrices hurt: whoever owns the
@@ -76,40 +136,41 @@ def row_block_partition(
     n_rows = len(row_lengths)
     if n_rows == 0:
         return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
+    csum = _as_profile(row_lengths).csum
     bounds = np.linspace(0, n_rows, n_workers + 1).astype(np.int64)
-    return ImbalanceStats.from_loads(
-        _chunk_sums(row_lengths, bounds, csum)
-    )
+    return ImbalanceStats.from_loads(csum[bounds[1:]] - csum[bounds[:-1]])
 
 
 def nnz_balanced_rows(
-    row_lengths: np.ndarray, n_workers: int, csum: np.ndarray = None
+    row_lengths: Profile, n_workers: int
 ) -> ImbalanceStats:
     """Contiguous row blocks of ~equal nonzeros, at row granularity
     (Balanced-CSR, inspector-executor libraries).  A single monster row
-    still lower-bounds the critical path."""
+    still lower-bounds the critical path.
+
+    The block targets are searched as integers: the prefix sums are
+    integers below 2**53, so the first sum ``>=`` a float target is the
+    first ``>=`` its ceiling, without converting the prefix sum to
+    float64 on every call."""
     n_rows = len(row_lengths)
     if n_rows == 0:
         return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
-    if csum is None:
-        csum = np.concatenate(([0], np.cumsum(row_lengths)))
-    targets = np.linspace(0, csum[-1], n_workers + 1)
-    bounds = np.searchsorted(csum, targets, side="left")
+    csum = _as_profile(row_lengths).csum
+    targets = np.ceil(np.linspace(0, csum[-1], n_workers + 1))
+    bounds = np.searchsorted(csum, targets.astype(np.int64), side="left")
     bounds[0], bounds[-1] = 0, n_rows
     bounds = np.maximum.accumulate(bounds)
-    return ImbalanceStats.from_loads(
-        _chunk_sums(row_lengths, bounds, csum)
-    )
+    return ImbalanceStats.from_loads(csum[bounds[1:]] - csum[bounds[:-1]])
 
 
 def merge_path_imbalance(
-    row_lengths: np.ndarray, n_workers: int
+    row_lengths: Profile, n_workers: int
 ) -> ImbalanceStats:
     """Merge-path decomposition (Merge-CSR): rows + nonzeros are split into
     equal diagonals, rows may be split mid-row — imbalance is bounded by
     one work item by construction."""
     n_rows = len(row_lengths)
-    nnz = int(row_lengths.sum())
+    nnz = _as_profile(row_lengths).total
     total = n_rows + nnz
     if total == 0:
         return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
@@ -122,10 +183,10 @@ def merge_path_imbalance(
     return ImbalanceStats.from_loads(loads)
 
 
-def nnz_split(row_lengths: np.ndarray, n_workers: int) -> ImbalanceStats:
+def nnz_split(row_lengths: Profile, n_workers: int) -> ImbalanceStats:
     """Row-splitting nnz partition (CSR5 tiles): work is element-balanced
     up to one tile of granularity."""
-    nnz = float(row_lengths.sum())
+    nnz = float(_as_profile(row_lengths).total)
     if nnz == 0:
         return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
     per = nnz / n_workers
@@ -141,46 +202,30 @@ def nnz_split(row_lengths: np.ndarray, n_workers: int) -> ImbalanceStats:
 
 
 def element_balanced(
-    row_lengths: np.ndarray, n_workers: int
+    row_lengths: Profile, n_workers: int
 ) -> ImbalanceStats:
     """Perfect element-level balance (COO atomics)."""
-    nnz = float(row_lengths.sum())
+    nnz = float(_as_profile(row_lengths).total)
     per = nnz / n_workers if n_workers else 0.0
     return ImbalanceStats(1.0, per, per, n_workers)
 
 
 def warp_per_row(
-    row_lengths: np.ndarray,
+    row_lengths: Profile,
     n_workers: int,
     simd_width: int = 32,
-    cycles: np.ndarray = None,
 ) -> ImbalanceStats:
     """GPU warp-per-row scheduling (cuSPARSE CSR flavour).
 
     Each row costs ``ceil(len / simd_width)`` warp-cycles; rows are dealt
-    round-robin to warp slots, summed as a zero-padded ``(k, n_workers)``
-    reshape.  The critical path is additionally lower-bounded by the
-    single longest row (it cannot be split).  ``cycles`` optionally
-    supplies the per-row warp-cycle counts precomputed for this profile —
-    they do not depend on ``n_workers``.
+    round-robin to warp slots.  The critical path is additionally
+    lower-bounded by the single longest row (it cannot be split).
     """
     n_rows = len(row_lengths)
     if n_rows == 0:
         return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
-    if cycles is None:
-        lengths = np.asarray(row_lengths, dtype=np.int64)
-        cycles = (lengths + simd_width - 1) // simd_width
-    n_pad = (-n_rows) % n_workers
-    if n_pad:
-        cycles_padded = np.concatenate(
-            [cycles, np.zeros(n_pad, dtype=np.int64)]
-        )
-    else:
-        cycles_padded = cycles
-    loads = cycles_padded.reshape(-1, n_workers).sum(axis=0).astype(
-        np.float64
-    )
-    longest = float(cycles.max())
+    cycles, longest = _as_profile(row_lengths).warp_cycles(simd_width)
+    loads = _interleaved_sums(cycles, n_workers).astype(np.float64)
     mean = loads.mean() if loads.mean() > 0 else 1.0
     factor = max(loads.max(), longest) / mean
     return ImbalanceStats(
@@ -225,25 +270,22 @@ def sell_chunk_widths(
 
 
 def sell_chunk_imbalance(
-    row_lengths: np.ndarray,
+    row_lengths: Profile,
     n_workers: int,
     C: int = 32,
     sigma: int = 1024,
-    widths: np.ndarray = None,
 ) -> ImbalanceStats:
     """SELL-C-σ chunk loads: rows sorted within σ-windows, chunk cost is
     ``C * chunk_width``; chunks are dealt to workers in order.
 
-    ``widths`` optionally supplies :func:`sell_chunk_widths` precomputed
-    for this profile — the deal to workers is all that varies with
-    ``n_workers``.  Like the widths, it requires ``sigma`` to be a
-    multiple of ``C``.
+    The chunk widths come from the profile's memo — the deal to workers
+    is all that varies with ``n_workers``.  Like the widths, it requires
+    ``sigma`` to be a multiple of ``C``.
     """
     n_rows = len(row_lengths)
     if n_rows == 0:
         return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
-    if widths is None:
-        widths = sell_chunk_widths(row_lengths, C, sigma)
+    widths = _as_profile(row_lengths).sell_widths(C, sigma)
     n_chunks = len(widths)
     cost = widths * C
     # Chunks are dealt in snake order (0..w-1, w-1..0, ...), modelling the
@@ -257,20 +299,17 @@ def sell_chunk_imbalance(
 
 
 def lockstep_channel_imbalance(
-    row_lengths: np.ndarray, n_channels: int = 16
+    row_lengths: Profile, n_channels: int = 16
 ) -> ImbalanceStats:
     """VSL channel lockstep: rows are interleaved over HBM channel groups
     which advance in lockstep, so the critical channel paces all 16.  A
     skewed row concentrates its stream on one channel (Fig 5's ~4x FPGA
-    drop).  The interleave sums as a zero-padded reshape."""
+    drop)."""
     n_rows = len(row_lengths)
     if n_rows == 0:
         return ImbalanceStats(1.0, 0.0, 0.0, n_channels)
-    lengths = np.asarray(row_lengths, dtype=np.int64)
-    n_pad = (-n_rows) % n_channels
-    if n_pad:
-        lengths = np.concatenate([lengths, np.zeros(n_pad, dtype=np.int64)])
-    loads = lengths.reshape(-1, n_channels).sum(axis=0)
+    lengths = np.asarray(_as_profile(row_lengths).lengths, dtype=np.int64)
+    loads = _interleaved_sums(lengths, n_channels)
     # Lockstep advances in bursts: per-burst padding amplifies the critical
     # channel; approximate with the channel max over the mean.
     return ImbalanceStats.from_loads(loads)
@@ -290,34 +329,19 @@ PARTITION_STRATEGIES = {
 
 def imbalance_for_strategy(
     strategy: str,
-    row_lengths: np.ndarray,
+    profile: Profile,
     n_workers: int,
     simd_width: int = 32,
-    csum: np.ndarray = None,
-    sell_widths: np.ndarray = None,
-    warp_cycles: np.ndarray = None,
 ) -> ImbalanceStats:
     """Dispatch to the named partitioner.
 
-    Callers scoring one profile under several keys may pass its
-    worker-independent precomputations: the integer prefix sum
-    ``[0, cumsum(row_lengths)]`` (``csum``) for the contiguous-block
-    partitioners, the SELL chunk widths (``sell_widths``) and the
-    warp-cycle counts at ``simd_width`` (``warp_cycles``).  The result is
-    the same with or without them.
+    ``profile`` is a :class:`RowProfile` or a plain row-length array
+    (wrapped in a fresh one).  Callers scoring one profile under several
+    keys pass the same ``RowProfile`` each time, so its passes are
+    shared; the result is the same either way.
     """
     if strategy == "warp_row":
-        return warp_per_row(
-            row_lengths, n_workers, simd_width, cycles=warp_cycles
-        )
-    if strategy == "sell_chunk":
-        return sell_chunk_imbalance(
-            row_lengths, n_workers, widths=sell_widths
-        )
-    if strategy in ("row_block", "nnz_row"):
-        return PARTITION_STRATEGIES[strategy](
-            row_lengths, n_workers, csum=csum
-        )
+        return warp_per_row(profile, n_workers, simd_width)
     try:
         fn = PARTITION_STRATEGIES[strategy]
     except KeyError:
@@ -325,4 +349,4 @@ def imbalance_for_strategy(
             f"unknown partition strategy {strategy!r}; available: "
             f"{sorted(PARTITION_STRATEGIES)}"
         ) from None
-    return fn(row_lengths, n_workers)
+    return fn(profile, n_workers)

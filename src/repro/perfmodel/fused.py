@@ -16,8 +16,10 @@ Every sweep chunk feeds the vectorised grid scorer
    row-length profile: the row-length histogram
    (:func:`~repro.perfmodel.instance.row_length_histogram`) and the
    partitioner dispatcher
-   (:func:`~repro.devices.parallel.imbalance_for_strategy`) fed the
-   profile's shared prefix sum, SELL chunk widths and warp cycles.
+   (:func:`~repro.devices.parallel.imbalance_for_strategy`), handed one
+   :class:`~repro.devices.parallel.RowProfile` per spec so the total,
+   prefix sum, SELL chunk widths and per-width warp cycles are computed
+   once per profile and shared by every (strategy, workers, width) key.
 
 Everything the scorer reads about one spec is memoised in its
 :class:`ScoringRecord` — the unit the instance cache persists.  A
@@ -42,7 +44,7 @@ import numpy as np
 from ..core.features import Features, extract_features
 from ..core.generator import MatrixSpec, row_length_profile, structure_batch
 from ..core.matrix import CSRMatrix, CSRStructBatch
-from ..devices.parallel import imbalance_for_strategy, sell_chunk_widths
+from ..devices.parallel import RowProfile, imbalance_for_strategy
 from ..formats.base import FormatError, FormatStatsBatch, get_format
 from .instance import (
     MAX_PROFILE_ROWS, histogram_simd_utilisation, row_length_histogram,
@@ -50,9 +52,6 @@ from .instance import (
 from .noise import component_hash
 
 __all__ = ["FusedSpecSource", "ScoringRecord"]
-
-# Strategies whose partitioners share the profile's integer prefix sum.
-_CSUM_STRATEGIES = ("row_block", "nnz_row")
 
 # The per-format stat columns a record keeps, in order.
 _STAT_FIELDS = ("stored_elements", "padding_elements", "memory_bytes",
@@ -195,11 +194,8 @@ class FusedSpecSource:
         self.nnz = np.round(rep_nnz * self.scale).astype(np.int64)
 
         self._mats: Dict[int, CSRMatrix] = {}
-        self._profiles: Dict[int, np.ndarray] = {}
-        self._csums: Dict[int, np.ndarray] = {}
+        self._profiles: Dict[int, RowProfile] = {}
         self._hists: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._sell_widths: Dict[int, np.ndarray] = {}
-        self._warp_cycles: Dict[Tuple[int, int], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -254,18 +250,19 @@ class FusedSpecSource:
             rec.grown = True
         return rec.features
 
-    def profile(self, i: int) -> np.ndarray:
-        """Row-length profile at declared scale (``row_profile``)."""
+    def profile(self, i: int) -> RowProfile:
+        """Row-length profile at declared scale (``row_profile``), in the
+        memo every partitioner call on spec ``i`` shares."""
         if i not in self._profiles:
             spec = self.specs[i]
             if self.scale[i] <= 1.0:
                 self._ensure_structure([i])
                 batch, k = self._where[i]
-                self._profiles[i] = batch.lengths_of(k)
+                lengths = batch.lengths_of(k)
             else:
                 rows = min(spec.n_rows, MAX_PROFILE_ROWS)
                 rng = np.random.default_rng(spec.seed)
-                self._profiles[i] = row_length_profile(
+                lengths = row_length_profile(
                     rows,
                     spec.n_cols,
                     spec.avg_nnz_per_row,
@@ -274,22 +271,13 @@ class FusedSpecSource:
                     rng,
                     spec.distribution,
                 )
+            self._profiles[i] = RowProfile(lengths)
         return self._profiles[i]
-
-    def _csum(self, i: int) -> np.ndarray:
-        """``[0, cumsum(profile)]``, accumulated in place."""
-        if i not in self._csums:
-            prof = self.profile(i)
-            csum = np.empty(len(prof) + 1, dtype=np.int64)
-            csum[0] = 0
-            np.cumsum(prof, out=csum[1:])
-            self._csums[i] = csum
-        return self._csums[i]
 
     def _hist(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row-length histogram of the declared-scale profile."""
         if i not in self._hists:
-            self._hists[i] = row_length_histogram(self.profile(i))
+            self._hists[i] = row_length_histogram(self.profile(i).lengths)
         return self._hists[i]
 
     # -- _InstanceSource protocol -------------------------------------
@@ -417,31 +405,16 @@ class FusedSpecSource:
     def imbalance_factor(
         self, i: int, strategy: str, workers: int, width: int
     ) -> float:
-        """Imbalance via the partitioner dispatcher, sharing the profile's
-        worker-independent precomputations: the prefix sum for the
-        contiguous-block partitioners, the SELL chunk widths (one sort
-        pipeline per profile instead of one per worker count) and the
-        per-width warp-cycle counts."""
+        """Imbalance via the partitioner dispatcher, on the spec's shared
+        :class:`~repro.devices.parallel.RowProfile`: one prefix sum, one
+        SELL sort pipeline and one warp-cycle array per width for every
+        worker count."""
         rec = self.records[i]
         key = (strategy, workers, width)
         if key in rec.imbalance:
             return rec.imbalance[key]
-        csum = sell = cycles = None
-        if strategy in _CSUM_STRATEGIES:
-            csum = self._csum(i)
-        elif strategy == "sell_chunk":
-            if i not in self._sell_widths:
-                self._sell_widths[i] = sell_chunk_widths(self.profile(i))
-            sell = self._sell_widths[i]
-        elif strategy == "warp_row":
-            wkey = (i, width)
-            if wkey not in self._warp_cycles:
-                prof = self.profile(i)
-                self._warp_cycles[wkey] = (prof + width - 1) // width
-            cycles = self._warp_cycles[wkey]
         factor = float(imbalance_for_strategy(
-            strategy, self.profile(i), workers, width,
-            csum=csum, sell_widths=sell, warp_cycles=cycles,
+            strategy, self.profile(i), workers, width
         ).factor)
         rec.imbalance[key] = factor
         rec.grown = True

@@ -6,7 +6,11 @@ those in pure Python is infeasible, so dataset entries carry a
 the declared :class:`~repro.core.generator.MatrixSpec`.  Scale-free
 statistics (locality, padding ratios, SIMD utilisation) are measured on
 the representative; size-dependent quantities (footprint, row count, the
-row-length profile used for imbalance) come from the declared spec.
+row-length profile used for imbalance) come from the declared spec.  The
+profile is kept beside a :class:`~repro.devices.parallel.RowProfile`
+memo, so every imbalance query of one instance (``simulate_spmv``, the
+CLI ``simulate``/``validate`` tables) shares the profile's total, prefix
+sum, SELL chunk widths and per-width warp cycles.
 """
 
 from __future__ import annotations
@@ -19,7 +23,9 @@ import numpy as np
 from ..core.features import Features, extract_features
 from ..core.generator import MatrixSpec, row_length_profile
 from ..core.matrix import CSRMatrix
-from ..devices.parallel import ImbalanceStats, imbalance_for_strategy
+from ..devices.parallel import (
+    ImbalanceStats, RowProfile, imbalance_for_strategy,
+)
 from ..formats.base import FormatError, FormatStats, get_format
 
 __all__ = ["MatrixInstance", "row_length_histogram",
@@ -73,6 +79,7 @@ class MatrixInstance:
     def __post_init__(self):
         self._features: Optional[Features] = None
         self._profile: Optional[np.ndarray] = None
+        self._row_memo: Optional[RowProfile] = None
         self._hist: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._format_stats: Dict[str, FormatStats] = {}
         self._format_fail: Dict[str, str] = {}
@@ -174,8 +181,10 @@ class MatrixInstance:
         """
         key = (strategy, n_workers, simd_width)
         if key not in self._imbalance:
+            if self._row_memo is None:
+                self._row_memo = RowProfile(self.row_profile())
             self._imbalance[key] = imbalance_for_strategy(
-                strategy, self.row_profile(), n_workers, simd_width
+                strategy, self._row_memo, n_workers, simd_width
             )
         return self._imbalance[key]
 

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.devices import TESTBEDS
 from repro.devices.parallel import (
     PARTITION_STRATEGIES,
+    RowProfile,
     element_balanced,
     imbalance_for_strategy,
     lockstep_channel_imbalance,
@@ -179,10 +180,15 @@ _TESTBED_WIDTHS = sorted({dev.simd_width_dp for dev in TESTBEDS.values()})
 
 @st.composite
 def _profiles(draw):
-    """Row-length profiles: empty, all-zero, one heavy row over light
-    ones, or arbitrary; as int32 or int64."""
-    kind = draw(st.sampled_from(["empty", "zeros", "heavy", "any"]))
-    n = 0 if kind == "empty" else draw(st.integers(1, 3000))
+    """Row-length profiles: empty, all-zero, shorter than most testbed
+    worker counts, one heavy row over light ones, or arbitrary; as int32
+    or int64."""
+    kind = draw(st.sampled_from(["empty", "zeros", "short", "heavy",
+                                 "any"]))
+    if kind == "empty":
+        n = 0
+    else:
+        n = draw(st.integers(1, 13 if kind == "short" else 3000))
     if kind in ("empty", "zeros"):
         lengths = [0] * n
     elif kind == "heavy":
@@ -199,31 +205,54 @@ def _profiles(draw):
 
 @given(
     profile=_profiles(),
-    worker_kind=st.sampled_from(["one", "above_rows", "testbed"]),
-    testbed_workers=st.sampled_from(_TESTBED_WORKERS),
-    width=st.sampled_from(_TESTBED_WIDTHS),
+    testbed_workers=st.lists(st.sampled_from(_TESTBED_WORKERS),
+                             min_size=1, max_size=3, unique=True),
+    odd_workers=st.integers(2, 97),
+    widths=st.lists(st.sampled_from(_TESTBED_WIDTHS), min_size=1,
+                    max_size=3, unique=True),
+    order=st.randoms(use_true_random=False),
 )
 @settings(max_examples=150, deadline=None)
-def test_dispatcher_matches_loop_partitioners(profile, worker_kind,
-                                              testbed_workers, width):
-    """For every strategy, the production dispatcher — with and without
-    the precomputed prefix sum, SELL chunk widths and warp cycles the
-    fused source passes — equals the loop partitioner of the oracle
-    field for field."""
-    workers = {"one": 1, "above_rows": len(profile) + 7,
-               "testbed": testbed_workers}[worker_kind]
-    csum = np.concatenate(([0], np.cumsum(profile))).astype(np.int64)
-    precomputed = {
-        "csum": csum,
-        "sell_widths": sell_chunk_widths(profile),
-        "warp_cycles": (profile + width - 1) // width,
-    }
-    for strategy in PARTITION_STRATEGIES:
+def test_dispatcher_matches_loop_partitioners(profile, testbed_workers,
+                                              odd_workers, widths, order):
+    """One :class:`RowProfile` per profile, shared by every strategy,
+    worker count and width and queried in a shuffled key order, gives
+    each key what the loop partitioner of the oracle gives, field for
+    field — and what a plain array (a fresh memo per call) gives.
+
+    Worker counts cover one worker, more workers than rows, counts that
+    do not divide the row count (the remainder of the warp and lockstep
+    interleaves) and the testbeds' own."""
+    worker_counts = {1, len(profile) + 7, odd_workers, *testbed_workers}
+    keys = [(strategy, workers, width)
+            for strategy in PARTITION_STRATEGIES
+            for workers in sorted(worker_counts) for width in widths]
+    order.shuffle(keys)
+    shared = RowProfile(profile)
+    for strategy, workers, width in keys:
         want = oracle.imbalance_for_strategy(strategy, profile, workers,
                                              width)
-        plain = imbalance_for_strategy(strategy, profile, workers, width)
-        shared = imbalance_for_strategy(strategy, profile, workers, width,
-                                        **precomputed)
-        for got in (plain, shared):
-            assert got == want, (strategy, got, want)
-            assert type(got.factor) is type(want.factor), strategy
+        fresh = imbalance_for_strategy(strategy, profile, workers, width)
+        got = imbalance_for_strategy(strategy, shared, workers, width)
+        for result in (fresh, got):
+            assert result == want, (strategy, workers, width, result, want)
+            assert type(result.factor) is type(want.factor), strategy
+
+
+@given(
+    lengths=st.lists(st.integers(0, 2**34), max_size=2000),
+    workers=st.one_of(st.sampled_from(_TESTBED_WORKERS),
+                      st.integers(1, 5000)),
+)
+@settings(max_examples=150, deadline=None)
+# The half-way target is 2**33 + 0.5: its floor is the first prefix sum
+# and would move the 2**32 row into the second block.
+@example(lengths=[2**32, 2**32 + 1], workers=2)
+def test_nnz_row_integer_targets_beyond_32_bits(lengths, workers):
+    """``nnz_row`` searches the prefix sum with the integer ceilings of
+    its float targets; on totals above 2**32 (and below 2**53) the
+    blocks equal the float64 search of the oracle."""
+    arr = np.array([2**33] + lengths, dtype=np.int64)
+    want = oracle.imbalance_for_strategy("nnz_row", arr, workers)
+    assert imbalance_for_strategy("nnz_row", RowProfile(arr), workers) == want
+    assert nnz_balanced_rows(arr, workers) == want

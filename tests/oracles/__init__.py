@@ -4,7 +4,8 @@ against (and benchmarked against): retired engines kept out of
 
 * ``analysis`` — the dict-row analysis reductions;
 * ``dispatch`` — the plain ``multiprocessing.Pool`` sweep dispatch;
-* ``generator`` — the per-element sequential Listing-1 generator;
+* ``generator`` — the per-element sequential Listing-1 generator and
+  the full-length row-length profile;
 * ``model`` — the scalar SpMV model and its scalar measurement noise;
 * ``routing`` — per-tree and per-format forest routing;
 * ``selector`` — per-instance selector evaluation;

@@ -17,8 +17,17 @@ features, not bit for bit):
 Parameter checks, the RNG and the row-length profile come from the
 production ``_generation_prologue``, and the placement windows from
 ``_row_windows``, exactly as the engine used them.
+
+:func:`row_length_profile` is the row-length profile as it was before
+the production one evaluated its exponential head only on the rows it
+can reach and worked in place: ``exp`` over every row, out-of-place
+clip/rescale/round, and residual candidates masked out of an
+``arange``.  Production must equal it bit for bit — values, dtype and
+the RNG state it leaves — so it is the comparand of every change to
+that function.
 """
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -126,3 +135,100 @@ def rowwise_baseline_generation(
     )
     data = rng.uniform(0.1, 1.0, len(indices))
     return CSRMatrix(nr_rows, nr_cols, indptr, indices, data)
+
+
+def row_length_profile(
+    n_rows: int,
+    n_cols: int,
+    avg_nz_row: float,
+    std_nz_row: float,
+    skew_coeff: float,
+    rng: np.random.Generator,
+    distribution: str = "normal",
+) -> np.ndarray:
+    """Per-row nonzero targets with the requested average and skew.
+
+    The body of the matrix follows ``distribution`` around the (adjusted)
+    mean; if ``skew_coeff`` exceeds what the body would naturally produce,
+    an exponentially decaying head ``MAX * exp(-C * i / n_rows)`` is
+    superimposed on the first rows (paper Section III-B) and the body mean
+    is recomputed so the combined average stays on target.  The returned
+    integer array sums exactly to ``round(avg_nz_row * n_rows)`` and its
+    maximum is pinned to ``avg * (1 + skew)`` (both capped at ``n_cols``).
+    """
+    if n_rows <= 0:
+        return np.zeros(0, dtype=np.int64)
+    avg = float(avg_nz_row)
+    if avg <= 0:
+        return np.zeros(n_rows, dtype=np.int64)
+
+    target_total = int(round(avg * n_rows))
+    target_max = int(min(n_cols, max(1, round(avg * (1.0 + skew_coeff)))))
+
+    if distribution == "normal":
+        body = rng.normal(avg, std_nz_row, n_rows)
+    elif distribution == "uniform":
+        half = std_nz_row * math.sqrt(3.0)
+        body = rng.uniform(avg - half, avg + half, n_rows)
+    elif distribution == "gamma":
+        # Gamma with matching mean/std; falls back to constant when std=0.
+        if std_nz_row > 0:
+            shape = (avg / std_nz_row) ** 2
+            scale = std_nz_row**2 / avg
+            body = rng.gamma(shape, scale, n_rows)
+        else:
+            body = np.full(n_rows, avg)
+    else:
+        raise ValueError(f"unknown distribution {distribution!r}")
+
+    body = np.clip(body, 0.0, float(n_cols))
+
+    # Natural skew of the body; add the exponential head only when the
+    # requested skew exceeds it.
+    natural_max = avg + 3.0 * std_nz_row
+    if target_max > natural_max:
+        # C controls head sharpness: chosen so the head contributes ~10% of
+        # the matrix mass (or less for extreme skews).
+        head_mass_frac = 0.1
+        c_const = max(
+            (1.0 + skew_coeff) / head_mass_frac, 10.0
+        )
+        i = np.arange(n_rows, dtype=np.float64)
+        head = target_max * np.exp(-c_const * i / n_rows)
+        head[head < 0.5] = 0.0
+        # Recompute body mean so combined average hits the target.
+        head_mean = head.mean()
+        body_scale_target = max(avg - head_mean, 0.0)
+        if body.mean() > 0:
+            body = body * (body_scale_target / body.mean())
+        lengths = body + head
+    else:
+        lengths = body
+
+    lengths = np.clip(np.round(lengths), 0, n_cols).astype(np.int64)
+
+    # Pin the maximum so the realised skew matches the request.
+    lengths[0] = max(lengths[0], target_max)
+    lengths[0] = min(lengths[0], n_cols)
+
+    # Exact-total adjustment: spread the residual one element at a time over
+    # random rows, respecting [0, n_cols] bounds and the pinned maximum.
+    diff = target_total - int(lengths.sum())
+    if diff != 0 and n_rows > 1:
+        step = 1 if diff > 0 else -1
+        remaining = abs(diff)
+        # Vectorised passes: at most a few, since each pass fixes up to
+        # n_rows - 1 units.
+        while remaining > 0:
+            candidates = np.arange(1, n_rows)
+            if step > 0:
+                candidates = candidates[lengths[1:] < min(n_cols, target_max)]
+            else:
+                candidates = candidates[lengths[1:] > 0]
+            if len(candidates) == 0:
+                break
+            take = min(remaining, len(candidates))
+            chosen = rng.choice(candidates, size=take, replace=False)
+            lengths[chosen] += step
+            remaining -= take
+    return lengths

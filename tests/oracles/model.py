@@ -16,7 +16,10 @@ every suite whose point is "the grid equals the scalar model":
   their own copies of the model constants;
 * :func:`imbalance_for_strategy` — the partitioner dispatcher, with the
   per-window and round-robin loops of :func:`warp_per_row`,
-  :func:`sell_chunk_imbalance` and :func:`lockstep_channel_imbalance`;
+  :func:`sell_chunk_imbalance` and :func:`lockstep_channel_imbalance`,
+  and array-only copies of the other five partitioners as they were
+  before the production ones shared a per-profile memo (a fresh prefix
+  sum or total per call, ``nnz_row`` searching float64 targets);
 * :func:`simd_utilisation_of_profile` — SIMD utilisation over rows.
 
 * :func:`measurement_noise` — the scalar noise factor, mirroring the
@@ -35,14 +38,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.devices.parallel import (
-    ImbalanceStats,
-    element_balanced,
-    merge_path_imbalance,
-    nnz_balanced_rows,
-    nnz_split,
-    row_block_partition,
-)
+from repro.devices.parallel import ImbalanceStats
 from repro.formats.base import CapacityError, FormatError, get_format
 from repro.perfmodel.noise import NOISE_SIGMA, component_hash
 from repro.perfmodel.simulator import (
@@ -142,6 +138,72 @@ class EnergyModel:
 
 
 # -- loop partitioners ------------------------------------------------------
+def _chunk_sums(values, bounds) -> np.ndarray:
+    csum = np.concatenate(([0], np.cumsum(values)))
+    return csum[bounds[1:]] - csum[bounds[:-1]]
+
+
+def row_block_partition(row_lengths, n_workers) -> ImbalanceStats:
+    """Contiguous row blocks of equal row count."""
+    n_rows = len(row_lengths)
+    if n_rows == 0:
+        return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
+    bounds = np.linspace(0, n_rows, n_workers + 1).astype(np.int64)
+    return ImbalanceStats.from_loads(_chunk_sums(row_lengths, bounds))
+
+
+def nnz_balanced_rows(row_lengths, n_workers) -> ImbalanceStats:
+    """Contiguous row blocks of ~equal nonzeros, searched with float64
+    targets."""
+    n_rows = len(row_lengths)
+    if n_rows == 0:
+        return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
+    csum = np.concatenate(([0], np.cumsum(row_lengths)))
+    targets = np.linspace(0, csum[-1], n_workers + 1)
+    bounds = np.searchsorted(csum, targets, side="left")
+    bounds[0], bounds[-1] = 0, n_rows
+    bounds = np.maximum.accumulate(bounds)
+    return ImbalanceStats.from_loads(_chunk_sums(row_lengths, bounds))
+
+
+def merge_path_imbalance(row_lengths, n_workers) -> ImbalanceStats:
+    """Merge-path diagonals over rows + nonzeros."""
+    n_rows = len(row_lengths)
+    nnz = int(row_lengths.sum())
+    total = n_rows + nnz
+    if total == 0:
+        return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
+    per = total / n_workers
+    loads = np.full(n_workers, per)
+    loads[:-1] = np.diff(np.linspace(0, total, n_workers + 1).astype(np.int64))[
+        : n_workers - 1
+    ]
+    return ImbalanceStats.from_loads(loads)
+
+
+def nnz_split(row_lengths, n_workers) -> ImbalanceStats:
+    """Row-splitting nnz partition at a 512-element tile granularity."""
+    nnz = float(row_lengths.sum())
+    if nnz == 0:
+        return ImbalanceStats(1.0, 0.0, 0.0, n_workers)
+    per = nnz / n_workers
+    granule = 512.0
+    factor = (np.ceil(per / granule) * granule) / per if per > 0 else 1.0
+    return ImbalanceStats(
+        factor=float(min(max(factor, 1.0), 2.0)),
+        max_load=per * factor,
+        mean_load=per,
+        n_workers=n_workers,
+    )
+
+
+def element_balanced(row_lengths, n_workers) -> ImbalanceStats:
+    """Perfect element-level balance."""
+    nnz = float(row_lengths.sum())
+    per = nnz / n_workers if n_workers else 0.0
+    return ImbalanceStats(1.0, per, per, n_workers)
+
+
 def warp_per_row(row_lengths, n_workers, simd_width=32) -> ImbalanceStats:
     """Warp-per-row: rows dealt round-robin, ``ceil(len / width)`` cycles
     each, critical path lower-bounded by the longest row."""

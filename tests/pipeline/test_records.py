@@ -7,18 +7,23 @@ declared-scale profile (its structure, when unscaled).  Specs of one
 chunk that lack something structural are regenerated in one
 ``structure_batch`` wave.  Each case counts the generator calls and
 requires the table bit-identical to the instance oracle, with the
-grown record written back.
+grown record written back.  A cold sweep makes each full pass over a
+declared-scale profile once, whatever the number of keys it scores.
 """
 
 import shutil
+from collections import Counter, defaultdict
+from functools import cached_property
 
 import pytest
 
+import repro.devices.parallel as parallel
 import repro.perfmodel.fused as fused
 from repro.core.dataset import Dataset, fused_spec_table
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
+from repro.devices.parallel import RowProfile
 from repro.io.pack import Pack, append_entries
 from repro.pipeline import InstanceCache, run_sweep, spec_key
 from repro.pipeline.cache import PACK_NAME, decode_record, encode_record
@@ -233,3 +238,68 @@ def test_record_crc_catches_a_silent_digit_change(golden_and_warm_cache,
     cache = InstanceCache(cache_dir)
     assert cache.fetch(spec, MAX_NNZ) is None
     assert cache.quarantined == 1
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The declared-scale profiles the fused source regenerates, and the
+    full passes made over each, keyed by its array's ``id``: prefix sums,
+    SELL chunk-width calls, and per width the distinct warp-cycle arrays
+    handed out and the number of warp queries.  Every array stays
+    referenced, so no ``id`` is reused."""
+    seen = {"profiles": [], "csum": Counter(), "sell": Counter(),
+            "warp": defaultdict(list), "warp_queries": Counter()}
+    row_length_profile = fused.row_length_profile
+    csum = RowProfile.csum.func
+    sell_chunk_widths = parallel.sell_chunk_widths
+    warp_cycles = RowProfile.warp_cycles
+
+    def recording_row_length_profile(*args, **kwargs):
+        seen["profiles"].append(row_length_profile(*args, **kwargs))
+        return seen["profiles"][-1]
+
+    def counting_csum(self):
+        seen["csum"][id(self.lengths)] += 1
+        return csum(self)
+
+    def counting_sell_chunk_widths(lengths, *args, **kwargs):
+        seen["sell"][id(lengths)] += 1
+        return sell_chunk_widths(lengths, *args, **kwargs)
+
+    def recording_warp_cycles(self, width):
+        cycles, longest = warp_cycles(self, width)
+        key = (id(self.lengths), width)
+        seen["warp_queries"][key] += 1
+        if not any(c is cycles for c in seen["warp"][key]):
+            seen["warp"][key].append(cycles)
+        return cycles, longest
+
+    counted_csum = cached_property(counting_csum)
+    counted_csum.__set_name__(RowProfile, "csum")
+    monkeypatch.setattr(fused, "row_length_profile",
+                        recording_row_length_profile)
+    monkeypatch.setattr(RowProfile, "csum", counted_csum)
+    monkeypatch.setattr(parallel, "sell_chunk_widths",
+                        counting_sell_chunk_widths)
+    monkeypatch.setattr(RowProfile, "warp_cycles", recording_warp_cycles)
+    return seen
+
+
+def test_cold_sweep_passes_each_profile_once(passes):
+    """A cold sweep of scaled specs on all nine testbeds: each
+    declared-scale profile gets one prefix sum, one SELL chunk-width
+    call and one warp-cycle array per SIMD width, however many worker
+    counts score it."""
+    assert all(spec.representative(MAX_NNZ).n_rows < spec.n_rows
+               for spec in SPECS)
+    fused_spec_table(dataset(), 0, len(SPECS), list(TESTBEDS.values()),
+                     best_only=False)
+    ids = [id(lengths) for lengths in passes["profiles"]]
+    assert len(ids) == len(SPECS)
+    assert passes["csum"] == Counter(ids)
+    assert passes["sell"] == Counter(ids)
+    widths = {width for _, width in passes["warp"]}
+    assert passes["warp"].keys() == {(i, w) for i in ids for w in widths}
+    assert all(len(arrays) == 1 for arrays in passes["warp"].values())
+    # Several worker counts share one width's cycles.
+    assert min(passes["warp_queries"].values()) > 1
