@@ -306,9 +306,10 @@ class _InstanceSource:
     The scoring kernel pulls everything about the matrix axis through this
     narrow interface — names, per-instance scalars, per-format stat
     columns, and lazily-requested SIMD utilisation / imbalance factors
-    (announced in bulk through ``prepare_memos`` first) — so the fused
-    cold path (:mod:`repro.perfmodel.fused`) can drive the identical
-    kernel from columnar spec data without ever materialising
+    (announced in bulk through ``prepare_memos`` first, then asked for
+    one instance at a time, each instance closed by ``release``) — so
+    the fused cold path (:mod:`repro.perfmodel.fused`) can drive the
+    identical kernel from columnar spec data without ever materialising
     instances.  This adapter reproduces the historical per-instance loops
     exactly, memoisation semantics included.
     """
@@ -382,6 +383,9 @@ class _InstanceSource:
         self, i: int, strategy: str, workers: int, width: int
     ) -> float:
         return self.instances[i].imbalance(strategy, workers, width).factor
+
+    def release(self, i: int) -> None:
+        """An instance keeps its own memo; nothing to drop."""
 
 
 def simulate_grid(
@@ -561,22 +565,24 @@ def _score_grid(
     for k in range(len(df_keys)):
         need_key[:, k] = scoreable_df[:, df_key_idx == k].any(axis=1)
 
+    # One instance at a time: its SIMD memos, its imbalance memos, then
+    # ``release`` lets the source drop that instance's profile.
     source.prepare_memos(widths, need_w, df_keys, need_key)
     for i in range(n_inst):
         for w, k in width_pos.items():
             if need_w[i, k]:
                 util_tab[i, k] = source.simd_utilisation(i, w)
-    util_df = util_tab[:, cell_w_pos]                # (n_inst, n_df)
-    inv_w_df = 1.0 / cells.simd_width_dp
-    simd_util_df = np.where(
-        friendly_df, np.maximum(util_df, inv_w_df), inv_w_df
-    )
-    for i in range(n_inst):
         for k, (strategy, workers, width) in enumerate(df_keys):
             if need_key[i, k]:
                 imb_tab[i, k] = source.imbalance_factor(
                     i, strategy, workers, width
                 )
+        source.release(i)
+    util_df = util_tab[:, cell_w_pos]                # (n_inst, n_df)
+    inv_w_df = 1.0 / cells.simd_width_dp
+    simd_util_df = np.where(
+        friendly_df, np.maximum(util_df, inv_w_df), inv_w_df
+    )
     imb_df = imb_tab[:, df_key_idx]                  # (n_inst, n_df)
 
     # -- broadcast blocks ----------------------------------------------

@@ -20,6 +20,8 @@ Every sweep chunk feeds the vectorised grid scorer
    :class:`~repro.devices.parallel.RowProfile` per spec so the total,
    prefix sum, SELL chunk widths and per-width warp cycles are computed
    once per profile and shared by every (strategy, workers, width) key.
+   The scorer takes each spec's memos in turn and then releases it, so
+   a pass holds one declared-scale profile at a time.
 
 Everything the scorer reads about one spec is memoised in its
 :class:`ScoringRecord` — the unit the instance cache persists.  A
@@ -144,7 +146,9 @@ class FusedSpecSource:
     in place; :attr:`records` holds the chunk's records afterwards.
     Structure is generated once, lazily and only for the specs whose
     records lack something structural; declared-scale profiles only for
-    specs missing a SIMD or imbalance memo — never value payloads.
+    specs missing a SIMD or imbalance memo — never value payloads.  A
+    profile is kept until :meth:`release` drops it; a later query
+    regenerates it bit-identically.
     """
 
     # ``GridResult.instances`` stays empty; the table assembly gathers
@@ -419,3 +423,9 @@ class FusedSpecSource:
         rec.imbalance[key] = factor
         rec.grown = True
         return factor
+
+    def release(self, i: int) -> None:
+        """Drop spec ``i``'s profile and histogram once its memos are
+        taken."""
+        self._profiles.pop(i, None)
+        self._hists.pop(i, None)

@@ -277,18 +277,20 @@ class InstanceCache:
         self, specs: Sequence[MatrixSpec], max_nnz: int,
         records: Sequence[ScoringRecord],
     ) -> int:
-        """Keep ``records`` in memory and append those that grew since
-        they were loaded or last stored to the pack, as one deflated
-        append.  Returns the number of records written.
+        """Append the records that grew since they were loaded or last
+        stored to the pack, as one deflated append, and keep them in
+        memory.  Returns the number of records written.  Only those are
+        keyed: every other record came from this handle's ``fetch`` or
+        an earlier ``store``, so it is in memory already.
 
         A pack that no longer opens is quarantined and a fresh one
         started, so a damaged store never fails the chunk.
         """
         grown = []
         for spec, record in zip(specs, records):
-            key = spec_key(spec, max_nnz)
-            self._mem[key] = record
             if record.grown:
+                key = spec_key(spec, max_nnz)
+                self._mem[key] = record
                 grown.append((key, record))
         if grown:
             append_entries(

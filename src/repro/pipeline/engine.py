@@ -4,7 +4,12 @@
 :func:`repro.core.dataset.sweep`: it partitions spec indices into
 contiguous chunks, runs them through one chunk loop — in-process at
 ``jobs=1``, on a self-managed worker crew at ``jobs > 1`` — and merges
-the per-chunk results back in index order.  Chunks are columnar
+the per-chunk results back in index order.  Each chunk is scored in
+passes of at most ``_SUB_CHUNK`` specs.  Fresh bounds give a crew
+``_CHUNKS_PER_JOB`` chunks per worker; in-process, a sweep of up to
+``_CHUNKS_PER_JOB × _SUB_CHUNK`` specs gets one pass per chunk and a
+larger one ``_CHUNKS_PER_JOB`` chunks.  Resumed bounds come from the
+journal and may span several passes.  Chunks are columnar
 :class:`~repro.core.table.SweepTable` slices — workers ship typed
 column arrays, not dict lists — and the merge is
 :meth:`SweepTable.concat`, which preserves first-seen category order
@@ -59,7 +64,9 @@ from .report import ChunkFailedError, RunReport
 __all__ = ["run_sweep", "resolve_jobs"]
 
 # Chunks per worker: small enough to load-balance uneven spec costs,
-# large enough to amortise task dispatch.
+# large enough to amortise task dispatch and the per-chunk journal
+# appends.  In-process there is nothing to balance, so a fresh sweep
+# gets no more chunks than it has ``_SUB_CHUNK``-spec passes.
 _CHUNKS_PER_JOB = 4
 
 # Sub-chunk size: specs scored per vectorised grid evaluation — large
@@ -595,7 +602,10 @@ def _run_sweep_inner(
     # -- chunk bounds: journalled on resume, fresh otherwise -------------
     journal: Optional[RunJournal] = None
     completed: Dict[int, SweepTable] = {}
-    bounds = _chunk_bounds(n, jobs * _CHUNKS_PER_JOB)
+    n_chunks = jobs * _CHUNKS_PER_JOB
+    if jobs == 1:
+        n_chunks = min(n_chunks, -(-n // _SUB_CHUNK))
+    bounds = _chunk_bounds(n, n_chunks)
     if run_dir is not None:
         config = sweep_config(dataset, devices, best_only, formats, seed,
                               precision)

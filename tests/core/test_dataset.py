@@ -49,12 +49,21 @@ class TestSweep:
         assert all(r["device"] == dev.name for r in table.rows)
 
     def test_progress_callback(self, small_dataset):
-        seen = []
-        sweep(
-            small_dataset, [TESTBEDS["INTEL-XEON"]],
-            progress=lambda i, n: seen.append((i, n)),
+        """One tick per scoring pass: 3 specs are one pass, 40 specs
+        in-process are three."""
+        wide = Dataset(
+            [MatrixSpec(n_rows=100, n_cols=100, avg_nnz_per_row=3.0,
+                        seed=seed) for seed in range(40)],
+            max_nnz=40_000, name="passes",
         )
-        assert seen == [(1, 3), (2, 3), (3, 3)]
+        for dataset, ticks in [(small_dataset, [(3, 3)]),
+                               (wide, [(13, 40), (26, 40), (40, 40)])]:
+            seen = []
+            sweep(
+                dataset, [TESTBEDS["INTEL-XEON"]],
+                progress=lambda i, n: seen.append((i, n)),
+            )
+            assert seen == ticks
 
     def test_rows_carry_features(self, small_dataset):
         table = sweep(small_dataset, [TESTBEDS["INTEL-XEON"]])

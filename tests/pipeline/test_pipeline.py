@@ -9,14 +9,16 @@ import os
 
 import pytest
 
+import repro.pipeline.cache as cache_module
+import repro.pipeline.engine as engine
 from repro.core.dataset import Dataset, sweep
 from repro.core.feature_space import build_dataset_specs
 from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
 from repro.io.pack import Pack, append_entries
 from repro.perfmodel.fused import FusedSpecSource
-from repro.pipeline import (InstanceCache, corrupt_file, run_sweep,
-                            resolve_jobs, spec_key)
+from repro.pipeline import (InstanceCache, RunJournal, corrupt_file,
+                            run_sweep, resolve_jobs, spec_key)
 
 from tests.oracles.sweep import scalar_sweep
 from tests.pipeline.golden import assert_bit_identical
@@ -94,6 +96,42 @@ class TestParallelDeterminism:
         assert resolve_jobs(5) == 5
         assert resolve_jobs(0) >= 1
         assert resolve_jobs(None) >= 1
+
+
+class TestChunkRule:
+    """In-process, a sweep of up to 64 specs gets one scoring pass of at
+    most 16 specs per chunk and a larger one four chunks, each scored in
+    such passes; a crew keeps four chunks per worker."""
+
+    @pytest.mark.parametrize("n, n_chunks, n_passes", [
+        (3, 1, 1), (16, 1, 1), (17, 2, 2), (40, 3, 3), (80, 4, 8),
+    ])
+    def test_serial_chunks_and_passes(self, n, n_chunks, n_passes,
+                                      tmp_path, monkeypatch):
+        specs = [MatrixSpec(n_rows=100, n_cols=100, avg_nnz_per_row=3.0,
+                            skew_coeff=float(seed % 3) * 20, seed=seed)
+                 for seed in range(n)]
+        passes = []
+        fused_spec_table = engine.fused_spec_table
+
+        def counting_fused_spec_table(dataset, lo, hi, *args, **kwargs):
+            passes.append((lo, hi))
+            return fused_spec_table(dataset, lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "fused_spec_table",
+                            counting_fused_spec_table)
+        serial = run_sweep(tiny_dataset(specs=specs), DEVICES, jobs=1,
+                           run_dir=tmp_path / "serial")
+        bounds = RunJournal.load(tmp_path / "serial").bounds
+        assert len(bounds) == n_chunks
+        assert len(passes) == n_passes
+        assert passes == [(lo, min(lo + 16, hi)) for first, hi in bounds
+                          for lo in range(first, hi, 16)]
+
+        crew = run_sweep(tiny_dataset(specs=specs), DEVICES, jobs=2,
+                         run_dir=tmp_path / "crew")
+        assert len(RunJournal.load(tmp_path / "crew").bounds) == min(n, 8)
+        assert_bit_identical(crew, serial)
 
 
 class TestCache:
@@ -201,6 +239,22 @@ class TestCache:
         record.grown = True     # rescored
         assert fresh.store([spec], MAX_NNZ, [record]) == 1
         assert InstanceCache(tmp_path).fetch(spec, MAX_NNZ) == record
+
+    def test_warm_sweep_keys_each_spec_once(self, tmp_path, monkeypatch):
+        """Complete records grow nothing, so ``store`` keys none of them:
+        one ``spec_key`` per spec, all from ``fetch``."""
+        specs = SPECS[:4]
+        sweep(tiny_dataset(specs=specs), DEVICES, cache_dir=str(tmp_path))
+        keyed = []
+        real_spec_key = cache_module.spec_key
+
+        def counting_spec_key(spec, *args, **kwargs):
+            keyed.append(spec)
+            return real_spec_key(spec, *args, **kwargs)
+
+        monkeypatch.setattr(cache_module, "spec_key", counting_spec_key)
+        sweep(tiny_dataset(specs=specs), DEVICES, cache_dir=str(tmp_path))
+        assert keyed == list(specs)
 
     def test_memo_change_rewrites_record(self, tmp_path):
         spec = TINY[3]

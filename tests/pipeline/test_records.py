@@ -12,6 +12,7 @@ declared-scale profile once, whatever the number of keys it scores.
 """
 
 import shutil
+import weakref
 from collections import Counter, defaultdict
 from functools import cached_property
 
@@ -25,6 +26,8 @@ from repro.core.generator import MatrixSpec
 from repro.devices import TESTBEDS
 from repro.devices.parallel import RowProfile
 from repro.io.pack import Pack, append_entries
+from repro.perfmodel.batch import _score_grid
+from repro.perfmodel.fused import FusedSpecSource
 from repro.pipeline import InstanceCache, run_sweep, spec_key
 from repro.pipeline.cache import PACK_NAME, decode_record, encode_record
 
@@ -303,3 +306,34 @@ def test_cold_sweep_passes_each_profile_once(passes):
     assert all(len(arrays) == 1 for arrays in passes["warp"].values())
     # Several worker counts share one width's cycles.
     assert min(passes["warp_queries"].values()) > 1
+
+
+def test_cold_pass_holds_one_profile_at_a_time(monkeypatch):
+    """A cold pass of scaled specs on all nine testbeds keeps at most one
+    declared-scale profile alive; a key queried after the pass
+    regenerates the released profile bit-identically."""
+    assert all(spec.representative(MAX_NNZ).n_rows < spec.n_rows
+               for spec in SPECS)
+    live = weakref.WeakSet()
+    peak = []
+
+    def tracked_row_profile(lengths):
+        profile = RowProfile(lengths)
+        live.add(profile)
+        peak.append(len(live))
+        return profile
+
+    monkeypatch.setattr(fused, "RowProfile", tracked_row_profile)
+    names = [f"tiny[{i}]" for i in range(len(SPECS))]
+    source = FusedSpecSource(SPECS, names, max_nnz=MAX_NNZ)
+    _score_grid(source, list(TESTBEDS.values()))
+    assert len(peak) == len(SPECS)
+    assert max(peak) == 1
+
+    key = ("row_block", 3, 8)
+    assert all(key not in rec.imbalance for rec in source.records)
+    fresh = FusedSpecSource(SPECS[VICTIM:VICTIM + 1], names[:1],
+                            max_nnz=MAX_NNZ)
+    assert source.imbalance_factor(VICTIM, *key) == (
+        fresh.imbalance_factor(0, *key)
+    )

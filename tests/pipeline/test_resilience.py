@@ -37,15 +37,26 @@ FIXTURES = Path(__file__).parent / "fixtures"
 DEVICES = [TESTBEDS["Tesla-A100"]]
 MAX_NNZ = 5_000
 SPECS = build_dataset_specs("tiny")[::13]  # 14 specs -> 8 chunks at jobs=2
+# 36 specs -> 3 chunks in-process (one scoring pass of <= 16 specs each).
+WIDE_SPECS = build_dataset_specs("tiny")[::5]
 
 
 def dataset():
     return Dataset(SPECS, max_nnz=MAX_NNZ, name="tiny")
 
 
+def wide_dataset():
+    return Dataset(WIDE_SPECS, max_nnz=MAX_NNZ, name="tiny")
+
+
 @pytest.fixture(scope="module")
 def golden():
     return run_sweep(dataset(), DEVICES)
+
+
+@pytest.fixture(scope="module")
+def wide_golden():
+    return run_sweep(wide_dataset(), DEVICES)
 
 
 def _tree(root):
@@ -149,18 +160,19 @@ class TestResume:
                           resume=True)
         assert_bit_identical(table, golden)
 
-    def test_serial_stop_then_parallel_resume(self, golden, tmp_path):
+    def test_serial_stop_then_parallel_resume(self, wide_golden, tmp_path):
         run_dir = tmp_path / "run"
         with pytest.raises(KeyboardInterrupt):
-            run_sweep(dataset(), DEVICES, jobs=1, run_dir=run_dir,
+            run_sweep(wide_dataset(), DEVICES, jobs=1, run_dir=run_dir,
                       faults="stop@1")
         journal = RunJournal.load(run_dir)
         assert journal.ended == "interrupted"
+        assert len(journal.bounds) == 3
         assert sorted(journal.completed_chunks()) == [0, 1]
         rep = RunReport()
-        table = run_sweep(dataset(), DEVICES, jobs=2, run_dir=run_dir,
+        table = run_sweep(wide_dataset(), DEVICES, jobs=2, run_dir=run_dir,
                           resume=True, report=rep)
-        assert_bit_identical(table, golden)
+        assert_bit_identical(table, wide_golden)
         assert rep.chunks_resumed == 2
         assert rep.chunks_completed == rep.chunks_total - 2
 
