@@ -155,8 +155,8 @@ def cross_row_similarity(mat: CSRMatrix, distance: int = 1) -> float:
     has_neighbour = (hi > lo).astype(np.float64)
     # Per-row fraction, then average across eligible rows (nonzero rows with
     # a successor row).
-    per_row_hits = np.zeros(mat.n_rows, dtype=np.float64)
-    np.add.at(per_row_hits, rows, has_neighbour)
+    per_row_hits = np.bincount(rows, weights=has_neighbour,
+                               minlength=mat.n_rows)
     eligible = (lengths > 0) & (
         np.arange(mat.n_rows) < mat.n_rows - 1
     )

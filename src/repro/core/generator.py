@@ -66,9 +66,16 @@ def row_length_profile(
     mean; if ``skew_coeff`` exceeds what the body would naturally produce,
     an exponentially decaying head ``MAX * exp(-C * i / n_rows)`` is
     superimposed on the first rows (paper Section III-B) and the body mean
-    is recomputed so the combined average stays on target.  The returned
-    integer array sums exactly to ``round(avg_nz_row * n_rows)`` and its
-    maximum is pinned to ``avg * (1 + skew)`` (both capped at ``n_cols``).
+    is recomputed so the combined average stays on target.
+
+    Row 0 is pinned to at least ``avg * (1 + skew)`` (capped at
+    ``n_cols``), and the rounding residual is spread over rows
+    ``1..n_rows-1`` within ``[0, min(n_cols, avg * (1 + skew))]``.  So
+    the returned integer array sums exactly to ``round(avg_nz_row *
+    n_rows)`` whenever those rows have the headroom for the residual;
+    otherwise (one row, or every other row at its bound) it stops short.
+    At most two profile-sized arrays are alive at once, besides those
+    ``Generator.choice`` makes for a residual above 2% of the rows.
     """
     if n_rows <= 0:
         return np.zeros(0, dtype=np.int64)
@@ -125,9 +132,11 @@ def row_length_profile(
         if body_mean > 0:
             body *= body_scale_target / body_mean
         body[:k] += top
+        del head, top
 
     np.clip(np.round(body, out=body), 0, n_cols, out=body)
     lengths = body.astype(np.int64)
+    del body
 
     # Pin the maximum so the realised skew matches the request.
     lengths[0] = max(lengths[0], target_max)
@@ -143,15 +152,27 @@ def row_length_profile(
         # n_rows - 1 units.
         while remaining > 0:
             if step > 0:
-                movable = lengths[1:] < min(n_cols, target_max)
+                stuck = lengths[1:] >= min(n_cols, target_max)
             else:
-                movable = lengths[1:] > 0
-            candidates = np.flatnonzero(movable) + 1
-            if len(candidates) == 0:
+                stuck = lengths[1:] <= 0
+            n_stuck = int(np.count_nonzero(stuck))
+            n_cand = n_rows - 1 - n_stuck
+            if n_cand == 0:
                 break
-            take = min(remaining, len(candidates))
-            chosen = rng.choice(candidates, size=take, replace=False)
-            lengths[chosen] += step
+            take = min(remaining, n_cand)
+            # Generator.choice draws by population size alone: positions
+            # among the movable rows are the draw an array of them gets.
+            # They map to rows through the smaller side of the mask.
+            pos = rng.choice(n_cand, size=take, replace=False)
+            if n_stuck <= n_cand:
+                # Stuck rows with at most pos movable rows before them
+                # precede the pos-th movable row.
+                before = np.flatnonzero(stuck)
+                before -= np.arange(n_stuck)
+                rows = pos + np.searchsorted(before, pos, "right") + 1
+            else:
+                rows = np.flatnonzero(~stuck)[pos] + 1
+            lengths[rows] += step
             remaining -= take
     return lengths
 

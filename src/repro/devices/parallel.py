@@ -8,18 +8,19 @@ ratio of the critical (slowest) worker's load to the mean load — the
 multiplicative slowdown of a bulk-synchronous SpMV.
 
 Every partitioner reads the profile through a :class:`RowProfile`, which
-computes each worker-independent pass over the rows on first use and
-keeps it: the total, the prefix sum, the SELL chunk widths and the
-per-width warp cycles.  A caller scoring one profile under several
-(strategy, workers, width) keys passes the same ``RowProfile`` to every
-call, so each full pass over the rows runs once per profile.
+computes each worker-independent pass over the rows on first use: the
+total, the prefix sum, the SELL chunk widths and the per-width warp
+cycles.  It keeps the small ones and one full-length pass at a time.  A
+caller scoring one profile under several (strategy, workers, width) keys
+passes the same ``RowProfile`` to every call, in :func:`pass_order`, so
+each full pass over the rows runs once per profile.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -36,6 +37,7 @@ __all__ = [
     "sell_chunk_widths",
     "lockstep_channel_imbalance",
     "imbalance_for_strategy",
+    "pass_order",
     "PARTITION_STRATEGIES",
 ]
 
@@ -69,17 +71,25 @@ class RowProfile:
     ``lengths`` is the integer per-row nonzero count.  The total, the
     int64 prefix sum ``[0, cumsum(lengths)]``, the SELL chunk widths per
     layout and, per SIMD width, the warp-cycle counts with their maximum
-    are each computed on first use and kept.  All are integer passes, so
-    sharing them across partitioner calls changes no bit of a result.
+    are each computed on first use.  All are integer passes, so sharing
+    them across partitioner calls changes no bit of a result.  The total
+    and the SELL widths are kept; of the full-length prefix sum and warp
+    cycles, only the last one computed is, so callers visit their keys
+    in :func:`pass_order`.
     """
 
     def __init__(self, lengths: np.ndarray):
         self.lengths = lengths
         self._sell: Dict[Tuple[int, int], np.ndarray] = {}
-        self._warp: Dict[int, Tuple[np.ndarray, float]] = {}
+        self._warp: Optional[Tuple[int, np.ndarray, float]] = None
 
     def __len__(self) -> int:
         return len(self.lengths)
+
+    def _drop_pass(self) -> None:
+        """Drop the full-length pass held, before computing another."""
+        self.__dict__.pop("csum", None)
+        self._warp = None
 
     @cached_property
     def total(self) -> int:
@@ -87,6 +97,7 @@ class RowProfile:
 
     @cached_property
     def csum(self) -> np.ndarray:
+        self._drop_pass()
         csum = np.empty(len(self.lengths) + 1, dtype=np.int64)
         csum[0] = 0
         np.cumsum(self.lengths, out=csum[1:])
@@ -95,17 +106,19 @@ class RowProfile:
     def sell_widths(self, C: int = 32, sigma: int = 1024) -> np.ndarray:
         """:func:`sell_chunk_widths` of the profile."""
         if (C, sigma) not in self._sell:
+            self._drop_pass()
             self._sell[C, sigma] = sell_chunk_widths(self.lengths, C, sigma)
         return self._sell[C, sigma]
 
     def warp_cycles(self, width: int) -> Tuple[np.ndarray, float]:
         """Per-row ``ceil(len / width)`` warp cycles and their maximum
         (a non-empty profile)."""
-        if width not in self._warp:
-            lengths = np.asarray(self.lengths, dtype=np.int64)
-            cycles = (lengths + width - 1) // width
-            self._warp[width] = cycles, float(cycles.max())
-        return self._warp[width]
+        if self._warp is None or self._warp[0] != width:
+            self._drop_pass()
+            cycles = np.asarray(self.lengths, dtype=np.int64) + (width - 1)
+            cycles //= width
+            self._warp = width, cycles, float(cycles.max())
+        return self._warp[1:]
 
 
 Profile = Union[RowProfile, np.ndarray]
@@ -245,11 +258,11 @@ def sell_chunk_widths(
     per-window descending sort and the chunk-maximum reduction — and it
     does not depend on ``n_workers``, so callers scoring the same
     profile at several worker counts can compute it once.  The windows
-    sort as one 2-D sort, the tail padded with -1 sentinels.  ``sigma``
-    must be a multiple of ``C``, as with the defaults: windows then
-    start on chunk boundaries, so every chunk lies in one
-    descending-sorted window and its width is its first row, read off
-    the ascending window sort at a stride of ``C``.
+    sort in place as one 2-D sort of an int32 copy, the tail padded
+    with -1 sentinels.  ``sigma`` must be a multiple of ``C``, as with
+    the defaults: windows then start on chunk boundaries, so every
+    chunk lies in one descending-sorted window and its width is its
+    first row, read off the ascending window sort at a stride of ``C``.
     """
     if sigma % C:
         raise ValueError(f"sigma ({sigma}) must be a multiple of C ({C})")
@@ -263,7 +276,8 @@ def sell_chunk_widths(
     n_windows = (n_rows + sigma - 1) // sigma
     padded = np.full(n_windows * sigma, -1, dtype=np.int32)
     padded[:n_rows] = lengths
-    asc = np.sort(padded.reshape(n_windows, sigma), axis=1)
+    asc = padded.reshape(n_windows, sigma)
+    asc.sort(axis=1)
     n_chunks = (n_rows + C - 1) // C
     heads = asc[:, sigma - 1::-C].reshape(-1)[:n_chunks]
     return heads.astype(np.int64)
@@ -325,6 +339,21 @@ PARTITION_STRATEGIES = {
     "sell_chunk": sell_chunk_imbalance,
     "lockstep_channel": lockstep_channel_imbalance,
 }
+
+
+# Strategies by the full-length RowProfile pass they read, after the
+# prefix-sum ones (rank 0, with those reading no full-length pass).
+_PASS_RANK = {"warp_row": 1, "sell_chunk": 2}
+
+
+def pass_order(key: Tuple[str, int, int]) -> Tuple[int, int]:
+    """Sort key for one profile's ``(strategy, workers, width)`` keys
+    that groups them by the full-length pass they read: the prefix sum,
+    then the warp cycles width by width, then the SELL sort.  Visited in
+    this order, a :class:`RowProfile`, which holds one such pass at a
+    time, makes each pass once."""
+    strategy, _, width = key
+    return _PASS_RANK.get(strategy, 0), width
 
 
 def imbalance_for_strategy(

@@ -44,6 +44,7 @@ import numpy as np
 from ..devices.base import Device, DeviceColumns
 from ..devices.cache import effective_bandwidth, x_access_model
 from ..devices.energy import EnergyModel
+from ..devices.parallel import pass_order
 from ..formats.base import FormatError, get_format
 from .instance import MatrixInstance
 from .noise import NOISE_SIGMA, component_hash, noise_factors
@@ -564,19 +565,20 @@ def _score_grid(
     need_key = np.zeros((n_inst, len(df_keys)), dtype=bool)
     for k in range(len(df_keys)):
         need_key[:, k] = scoreable_df[:, df_key_idx == k].any(axis=1)
+    key_order = sorted(range(len(df_keys)),
+                       key=lambda k: pass_order(df_keys[k]))
 
-    # One instance at a time: its SIMD memos, its imbalance memos, then
-    # ``release`` lets the source drop that instance's profile.
+    # One instance at a time: its SIMD memos, its imbalance memos (in
+    # pass order), then ``release`` lets the source drop that instance's
+    # profile.
     source.prepare_memos(widths, need_w, df_keys, need_key)
     for i in range(n_inst):
         for w, k in width_pos.items():
             if need_w[i, k]:
                 util_tab[i, k] = source.simd_utilisation(i, w)
-        for k, (strategy, workers, width) in enumerate(df_keys):
+        for k in key_order:
             if need_key[i, k]:
-                imb_tab[i, k] = source.imbalance_factor(
-                    i, strategy, workers, width
-                )
+                imb_tab[i, k] = source.imbalance_factor(i, *df_keys[k])
         source.release(i)
     util_df = util_tab[:, cell_w_pos]                # (n_inst, n_df)
     inv_w_df = 1.0 / cells.simd_width_dp

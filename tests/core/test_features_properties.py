@@ -4,8 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.features import extract_features
+from repro.core.features import cross_row_similarity, extract_features
+from repro.core.generator import artificial_matrix_generation
 from repro.core.matrix import CSRMatrix, csr_from_coo
+
+from tests.oracles import features as oracle
 
 
 @st.composite
@@ -19,6 +22,16 @@ def random_csr(draw):
         n_rows, n_cols,
         rng.integers(0, n_rows, nnz), rng.integers(0, n_cols, nnz),
         rng.uniform(0.5, 1.5, nnz),
+    )
+
+
+@st.composite
+def generated_csr(draw):
+    n = draw(st.integers(40, 2000))
+    return artificial_matrix_generation(
+        n, n, draw(st.floats(1.0, 30.0)),
+        cross_row_sim=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**31 - 1)),
     )
 
 
@@ -79,3 +92,14 @@ def test_identical_banded_rows_are_fully_similar(n, width, seed):
     f = extract_features(mat)
     assert f.cross_row_similarity == 1.0
     assert f.skew_coeff == 0.0
+
+
+@given(mat=st.one_of(random_csr(), generated_csr()),
+       distance=st.integers(0, 4))
+@settings(max_examples=90, deadline=None)
+def test_cross_row_similarity_matches_add_at_oracle(mat, distance):
+    """The weighted ``bincount`` of per-row hits gives the ``np.add.at``
+    form's feature bit for bit."""
+    assert cross_row_similarity(mat, distance) == (
+        oracle.cross_row_similarity(mat, distance)
+    )

@@ -4,6 +4,7 @@ against (and benchmarked against): retired engines kept out of
 
 * ``analysis`` — the dict-row analysis reductions;
 * ``dispatch`` — the plain ``multiprocessing.Pool`` sweep dispatch;
+* ``features`` — cross-row similarity summed with ``np.add.at``;
 * ``generator`` — the per-element sequential Listing-1 generator and
   the full-length row-length profile;
 * ``model`` — the scalar SpMV model and its scalar measurement noise;

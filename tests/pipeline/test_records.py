@@ -8,10 +8,12 @@ chunk that lack something structural are regenerated in one
 ``structure_batch`` wave.  Each case counts the generator calls and
 requires the table bit-identical to the instance oracle, with the
 grown record written back.  A cold sweep makes each full pass over a
-declared-scale profile once, whatever the number of keys it scores.
+declared-scale profile once, whatever the number of keys it scores, and
+scores a 2M-row spec holding about two profile-sized arrays at most.
 """
 
 import shutil
+import tracemalloc
 import weakref
 from collections import Counter, defaultdict
 from functools import cached_property
@@ -28,6 +30,7 @@ from repro.devices.parallel import RowProfile
 from repro.io.pack import Pack, append_entries
 from repro.perfmodel.batch import _score_grid
 from repro.perfmodel.fused import FusedSpecSource
+from repro.perfmodel.instance import MAX_PROFILE_ROWS
 from repro.pipeline import InstanceCache, run_sweep, spec_key
 from repro.pipeline.cache import PACK_NAME, decode_record, encode_record
 
@@ -337,3 +340,29 @@ def test_cold_pass_holds_one_profile_at_a_time(monkeypatch):
     assert source.imbalance_factor(VICTIM, *key) == (
         fresh.imbalance_factor(0, *key)
     )
+
+
+@pytest.mark.parametrize("avg, skew", [(5.0, 1000.0), (20.0, 10000.0),
+                                       (10.0, 0.0)])
+def test_declared_scale_spec_holds_two_profile_arrays(avg, skew):
+    """Scoring one spec of 2M declared rows on all nine testbeds, from
+    its profile's draw to its last imbalance key, traces a peak of at
+    most 2.25 int64 profiles: the generator frees its head and body as
+    it goes and draws the residual without indexing every row, and the
+    spec's RowProfile holds one full-length pass at a time.  Keeping
+    the head, the body and two row-index arrays beside the lengths
+    traces over five.  The avg-10, skew-0 cell rounds most rows to the
+    cap, so its residual rows are looked up from the movable side."""
+    rows = MAX_PROFILE_ROWS
+    spec = MatrixSpec(n_rows=rows, n_cols=rows, avg_nnz_per_row=avg,
+                      skew_coeff=skew, seed=11)
+    source = FusedSpecSource([spec], ["declared"], max_nnz=MAX_NNZ)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _score_grid(source, list(TESTBEDS.values()))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert source.records[0].rows < rows
+    assert peak <= 2.25 * rows * 8, f"{peak / (rows * 8):.2f} profiles"
