@@ -86,8 +86,9 @@ class RowProfile:
     def __len__(self) -> int:
         return len(self.lengths)
 
-    def _drop_pass(self) -> None:
-        """Drop the full-length pass held, before computing another."""
+    def drop_pass(self) -> None:
+        """Drop the full-length pass held (before computing another, or
+        once a caller's keys are done); the lengths stay."""
         self.__dict__.pop("csum", None)
         self._warp = None
 
@@ -97,7 +98,7 @@ class RowProfile:
 
     @cached_property
     def csum(self) -> np.ndarray:
-        self._drop_pass()
+        self.drop_pass()
         csum = np.empty(len(self.lengths) + 1, dtype=np.int64)
         csum[0] = 0
         np.cumsum(self.lengths, out=csum[1:])
@@ -106,7 +107,7 @@ class RowProfile:
     def sell_widths(self, C: int = 32, sigma: int = 1024) -> np.ndarray:
         """:func:`sell_chunk_widths` of the profile."""
         if (C, sigma) not in self._sell:
-            self._drop_pass()
+            self.drop_pass()
             self._sell[C, sigma] = sell_chunk_widths(self.lengths, C, sigma)
         return self._sell[C, sigma]
 
@@ -114,7 +115,7 @@ class RowProfile:
         """Per-row ``ceil(len / width)`` warp cycles and their maximum
         (a non-empty profile)."""
         if self._warp is None or self._warp[0] != width:
-            self._drop_pass()
+            self.drop_pass()
             cycles = np.asarray(self.lengths, dtype=np.int64) + (width - 1)
             cycles //= width
             self._warp = width, cycles, float(cycles.max())

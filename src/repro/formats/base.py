@@ -88,8 +88,8 @@ class FormatStatsBatch:
     One entry per matrix of a :class:`~repro.core.matrix.CSRStructBatch`.
     Refusals are carried in-band: ``fail[i]`` marks matrices the format
     rejected and ``fail_reason[i]`` holds the exact :class:`FormatError`
-    message the scalar path would have raised — the fused sweep replays
-    both, so skip reasons stay bit-identical to the instance path.
+    message ``from_csr`` would have raised — scoring replays both, so
+    skip reasons name the conversion's own refusal.
     """
 
     stored_elements: np.ndarray
@@ -187,14 +187,21 @@ class SparseFormat(abc.ABC):
         """Analytic statistics: what ``from_csr(mat).stats()`` would return,
         without materialising the format.
 
-        The scoring path (:meth:`repro.perfmodel.MatrixInstance.format_stats`)
-        never touches a format's payload arrays, so built-in formats override
-        this with closed-form computations over the CSR structure arrays —
-        including the exact :class:`FormatError`/:class:`CapacityError`
-        rejections ``from_csr`` would raise, with identical messages.  This
-        default falls back to a full conversion so third-party subclasses
-        keep working unchanged.
+        Scoring never touches a format's payload arrays, so built-in
+        formats compute their stats in closed form over the CSR structure
+        arrays — including the exact :class:`FormatError`/
+        :class:`CapacityError` rejections ``from_csr`` would raise, with
+        identical messages.  Each closed form is written once: a format
+        with a vectorised :meth:`stats_from_csr_batch` answers here with a
+        batch of one, while BCSR, SparseX and VSL override this scalar
+        form, which the batch default loops over.  A format with neither
+        (a third-party subclass) is converted and reduced.
         """
+        batch_form = cls.stats_from_csr_batch.__func__
+        if batch_form is not SparseFormat.stats_from_csr_batch.__func__:
+            return cls.stats_from_csr_batch(
+                CSRStructBatch.from_matrices([mat]), matrices=[mat]
+            ).stats(0)
         return cls.from_csr(mat).stats()
 
     @classmethod
@@ -205,16 +212,16 @@ class SparseFormat(abc.ABC):
     ) -> FormatStatsBatch:
         """Batched analytic statistics for a whole structure chunk.
 
-        The fused cold path calls this once per format per chunk.  Hot
+        The scoring source calls this once per format per chunk.  Hot
         formats override it with vectorised column math over the stacked
-        structure arrays; this default is the per-instance fallback — it
+        structure arrays; this default is the per-matrix fallback — it
         scores each matrix through :meth:`stats_from_csr` and folds
         refusals into the batch's ``fail``/``fail_reason`` fields, so
         fallback formats produce the same columns (and the same error
-        messages) as the scalar path, just one matrix at a time.
+        messages) as their scalar form, just one matrix at a time.
 
         ``matrices`` optionally supplies pre-materialised per-chunk
-        :class:`CSRMatrix` views (the fused driver shares one set across
+        :class:`CSRMatrix` views (the scoring source shares one set across
         every fallback format); otherwise each is built from the batch.
         """
         n = len(batch)
@@ -256,8 +263,8 @@ class SparseFormat(abc.ABC):
         differs from the representative's by more than
         ``DENSITY_TOLERANCE``, those formats score at the declared
         per-channel cell density; every other case is
-        :meth:`stats_from_csr`.  The instance and fused scoring paths
-        both decide through here.
+        :meth:`stats_from_csr`.  The scoring source and
+        ``MatrixInstance.format_stats`` both decide through here.
         """
         if hasattr(cls, "stats_at_density"):
             rep_density = mat.nnz / max(mat.n_cols, 1)

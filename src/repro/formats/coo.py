@@ -66,11 +66,15 @@ class COO(SparseFormat):
         )
 
     def stats(self) -> FormatStats:
-        return self._coo_stats(self.nnz)
-
-    @classmethod
-    def stats_from_csr(cls, mat: CSRMatrix) -> FormatStats:
-        return cls._coo_stats(mat.nnz)
+        meta = 2 * self.nnz * INDEX_BYTES
+        return FormatStats(
+            stored_elements=self.nnz,
+            padding_elements=0,
+            memory_bytes=meta + self.nnz * VALUE_BYTES,
+            metadata_bytes=meta,
+            balance_aware=True,   # elements can be split evenly anywhere
+            simd_friendly=False,  # scattered row writes
+        )
 
     @classmethod
     def stats_from_csr_batch(
@@ -88,18 +92,6 @@ class COO(SparseFormat):
             balance_aware=np.ones(n, dtype=bool),
             simd_friendly=np.zeros(n, dtype=bool),
             fail=np.zeros(n, dtype=bool),
-        )
-
-    @staticmethod
-    def _coo_stats(nnz: int) -> FormatStats:
-        meta = 2 * nnz * INDEX_BYTES
-        return FormatStats(
-            stored_elements=nnz,
-            padding_elements=0,
-            memory_bytes=meta + nnz * VALUE_BYTES,
-            metadata_bytes=meta,
-            balance_aware=True,   # elements can be split evenly anywhere
-            simd_friendly=False,  # scattered row writes
         )
 
     @property

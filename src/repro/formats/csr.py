@@ -61,10 +61,6 @@ class _CSRBase(SparseFormat):
         return self._csr_stats(self.mat.n_rows, self.mat.nnz)
 
     @classmethod
-    def stats_from_csr(cls, mat: CSRMatrix) -> FormatStats:
-        return cls._csr_stats(mat.n_rows, mat.nnz)
-
-    @classmethod
     def stats_from_csr_batch(
         cls, batch: CSRStructBatch, matrices=None
     ) -> FormatStatsBatch:

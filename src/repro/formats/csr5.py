@@ -59,23 +59,6 @@ class CSR5(SparseFormat):
         return cls(mat, tile_ptr.astype(np.int64), int(desc_bits))
 
     @classmethod
-    def stats_from_csr(cls, mat: CSRMatrix) -> FormatStats:
-        """Closed-form stats: CSR storage plus per-tile descriptor maths."""
-        tile_nnz = cls.OMEGA * cls.SIGMA
-        n_tiles = (mat.nnz + tile_nnz - 1) // tile_nnz
-        desc_bits = n_tiles * (tile_nnz + 2 * cls.OMEGA * 32)
-        csr_meta = mat.nnz * INDEX_BYTES + (mat.n_rows + 1) * INDEX_BYTES
-        desc_bytes = (desc_bits + 7) // 8 + n_tiles * INDEX_BYTES
-        return FormatStats(
-            stored_elements=mat.nnz,
-            padding_elements=0,
-            memory_bytes=mat.nnz * VALUE_BYTES + csr_meta + desc_bytes,
-            metadata_bytes=csr_meta + desc_bytes,
-            balance_aware=True,
-            simd_friendly=True,
-        )
-
-    @classmethod
     def stats_from_csr_batch(
         cls, batch: CSRStructBatch, matrices=None
     ) -> FormatStatsBatch:

@@ -42,9 +42,9 @@ class DIA(SparseFormat):
 
     @classmethod
     def _populated_diagonals(cls, mat: CSRMatrix, max_blowup: float):
-        """(rows, offs, uniq offsets) with the blowup gate applied — the
-        single source of the rejection threshold and message for both the
-        conversion and the analytic stats.  Requires ``mat.nnz > 0``."""
+        """(rows, offs, uniq offsets) with the blowup gate applied; the
+        batch stats apply the same threshold with the same message.
+        Requires ``mat.nnz > 0``."""
         rows = np.repeat(
             np.arange(mat.n_rows, dtype=np.int64), mat.row_lengths
         )
@@ -73,29 +73,6 @@ class DIA(SparseFormat):
         diags = np.zeros((len(uniq), mat.n_rows), dtype=np.float64)
         diags[diag_idx, rows] = mat.data
         return cls(mat.n_rows, mat.n_cols, uniq, diags, mat.nnz)
-
-    @classmethod
-    def stats_from_csr(
-        cls, mat: CSRMatrix, max_blowup: float = DEFAULT_MAX_BLOWUP
-    ) -> FormatStats:
-        """Closed-form stats from the populated-diagonal count alone."""
-        if mat.nnz == 0:
-            return FormatStats(
-                stored_elements=0, padding_elements=0,
-                memory_bytes=0, metadata_bytes=0,
-                balance_aware=True, simd_friendly=True,
-            )
-        _, _, uniq = cls._populated_diagonals(mat, max_blowup)
-        stored = len(uniq) * mat.n_rows
-        meta = len(uniq) * INDEX_BYTES
-        return FormatStats(
-            stored_elements=stored,
-            padding_elements=stored - mat.nnz,
-            memory_bytes=stored * VALUE_BYTES + meta,
-            metadata_bytes=meta,
-            balance_aware=True,
-            simd_friendly=True,
-        )
 
     @classmethod
     def stats_from_csr_batch(

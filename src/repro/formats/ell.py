@@ -72,9 +72,8 @@ class ELL(SparseFormat):
 
     @classmethod
     def _padded_extent(cls, mat: CSRMatrix, max_blowup: float):
-        """(width, stored slots) with the blowup gate applied — the single
-        source of the rejection threshold and message for both the
-        conversion and the analytic stats."""
+        """(width, stored slots) with the blowup gate applied; the batch
+        stats format the same message with the same arithmetic."""
         width = int(mat.row_lengths.max()) if mat.n_rows else 0
         stored = mat.n_rows * width
         if mat.nnz and stored > max_blowup * mat.nnz:
@@ -94,27 +93,11 @@ class ELL(SparseFormat):
         return cls(mat.n_rows, mat.n_cols, cols, vals, mat.nnz)
 
     @classmethod
-    def stats_from_csr(
-        cls, mat: CSRMatrix, max_blowup: float = DEFAULT_MAX_BLOWUP
-    ) -> FormatStats:
-        """Closed-form stats: stored = n_rows x max row length, no arrays."""
-        _, stored = cls._padded_extent(mat, max_blowup)
-        meta = stored * INDEX_BYTES
-        return FormatStats(
-            stored_elements=stored,
-            padding_elements=stored - mat.nnz,
-            memory_bytes=stored * (INDEX_BYTES + VALUE_BYTES),
-            metadata_bytes=meta,
-            balance_aware=True,
-            simd_friendly=True,
-        )
-
-    @classmethod
     def stats_from_csr_batch(
         cls, batch: CSRStructBatch, matrices=None
     ) -> FormatStatsBatch:
         """Vectorised padded-extent stats; refusal messages are formatted
-        with the exact scalar arithmetic of :meth:`_padded_extent`."""
+        with the exact arithmetic of :meth:`_padded_extent`."""
         n = len(batch)
         nnz = batch.nnz
         width = np.zeros(n, dtype=np.int64)
@@ -222,31 +205,6 @@ class HYB(SparseFormat):
             rows_all[over], mat.indices[over], mat.data[over],
         )
         return cls(ell_part, coo_part, k)
-
-    @classmethod
-    def stats_from_csr(cls, mat: CSRMatrix, k: int = None) -> FormatStats:
-        """Closed-form ELL-part + COO-part stats at the split threshold."""
-        if k is None:
-            k = max(1, int(round(mat.nnz / max(mat.n_rows, 1))))
-        k = int(k)
-        ell_len = np.minimum(mat.row_lengths, k)
-        ell_width = int(ell_len.max()) if mat.n_rows else 0
-        ell_nnz = int(ell_len.sum())
-        ell_stored = mat.n_rows * ell_width
-        coo_nnz = mat.nnz - ell_nnz
-        ell_meta = ell_stored * INDEX_BYTES
-        coo_meta = 2 * coo_nnz * INDEX_BYTES
-        return FormatStats(
-            stored_elements=ell_stored + coo_nnz,
-            padding_elements=ell_stored - ell_nnz,
-            memory_bytes=(
-                ell_stored * (INDEX_BYTES + VALUE_BYTES)
-                + coo_meta + coo_nnz * VALUE_BYTES
-            ),
-            metadata_bytes=ell_meta + coo_meta,
-            balance_aware=True,
-            simd_friendly=True,
-        )
 
     @classmethod
     def stats_from_csr_batch(

@@ -83,27 +83,6 @@ class JAD(SparseFormat):
         )
 
     @classmethod
-    def stats_from_csr(cls, mat: CSRMatrix) -> FormatStats:
-        """Closed-form stats: the jagged-diagonal count is the longest row
-        (``len(jd_ptr) == n_diag + 1``); storage is nnz with no padding."""
-        n_diag = (
-            int(mat.row_lengths.max()) if mat.n_rows and mat.nnz else 0
-        )
-        meta = (
-            mat.nnz * INDEX_BYTES
-            + (n_diag + 1) * INDEX_BYTES
-            + mat.n_rows * INDEX_BYTES  # permutation
-        )
-        return FormatStats(
-            stored_elements=mat.nnz,
-            padding_elements=0,
-            memory_bytes=mat.nnz * VALUE_BYTES + meta,
-            metadata_bytes=meta,
-            balance_aware=True,
-            simd_friendly=True,
-        )
-
-    @classmethod
     def stats_from_csr_batch(
         cls, batch: CSRStructBatch, matrices=None
     ) -> FormatStatsBatch:

@@ -98,15 +98,11 @@ class MergeCSR(SparseFormat):
         return y
 
     def stats(self) -> FormatStats:
-        return self.stats_from_csr(self.mat)
-
-    @classmethod
-    def stats_from_csr(cls, mat: CSRMatrix) -> FormatStats:
-        """Closed-form stats: plain CSR storage; the merge-path worker math
-        partitions the ``n_rows + nnz`` lattice at schedule time and adds no
-        stored metadata."""
-        nnz = mat.nnz
-        meta = nnz * INDEX_BYTES + (mat.n_rows + 1) * INDEX_BYTES
+        """Plain CSR storage: the merge-path worker math partitions the
+        ``n_rows + nnz`` lattice at schedule time and adds no stored
+        metadata."""
+        nnz = self.mat.nnz
+        meta = nnz * INDEX_BYTES + (self.mat.n_rows + 1) * INDEX_BYTES
         return FormatStats(
             stored_elements=nnz,
             padding_elements=0,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.matrix import CSRMatrix, CSRStructBatch, csr_from_coo
+from ..devices.parallel import sell_chunk_widths
 from .base import (
     INDEX_BYTES,
     VALUE_BYTES,
@@ -165,71 +166,21 @@ class SELLCSigma(SparseFormat):
         return y
 
     @classmethod
-    def _chunk_widths_of_lengths(
-        cls, lengths: np.ndarray, C: int, sigma: int
-    ) -> np.ndarray:
-        """Per-chunk padded widths after window sorting, from lengths alone.
-
-        Only the *values* of the window-sorted length profile matter for
-        padding, so a plain descending sort per window replaces the
-        argsort/permutation of the full conversion.
-        """
-        n_rows = len(lengths)
-        n_chunks = (n_rows + C - 1) // C
-        if n_chunks == 0:
-            return np.zeros(0, dtype=np.int64)
-        perm_lengths = np.zeros(n_chunks * C, dtype=np.int64)
-        full = (n_rows // sigma) * sigma
-        if full:
-            perm_lengths[:full] = -np.sort(
-                -lengths[:full].reshape(-1, sigma), axis=1
-            ).reshape(-1)
-        if full < n_rows:
-            perm_lengths[full:n_rows] = -np.sort(-lengths[full:])
-        return perm_lengths.reshape(n_chunks, C).max(axis=1)
-
-    @classmethod
-    def stats_from_csr(
-        cls, mat: CSRMatrix, C: int = None, sigma: int = None
-    ) -> FormatStats:
-        """Closed-form stats from the window-sorted row-length profile."""
-        C = cls.DEFAULT_C if C is None else int(C)
-        sigma = cls.DEFAULT_SIGMA if sigma is None else int(sigma)
-        if C < 1 or sigma < 1:
-            raise ValueError("C and sigma must be >= 1")
-        widths = cls._chunk_widths_of_lengths(mat.row_lengths, C, sigma)
-        n_chunks = len(widths)
-        stored = int(widths.sum()) * C
-        meta = (
-            stored * INDEX_BYTES
-            + (n_chunks + 1) * INDEX_BYTES  # chunk pointers
-            + n_chunks * INDEX_BYTES        # widths
-            + mat.n_rows * INDEX_BYTES      # row permutation
-        )
-        return FormatStats(
-            stored_elements=stored,
-            padding_elements=stored - mat.nnz,
-            memory_bytes=stored * VALUE_BYTES + meta,
-            metadata_bytes=meta,
-            balance_aware=False,
-            simd_friendly=True,
-        )
-
-    @classmethod
     def stats_from_csr_batch(
         cls, batch: CSRStructBatch, matrices=None
     ) -> FormatStatsBatch:
         """Window-sorted padding stats per matrix, straight from the
-        stacked row-length segments (never refuses)."""
+        stacked row-length segments (never refuses).  The chunk widths of
+        the default layout come from
+        :func:`~repro.devices.parallel.sell_chunk_widths`, the routine the
+        imbalance model sorts with."""
         C, sigma = cls.DEFAULT_C, cls.DEFAULT_SIGMA
         n = len(batch)
         nnz = batch.nnz
         stored = np.zeros(n, dtype=np.int64)
         n_chunks = np.zeros(n, dtype=np.int64)
         for i in range(n):
-            widths = cls._chunk_widths_of_lengths(
-                batch.lengths_of(i), C, sigma
-            )
+            widths = sell_chunk_widths(batch.lengths_of(i), C, sigma)
             n_chunks[i] = len(widths)
             stored[i] = int(widths.sum()) * C
         meta = (

@@ -46,6 +46,7 @@ from ..devices.cache import effective_bandwidth, x_access_model
 from ..devices.energy import EnergyModel
 from ..devices.parallel import pass_order
 from ..formats.base import FormatError, get_format
+from .fused import FusedSpecSource
 from .instance import MatrixInstance
 from .noise import NOISE_SIGMA, component_hash, noise_factors
 
@@ -301,94 +302,6 @@ def _device_formats(
     return [list(dev.formats) for dev in devices]
 
 
-class _InstanceSource:
-    """:func:`_score_grid`'s view of a list of :class:`MatrixInstance`.
-
-    The scoring kernel pulls everything about the matrix axis through this
-    narrow interface — names, per-instance scalars, per-format stat
-    columns, and lazily-requested SIMD utilisation / imbalance factors
-    (announced in bulk through ``prepare_memos`` first, then asked for
-    one instance at a time, each instance closed by ``release``) — so
-    the fused cold path (:mod:`repro.perfmodel.fused`) can drive the
-    identical kernel from columnar spec data without ever materialising
-    instances.  This adapter reproduces the historical per-instance loops
-    exactly, memoisation semantics included.
-    """
-
-    def __init__(self, instances: Sequence[MatrixInstance]):
-        self.instances = list(instances)
-
-    def __len__(self) -> int:
-        return len(self.instances)
-
-    def names(self) -> List[str]:
-        return [inst.name for inst in self.instances]
-
-    def scalar_arrays(self) -> Tuple[np.ndarray, ...]:
-        """``(scale, nnz, n_rows, n_cols, neigh, sim, noise_hash)``."""
-        n = len(self.instances)
-        i_scale = np.empty(n)
-        i_nnz = np.empty(n, dtype=np.int64)
-        i_rows = np.empty(n, dtype=np.int64)
-        i_cols = np.empty(n, dtype=np.int64)
-        i_neigh = np.empty(n)
-        i_sim = np.empty(n)
-        i_noise_h = np.empty(n, dtype=np.uint64)
-        for i, inst in enumerate(self.instances):
-            i_scale[i] = inst.scale
-            i_nnz[i] = inst.nnz
-            i_rows[i] = inst.n_rows
-            i_cols[i] = inst.n_cols
-            feats = inst.features
-            i_neigh[i] = feats.avg_num_neighbours
-            i_sim[i] = feats.cross_row_similarity
-            key = inst.name or (inst.n_rows, inst.n_cols, inst.nnz)
-            i_noise_h[i] = component_hash(key)
-        return i_scale, i_nnz, i_rows, i_cols, i_neigh, i_sim, i_noise_h
-
-    def format_stats_columns(
-        self, name: str
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-               np.ndarray, np.ndarray, Dict[int, str]]:
-        """Stat columns ``(mem, meta, stored, pad_ratio, friendly, fail,
-        reasons)`` of one format across all instances."""
-        n = len(self.instances)
-        mem = np.zeros(n, dtype=np.int64)
-        meta = np.zeros(n, dtype=np.int64)
-        stored = np.zeros(n, dtype=np.int64)
-        pad = np.zeros(n)
-        friendly = np.zeros(n, dtype=bool)
-        fail = np.zeros(n, dtype=bool)
-        reasons: Dict[int, str] = {}
-        for i, inst in enumerate(self.instances):
-            try:
-                stats = inst.format_stats(name)
-            except FormatError as exc:
-                fail[i] = True
-                reasons[i] = str(exc)
-                continue
-            mem[i] = stats.memory_bytes
-            meta[i] = stats.metadata_bytes
-            stored[i] = stats.stored_elements
-            pad[i] = stats.padding_ratio
-            friendly[i] = stats.simd_friendly
-        return mem, meta, stored, pad, friendly, fail, reasons
-
-    def prepare_memos(self, widths, need_w, keys, need_key) -> None:
-        """Instances derive their memos lazily; nothing to prepare."""
-
-    def simd_utilisation(self, i: int, width: int) -> float:
-        return self.instances[i].simd_utilisation(width)
-
-    def imbalance_factor(
-        self, i: int, strategy: str, workers: int, width: int
-    ) -> float:
-        return self.instances[i].imbalance(strategy, workers, width).factor
-
-    def release(self, i: int) -> None:
-        """An instance keeps its own memo; nothing to drop."""
-
-
 def simulate_grid(
     instances: Sequence[MatrixInstance],
     devices: Sequence[Device],
@@ -403,11 +316,13 @@ def simulate_grid(
     device capacity gate becomes ``capacity_error`` cells, each with the
     :class:`FormatError`/:class:`CapacityError` message as its reason.
     ``formats=None`` (or an empty list) uses each device's Table-II
-    list; an explicit list applies to every device.
+    list; an explicit list applies to every device.  The instances keep
+    what scoring derives (:meth:`FusedSpecSource.of_instances`), so a
+    later call on them derives only what this one did not.
     """
     return _score_grid(
-        _InstanceSource(instances), devices, formats, precisions,
-        seed, noise_sigma,
+        FusedSpecSource.of_instances(instances), devices, formats,
+        precisions, seed, noise_sigma,
     )
 
 
@@ -419,11 +334,11 @@ def _score_grid(
     seed: int = 0,
     noise_sigma: Optional[float] = None,
 ) -> GridResult:
-    """Score the grid for any matrix-axis ``source``.
+    """Score the grid for a matrix-axis ``source``.
 
-    ``source`` follows the :class:`_InstanceSource` protocol; everything
-    below this line is matrix-representation agnostic, so the fused cold
-    path produces bit-identical cells by construction.
+    ``source`` follows the :class:`~repro.perfmodel.fused.FusedSpecSource`
+    protocol; everything below this line reads the matrix axis through
+    it alone.
     """
     devices = list(devices)
     precisions = tuple(precisions)
@@ -550,7 +465,7 @@ def _score_grid(
         for name in format_names
     ]
     # Deduplicate the (strategy, n_workers, simd_width) keys the cells
-    # need; the instance-level memo makes repeats dictionary hits.
+    # need; the entry's record makes repeats dictionary hits.
     df_keys: List[Tuple[str, int, int]] = []
     key_pos: Dict[Tuple[str, int, int], int] = {}
     df_key_idx = np.empty(n_df, dtype=np.int64)

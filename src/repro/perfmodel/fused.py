@@ -1,39 +1,45 @@
-"""Fused sweeps: spec chunks scored without instances.
+"""The matrix source every grid is scored from.
 
-Every sweep chunk feeds the vectorised grid scorer
-(:func:`repro.perfmodel.batch._score_grid`) straight from a chunk of
-:class:`~repro.core.generator.MatrixSpec`:
+:func:`repro.perfmodel.batch._score_grid` reads everything about its
+matrix axis from a :class:`FusedSpecSource`: one entry per matrix, each
+a :class:`~repro.core.generator.MatrixSpec`, a given
+:class:`~repro.core.matrix.CSRMatrix`, or both (a representative and its
+declared matrix).  Sweeps feed it spec chunks; ``simulate_grid`` feeds it
+:class:`~repro.perfmodel.instance.MatrixInstance` objects.
 
-1. :func:`~repro.core.generator.structure_batch` emits the chunk's raw
-   CSR *structure* arrays (the value draw is the last RNG use of every
+1. An entry's *structure* is the matrix it was given, never regenerated.
+   The others get theirs from
+   :func:`~repro.core.generator.structure_batch`: the chunk's raw CSR
+   structure arrays (the value draw is the last RNG use of every
    generation engine, so skipping it leaves the structure bit-identical
-   to the matrix :meth:`MatrixSpec.build` materialises);
+   to the matrix :meth:`MatrixSpec.build` materialises).
 2. :meth:`~repro.formats.base.SparseFormat.stats_from_csr_batch` turns
    the stacked structure into per-format stat columns — vectorised
-   overrides for the closed-form formats, scalar fallback (on zero-data
-   matrices) for the rest;
-3. SIMD utilisation and imbalance factors come from the declared-scale
-   row-length profile: the row-length histogram
-   (:func:`~repro.perfmodel.instance.row_length_histogram`) and the
-   partitioner dispatcher
-   (:func:`~repro.devices.parallel.imbalance_for_strategy`), handed one
-   :class:`~repro.devices.parallel.RowProfile` per spec so the total,
-   prefix sum, SELL chunk widths and per-width warp cycles are computed
-   once per profile and shared by every (strategy, workers, width) key.
-   The scorer takes each spec's memos in turn and then releases it, so
-   a pass holds one declared-scale profile at a time.
+   closed forms for most formats, the scalar fallback for the rest.
+   Density-corrected formats decide per entry through
+   :meth:`~repro.formats.base.SparseFormat.stats_at_declared_scale`.
+3. Scale-free statistics (features, padding) are measured on the
+   structure; size-dependent ones come from the declared spec.  SIMD
+   utilisation and imbalance factors come from the declared-scale
+   row-length profile: regenerated from the spec at up to
+   :data:`MAX_PROFILE_ROWS` rows for a scaled entry, the structure's row
+   lengths for a spec-less or unscaled one.  Each profile sits in one
+   :class:`~repro.devices.parallel.RowProfile`, so the total, prefix
+   sum, SELL chunk widths and per-width warp cycles are computed once
+   per profile and shared by every (strategy, workers, width) key.  The
+   scorer takes each entry's memos in turn and then releases it, so a
+   pass holds one full-length profile pass at a time.
 
-Everything the scorer reads about one spec is memoised in its
+Everything the scorer reads about one entry is memoised in its
 :class:`ScoringRecord` — the unit the instance cache persists.  A
 source seeded with records derives only what they lack: a complete
 record generates nothing, a missing SIMD/imbalance memo regenerates that
-spec's profile, and a missing format or feature set regenerates that
-spec's structure — in one :func:`structure_batch` wave for all the
-specs that lack the same thing.  Every expression mirrors the
-:class:`~repro.perfmodel.instance.MatrixInstance` computation
-operation-for-operation, so sweeps are row-for-row bit-identical to
-scoring materialised instances; ``tests/pipeline/test_fused_agreement.py``
-locks that down against the instance oracle in ``tests/oracles/``.
+entry's profile, and a missing format or feature set regenerates that
+entry's structure — in one :func:`structure_batch` wave for all the
+entries that lack the same thing.  Sweeps are therefore row-for-row
+bit-identical to scoring materialised instances;
+``tests/pipeline/test_fused_agreement.py`` locks that down against the
+instance oracle in ``tests/oracles/sweep.py``.
 """
 
 from __future__ import annotations
@@ -48,12 +54,14 @@ from ..core.generator import MatrixSpec, row_length_profile, structure_batch
 from ..core.matrix import CSRMatrix, CSRStructBatch
 from ..devices.parallel import RowProfile, imbalance_for_strategy
 from ..formats.base import FormatError, FormatStatsBatch, get_format
-from .instance import (
-    MAX_PROFILE_ROWS, histogram_simd_utilisation, row_length_histogram,
-)
 from .noise import component_hash
 
-__all__ = ["FusedSpecSource", "ScoringRecord"]
+__all__ = ["FusedSpecSource", "ScoringRecord", "row_length_histogram",
+           "histogram_simd_utilisation"]
+
+# Imbalance statistics converge long before this many rows; the cap bounds
+# profile memory for multi-GB declared matrices.
+MAX_PROFILE_ROWS = 2_000_000
 
 # The per-format stat columns a record keeps, in order.
 _STAT_FIELDS = ("stored_elements", "padding_elements", "memory_bytes",
@@ -61,6 +69,38 @@ _STAT_FIELDS = ("stored_elements", "padding_elements", "memory_bytes",
 
 # A format's record entry: its stat column values, or its refusal.
 FormatEntry = Union[Tuple[int, int, int, int, bool], str]
+
+
+def row_length_histogram(
+    profile: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, counts)`` of the positive row lengths, ascending.
+
+    ``bincount`` is O(n_rows + max_len) against ``np.unique``'s
+    O(n_rows log n_rows) sort and yields the same pairs; the sort stays
+    as the fallback for profiles whose maximum row length would make the
+    count array larger than the profile itself.
+    """
+    max_len = int(profile.max()) if len(profile) else 0
+    if 0 < max_len <= max(4 * len(profile), 1024):
+        counts = np.bincount(profile)
+        vals = np.nonzero(counts)[0]
+        if len(vals) and vals[0] == 0:
+            vals = vals[1:]
+        return vals, counts[vals]
+    return np.unique(profile[profile > 0], return_counts=True)
+
+
+def histogram_simd_utilisation(
+    hist: Tuple[np.ndarray, np.ndarray], simd_width: int
+) -> float:
+    """Fraction of SIMD lanes doing useful work under row-vectorisation,
+    from a :func:`row_length_histogram` (both sums are exact integers)."""
+    vals, cnts = hist
+    if simd_width <= 1 or len(vals) == 0:
+        return 1.0
+    issued = (np.ceil(vals / simd_width) * simd_width * cnts).sum()
+    return float((vals * cnts).sum() / issued)
 
 
 @dataclass
@@ -138,68 +178,114 @@ class ScoringRecord:
 
 
 class FusedSpecSource:
-    """Matrix-axis source for ``_score_grid`` built from specs alone.
+    """Matrix-axis source for ``_score_grid``, one entry per matrix.
 
-    Implements the :class:`repro.perfmodel.batch._InstanceSource`
-    protocol.  ``records`` (one :class:`ScoringRecord` or ``None`` per
-    spec, e.g. from the instance cache) seed the memos and are extended
-    in place; :attr:`records` holds the chunk's records afterwards.
-    Structure is generated once, lazily and only for the specs whose
-    records lack something structural; declared-scale profiles only for
-    specs missing a SIMD or imbalance memo — never value payloads.  A
-    profile is kept until :meth:`release` drops it; a later query
-    regenerates it bit-identically.
+    Entry ``i`` is ``specs[i]`` (a :class:`MatrixSpec`, or ``None`` for a
+    spec-less matrix) with ``matrices[i]`` (its given structure, or
+    ``None`` to generate one from the spec, capped at ``max_nnz``).
+    ``records`` (one :class:`ScoringRecord` or ``None`` per entry, e.g.
+    from the instance cache) seed the memos and are extended in place;
+    :attr:`records` holds the records afterwards.  Structure is generated
+    once, lazily and only for the entries whose records lack something
+    structural; declared-scale profiles only for entries missing a SIMD
+    or imbalance memo — never value payloads.
+
+    The scorer reads a source through this protocol: :meth:`names`,
+    :meth:`scalar_arrays`, :meth:`format_stats_columns`, then per entry
+    (announced in bulk by :meth:`prepare_memos`) :meth:`simd_utilisation`
+    and :meth:`imbalance_factor`, each entry closed by :meth:`release`.
+    Release drops the entry's histogram and its profile's full-length
+    pass; a source over :meth:`instances <of_instances>` leaves the
+    profile's lengths on the instance, any other drops the profile (a
+    later query regenerates it bit-identically).
     """
 
-    # ``GridResult.instances`` stays empty; the table assembly gathers
-    # feature columns from this source instead.
+    # The instances a source was built over (:meth:`of_instances`);
+    # ``GridResult.instances`` carries them to the row assembly.
     instances: Tuple = ()
 
     def __init__(
         self,
-        specs: Sequence[MatrixSpec],
+        specs: Sequence[Optional[MatrixSpec]],
         names: Sequence[str],
         max_nnz: Optional[int] = None,
         records: Optional[Sequence[Optional[ScoringRecord]]] = None,
+        matrices: Optional[Sequence[Optional[CSRMatrix]]] = None,
     ):
         self.specs = list(specs)
+        n = len(self.specs)
         self._names = list(names)
-        if len(self._names) != len(self.specs):
+        if len(self._names) != n:
             raise ValueError("one name per spec required")
         if records is None:
-            records = [None] * len(self.specs)
-        elif len(records) != len(self.specs):
+            records = [None] * n
+        elif len(records) != n:
             raise ValueError("one record (or None) per spec required")
+        if matrices is None:
+            matrices = [None] * n
+        elif len(matrices) != n:
+            raise ValueError("one matrix (or None) per spec required")
         self.records = [
             rec if rec is not None else ScoringRecord() for rec in records
         ]
         self.max_nnz = max_nnz
 
-        # Per-spec structure: (batch, position) of its generation wave;
-        # ``_batch`` is the wave covering the whole chunk, if any.
+        # Per-entry structure: a given matrix, or (batch, position) of
+        # its generation wave; ``_batch`` is the structure of every entry
+        # stacked in order (a wave that covered them all, or the stack
+        # the first all-entry stats call made).
+        self._mats: Dict[int, CSRMatrix] = {}
         self._where: Dict[int, Tuple[CSRStructBatch, int]] = {}
         self._batch: Optional[CSRStructBatch] = None
+        for i, (spec, mat) in enumerate(zip(self.specs, matrices)):
+            if mat is None:
+                if spec is None:
+                    raise ValueError(f"entry {i} has neither spec nor "
+                                     "matrix")
+                continue
+            self._mats[i] = mat
+            rec = self.records[i]
+            if rec.rows is None:
+                rec.rows, rec.nnz = mat.n_rows, mat.nnz
         self._ensure_structure(
             [i for i, rec in enumerate(self.records) if rec.features is None]
         )
 
-        # Declared-scale scalars, columnar (MatrixInstance.scale / .nnz).
-        self._decl_rows = np.array(
-            [s.n_rows for s in self.specs], dtype=np.int64
+        # Declared-scale scalars, columnar: a spec-less entry is its own
+        # declared matrix.
+        self.n_rows = np.array(
+            [self._mats[i].n_rows if s is None else s.n_rows
+             for i, s in enumerate(self.specs)], dtype=np.int64,
         )
-        self._decl_cols = np.array(
-            [s.n_cols for s in self.specs], dtype=np.int64
+        self.n_cols = np.array(
+            [self._mats[i].n_cols if s is None else s.n_cols
+             for i, s in enumerate(self.specs)], dtype=np.int64,
         )
         rep_rows = np.array([r.rows for r in self.records], dtype=np.int64)
         rep_nnz = np.array([r.nnz for r in self.records], dtype=np.int64)
-        self.scale = np.maximum(
-            1.0, self._decl_rows / np.maximum(rep_rows, 1)
-        )
+        # Preserve the representative's realised density rather than the
+        # nominal average (generation is stochastic).
+        self.scale = np.maximum(1.0, self.n_rows / np.maximum(rep_rows, 1))
         self.nnz = np.round(rep_nnz * self.scale).astype(np.int64)
 
-        self._mats: Dict[int, CSRMatrix] = {}
-        self._profiles: Dict[int, RowProfile] = {}
+        self.profiles: List[Optional[RowProfile]] = [None] * n
         self._hists: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def of_instances(cls, instances: Sequence) -> "FusedSpecSource":
+        """A source over :class:`~repro.perfmodel.instance.MatrixInstance`
+        objects, scoring into the memos each keeps across calls: its
+        ``record`` and its declared-scale ``profile``."""
+        instances = tuple(instances)
+        source = cls(
+            [inst.spec for inst in instances],
+            [inst.name for inst in instances],
+            records=[inst.record for inst in instances],
+            matrices=[inst.matrix for inst in instances],
+        )
+        source.instances = instances
+        source.profiles = [inst.profile for inst in instances]
+        return source
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -207,12 +293,14 @@ class FusedSpecSource:
     def names(self) -> List[str]:
         return list(self._names)
 
-    # -- memoised per-spec structure ----------------------------------
+    # -- memoised per-entry structure ---------------------------------
     def _ensure_structure(self, indices: Sequence[int]) -> None:
-        """Generate the structure of ``indices`` not generated yet, in
-        one :func:`structure_batch` wave (per-spec RNG streams make each
-        entry independent of the wave it is generated in)."""
-        todo = [i for i in indices if i not in self._where]
+        """Generate the structure of ``indices`` neither given nor
+        generated yet, in one :func:`structure_batch` wave (per-spec RNG
+        streams make each entry independent of the wave it is generated
+        in)."""
+        todo = [i for i in indices
+                if i not in self._where and i not in self._mats]
         if not todo:
             return
         batch = structure_batch(
@@ -228,7 +316,8 @@ class FusedSpecSource:
                 rec.nnz = int(batch.nnz[k])
 
     def matrix(self, i: int) -> CSRMatrix:
-        """Zero-data representative matrix ``i`` (structure-only users)."""
+        """Entry ``i``'s structure: its given matrix, else a zero-data
+        representative (structure-only users)."""
         if i not in self._mats:
             self._ensure_structure([i])
             batch, k = self._where[i]
@@ -236,33 +325,37 @@ class FusedSpecSource:
         return self._mats[i]
 
     def features(self, i: int) -> Features:
-        """Measured features at declared scale (``MatrixInstance.features``)."""
+        """Measured features, with the declared CSR footprint (paper f1),
+        rows, columns and nonzeros."""
         rec = self.records[i]
         if rec.features is None:
             measured = extract_features(self.matrix(i))
             nnz = int(self.nnz[i])
-            n_rows = int(self._decl_rows[i])
+            n_rows = int(self.n_rows[i])
             rec.features = replace(
                 measured,
                 mem_footprint_mb=(
                     (nnz * 12.0 + (n_rows + 1) * 4.0) / (1024 ** 2)
                 ),
                 n_rows=n_rows,
-                n_cols=int(self._decl_cols[i]),
+                n_cols=int(self.n_cols[i]),
                 nnz=nnz,
             )
             rec.grown = True
         return rec.features
 
     def profile(self, i: int) -> RowProfile:
-        """Row-length profile at declared scale (``row_profile``), in the
-        memo every partitioner call on spec ``i`` shares."""
-        if i not in self._profiles:
+        """Row-length profile at declared scale, in the memo every
+        partitioner call on entry ``i`` shares.  A scaled entry's is
+        regenerated from its spec at up to :data:`MAX_PROFILE_ROWS` rows,
+        so heavy rows keep their true *fraction* of the total work."""
+        if self.profiles[i] is None:
             spec = self.specs[i]
             if self.scale[i] <= 1.0:
                 self._ensure_structure([i])
-                batch, k = self._where[i]
-                lengths = batch.lengths_of(k)
+                where = self._where.get(i)
+                lengths = (self._mats[i].row_lengths if where is None
+                           else where[0].lengths_of(where[1]))
             else:
                 rows = min(spec.n_rows, MAX_PROFILE_ROWS)
                 rng = np.random.default_rng(spec.seed)
@@ -275,8 +368,10 @@ class FusedSpecSource:
                     rng,
                     spec.distribution,
                 )
-            self._profiles[i] = RowProfile(lengths)
-        return self._profiles[i]
+            self.profiles[i] = RowProfile(lengths)
+            if self.instances:
+                self.instances[i].profile = self.profiles[i]
+        return self.profiles[i]
 
     def _hist(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """Row-length histogram of the declared-scale profile."""
@@ -284,8 +379,9 @@ class FusedSpecSource:
             self._hists[i] = row_length_histogram(self.profile(i).lengths)
         return self._hists[i]
 
-    # -- _InstanceSource protocol -------------------------------------
+    # -- the scorer's protocol ----------------------------------------
     def scalar_arrays(self) -> Tuple[np.ndarray, ...]:
+        """``(scale, nnz, n_rows, n_cols, neigh, sim, noise_hash)``."""
         n = len(self.specs)
         i_neigh = np.empty(n)
         i_sim = np.empty(n)
@@ -295,22 +391,22 @@ class FusedSpecSource:
             i_neigh[i] = feats.avg_num_neighbours
             i_sim[i] = feats.cross_row_similarity
             key = self._names[i] or (
-                int(self._decl_rows[i]), int(self._decl_cols[i]),
-                int(self.nnz[i]),
+                int(self.n_rows[i]), int(self.n_cols[i]), int(self.nnz[i]),
             )
             i_noise_h[i] = component_hash(key)
         return (
             self.scale.astype(np.float64, copy=True),
             self.nnz.copy(),
-            self._decl_rows.copy(),
-            self._decl_cols.copy(),
+            self.n_rows.copy(),
+            self.n_cols.copy(),
             i_neigh,
             i_sim,
             i_noise_h,
         )
 
     def _format_stats(self, cls, todo: List[int]) -> FormatStatsBatch:
-        """Stats of ``cls`` for the specs ``todo``, one batch entry each."""
+        """Stats of ``cls`` for the entries ``todo``, one batch entry
+        each."""
         self._ensure_structure(todo)
         if hasattr(cls, "stats_at_density"):
             # Density-corrected formats decide per matrix whether the
@@ -321,7 +417,7 @@ class FusedSpecSource:
                 try:
                     stats = cls.stats_at_declared_scale(
                         self.matrix(i), int(self.nnz[i]),
-                        int(self._decl_cols[i]),
+                        int(self.n_cols[i]),
                     )
                 except FormatError as exc:
                     fsb.fail[k] = True
@@ -330,17 +426,20 @@ class FusedSpecSource:
                 fsb.put(k, stats)
             return fsb
         mats = [self.matrix(i) for i in todo]
-        batch = (
-            self._batch if len(todo) == len(self.specs)
-            and self._batch is not None
-            else CSRStructBatch.from_matrices(mats)
-        )
+        if len(todo) < len(self.specs):
+            batch = CSRStructBatch.from_matrices(mats)
+        else:
+            if self._batch is None:
+                self._batch = CSRStructBatch.from_matrices(mats)
+            batch = self._batch
         return cls.stats_from_csr_batch(batch, matrices=mats)
 
     def format_stats_columns(
         self, name: str
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                np.ndarray, np.ndarray, Dict[int, str]]:
+        """Stat columns ``(mem, meta, stored, pad_ratio, friendly, fail,
+        reasons)`` of one format across all entries."""
         n = len(self.specs)
         todo = [i for i in range(n) if name not in self.records[i].formats]
         if todo:
@@ -375,9 +474,9 @@ class FusedSpecSource:
                       keys: Sequence[Tuple[str, int, int]],
                       need_key: np.ndarray) -> None:
         """Generate, in one :func:`structure_batch` wave, the structure of
-        every unscaled spec whose record lacks a SIMD (``need_w[i, k]``
+        every unscaled entry whose record lacks a SIMD (``need_w[i, k]``
         for ``widths[k]``) or imbalance (``need_key[i, k]`` for
-        ``keys[k]``) memo the scorer is about to ask for: such a spec's
+        ``keys[k]``) memo the scorer is about to ask for: such an entry's
         profile is its structure's row lengths."""
         todo = []
         for i, rec in enumerate(self.records):
@@ -409,7 +508,7 @@ class FusedSpecSource:
     def imbalance_factor(
         self, i: int, strategy: str, workers: int, width: int
     ) -> float:
-        """Imbalance via the partitioner dispatcher, on the spec's shared
+        """Imbalance via the partitioner dispatcher, on the entry's shared
         :class:`~repro.devices.parallel.RowProfile`: one prefix sum, one
         SELL sort pipeline and one warp-cycle array per width for every
         worker count."""
@@ -425,7 +524,11 @@ class FusedSpecSource:
         return factor
 
     def release(self, i: int) -> None:
-        """Drop spec ``i``'s profile and histogram once its memos are
-        taken."""
-        self._profiles.pop(i, None)
+        """Drop entry ``i``'s histogram and its profile's full-length pass
+        once its memos are taken; only an instance keeps the profile."""
         self._hists.pop(i, None)
+        profile = self.profiles[i]
+        if profile is not None:
+            profile.drop_pass()
+            if not self.instances:
+                self.profiles[i] = None

@@ -69,7 +69,7 @@ def test_representative_row_floor():
 def test_declared_footprint_survives_scaling():
     spec = MatrixSpec.from_footprint(256.0, 20, seed=3)
     inst = MatrixInstance.from_spec(spec, max_nnz=50_000)
-    assert inst.mem_footprint_mb == pytest.approx(256.0, rel=0.1)
+    assert inst.features.mem_footprint_mb == pytest.approx(256.0, rel=0.1)
     assert inst.matrix.nnz <= 80_000  # actually down-scaled
 
 
@@ -139,7 +139,7 @@ def test_representative_matches_full_size_build(full_size_comparison,
         checked += 1
         full_fp = (full_nnz * 12.0 + (spec.n_rows + 1) * 4.0) / 1024**2
         per_row = (inst.nnz / inst.n_rows) / (full_nnz / spec.n_rows)
-        footprint = inst.mem_footprint_mb / full_fp
+        footprint = inst.features.mem_footprint_mb / full_fp
         if abs(per_row - 1) > rel or abs(footprint - 1) > rel:
             off.append((spec, round(per_row, 3), round(footprint, 3)))
     assert checked == (26 if head_fills_window else 30)

@@ -112,7 +112,7 @@ def test_instance_engines_agree(instances, fmt_name):
     for inst in instances:
         analytic = MatrixInstance(matrix=inst.matrix, spec=inst.spec,
                                   name=inst.name)
-        for attempt in range(2):  # second pass replays from the cache
+        for attempt in range(2):  # a second call derives the same
             a, a_err = _outcome(analytic.format_stats, fmt_name)
             m, m_err = _outcome(materialised_format_stats, inst, fmt_name)
             assert a == m and a_err == m_err, (
@@ -153,6 +153,20 @@ def test_density_tolerance_boundary_agrees(declared_cols, corrected):
     stats = inst.format_stats("VSL")
     assert stats == materialised_format_stats(inst, "VSL")
     assert (stats != get_format("VSL").stats_from_csr(mat)) == corrected
+
+
+def test_each_closed_form_written_once():
+    """Below the base class, no class a registered format inherits from
+    defines both a scalar and a batch stats form: a format with a batch
+    form answers ``stats_from_csr`` with a batch of one."""
+    both = {
+        klass.__name__
+        for cls in FORMAT_REGISTRY.values()
+        for klass in cls.__mro__
+        if klass is not SparseFormat
+        and {"stats_from_csr", "stats_from_csr_batch"} <= set(vars(klass))
+    }
+    assert not both
 
 
 def test_third_party_format_falls_back_to_materialisation():

@@ -68,6 +68,34 @@ class TestVerify:
         out = verify_format(regular_matrix, "Naive-CSR")
         assert out.startswith("FAILED")
 
+    def test_round_trip_loss_detected(self, regular_matrix, monkeypatch):
+        from repro.core.matrix import CSRMatrix
+        from repro.formats import csr
+
+        def lossy_to_csr(self):
+            # Drop row 0's first entry; SpMV itself stays correct.
+            mat = self.mat
+            indptr = mat.indptr.copy()
+            indptr[1:] -= 1
+            return CSRMatrix(mat.n_rows, mat.n_cols, indptr,
+                             mat.indices[1:], mat.data[1:])
+
+        monkeypatch.setattr(csr.NaiveCSR, "to_csr", lossy_to_csr)
+        assert verify_format(regular_matrix, "Naive-CSR") == (
+            "FAILED: CSR round-trip deviates"
+        )
+
+    def test_round_trip_never_densifies(self, regular_matrix, monkeypatch):
+        from repro.core.matrix import CSRMatrix
+
+        def no_dense(self):
+            raise AssertionError("dense copy built")
+
+        monkeypatch.setattr(CSRMatrix, "to_dense", no_dense)
+        result = verify_all_formats(regular_matrix)
+        assert result.all_ok
+        assert "refused" not in result["Naive-CSR"]
+
     def test_subset_selection(self, regular_matrix):
         result = verify_all_formats(regular_matrix, names=["COO", "CSR5"])
         assert set(result) == {"COO", "CSR5"}

@@ -10,8 +10,11 @@ against (and benchmarked against): retired engines kept out of
 * ``model`` — the scalar SpMV model and its scalar measurement noise;
 * ``routing`` — per-tree and per-format forest routing;
 * ``selector`` — per-instance selector evaluation;
-* ``stats`` — format stats through a full conversion;
-* ``sweep`` — the instance cold path and the scalar sweep loop;
+* ``stats`` — format stats through a full conversion, and the nine
+  per-matrix closed forms the vectorised formats no longer carry;
+* ``sweep`` — an instance's own derivations, the ``_InstanceSource``
+  adapter that scored them, the instance cold path and the scalar
+  sweep loop;
 * ``tree`` — the per-node re-sorting tree grower.
 
 Nothing under ``src/`` imports them.

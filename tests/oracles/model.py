@@ -27,10 +27,12 @@ every suite whose point is "the grid equals the scalar model":
   on exact mod-2^64 Python ints (:func:`_mix_int`), with its own copies
   of the splitmix64 constants and uniform salts.
 
-Structural statistics come from the production
-``MatrixInstance.format_stats``; SIMD utilisation and imbalance are
-memoised per instance like the historical instance memos, so a
-re-scored pool pays only the per-cell arithmetic.
+Everything the model reads about an instance — declared scale,
+features, profile and structural statistics — comes from the instance's
+own derivations in ``tests/oracles/sweep.py`` (:func:`derived`), not
+from the source production scores through; SIMD utilisation and
+imbalance are memoised per instance like the historical instance memos,
+so a re-scored pool pays only the per-cell arithmetic.
 """
 
 from dataclasses import dataclass
@@ -44,6 +46,10 @@ from repro.perfmodel.noise import NOISE_SIGMA, component_hash
 from repro.perfmodel.simulator import (
     BestFormatOutcome, FormatSkip, SpmvMeasurement,
 )
+
+# ``tests.oracles.sweep`` imports this module too; each reads the other's
+# names at call time.
+from tests.oracles import sweep
 
 PRECISIONS = {
     # value bytes, peak-flops multiplier vs double precision
@@ -345,8 +351,9 @@ def _simd_utilisation(instance, width: int) -> float:
     memo = _memo(instance)
     key = ("simd", width)
     if key not in memo:
-        memo[key] = simd_utilisation_of_profile(instance.row_profile(),
-                                                width)
+        memo[key] = simd_utilisation_of_profile(
+            sweep.derived(instance).row_profile(), width
+        )
     return memo[key]
 
 
@@ -355,7 +362,8 @@ def _imbalance(instance, strategy, n_workers, width) -> ImbalanceStats:
     key = (strategy, n_workers, width)
     if key not in memo:
         memo[key] = imbalance_for_strategy(
-            strategy, instance.row_profile(), n_workers, width
+            strategy, sweep.derived(instance).row_profile(), n_workers,
+            width
         )
     return memo[key]
 
@@ -365,7 +373,8 @@ def simulate_spmv(instance, format_name, device, seed=0, noise_sigma=None,
                   precision="fp64") -> SpmvMeasurement:
     """Simulate one SpMV run; raises :class:`FormatError` /
     :class:`CapacityError` when the format cannot host the matrix."""
-    stats = instance.format_stats(format_name)  # may raise FormatError
+    declared = sweep.derived(instance)
+    stats = declared.format_stats(format_name)  # may raise FormatError
     fmt_cls = get_format(format_name)
     try:
         value_bytes, peak_mult = PRECISIONS[precision]
@@ -375,10 +384,10 @@ def simulate_spmv(instance, format_name, device, seed=0, noise_sigma=None,
             f"{sorted(PRECISIONS)}"
         ) from None
 
-    scale = instance.scale
-    nnz = instance.nnz
-    n_rows, n_cols = instance.n_rows, instance.n_cols
-    feats = instance.features
+    scale = declared.scale
+    nnz = declared.nnz
+    n_rows, n_cols = declared.n_rows, declared.n_cols
+    feats = declared.features
 
     value_fraction = value_bytes / 8.0
     fmt_value_bytes = (

@@ -7,9 +7,14 @@ import pytest
 
 from repro.core.generator import MatrixSpec
 from repro.core.matrix import csr_from_dense
-from repro.formats import FormatError
-from repro.perfmodel import MatrixInstance
+from repro.devices import TESTBEDS
+from repro.formats import FormatError, NaiveCSR
+from repro.perfmodel import (
+    MatrixInstance, fused, simulate_best, simulate_spmv,
+)
 from repro.perfmodel.noise import component_hash, noise_factors
+
+XEON = TESTBEDS["INTEL-XEON"]
 
 
 class TestInstance:
@@ -43,21 +48,71 @@ class TestInstance:
         assert inst.features.mem_footprint_mb == pytest.approx(128.0,
                                                                rel=0.1)
 
-    def test_format_stats_cached(self, regular_matrix):
+    def test_format_stats_cached(self, regular_matrix, monkeypatch):
+        # Scoring keeps the stats in the instance's record; a second
+        # scoring call reads them from there and derives none.
         inst = MatrixInstance.from_matrix(regular_matrix)
         a = inst.format_stats("Naive-CSR")
-        b = inst.format_stats("Naive-CSR")
-        assert a is b
+        first = simulate_spmv(inst, "Naive-CSR", XEON)
+        assert inst.record.formats["Naive-CSR"] == (
+            a.stored_elements, a.padding_elements, a.memory_bytes,
+            a.metadata_bytes, a.simd_friendly,
+        )
+
+        def underived(*args, **kwargs):
+            raise AssertionError("stats derived again")
+
+        monkeypatch.setattr(NaiveCSR, "stats_from_csr_batch", underived)
+        assert simulate_spmv(inst, "Naive-CSR", XEON) == first
 
     def test_format_failure_cached_and_replayed(self):
-        # Scattered matrix: DIA refuses; second call replays from cache.
+        # Scattered matrix: DIA refuses; scoring keeps the refusal in the
+        # record and replays it with the message ``format_stats`` raises.
         rng = np.random.default_rng(4)
         dense = (rng.random((60, 60)) < 0.05).astype(float)
         inst = MatrixInstance.from_matrix(csr_from_dense(dense))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError) as refusal:
             inst.format_stats("DIA")
-        with pytest.raises(FormatError):
-            inst.format_stats("DIA")
+        for _ in range(2):
+            with pytest.raises(FormatError) as replay:
+                simulate_spmv(inst, "DIA", XEON)
+            assert str(replay.value) == str(refusal.value)
+        assert inst.record.formats["DIA"] == str(refusal.value)
+
+    def test_profile_generated_once_across_testbeds(self, monkeypatch):
+        # The instance keeps its declared-scale profile between scoring
+        # calls, so the best format on every testbed regenerates it once.
+        calls = []
+        real = fused.row_length_profile
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(fused, "row_length_profile", counted)
+        spec = MatrixSpec.from_footprint(64.0, 10, skew_coeff=100, seed=2)
+        inst = MatrixInstance.from_spec(spec, max_nnz=30_000)
+        assert inst.scale > 1.0
+        assert len(TESTBEDS) == 9
+        for dev in TESTBEDS.values():
+            simulate_best(inst, dev)
+        assert calls == [spec.n_rows]
+
+    def test_scoring_releases_the_profiles_pass(self):
+        # The instance keeps its profile's lengths, but not the prefix
+        # sum or warp cycles that scoring computed on it.
+        spec = MatrixSpec.from_footprint(64.0, 10, skew_coeff=100, seed=2)
+        inst = MatrixInstance.from_spec(spec, max_nnz=30_000)
+        source = fused.FusedSpecSource.of_instances([inst])
+        source.imbalance_factor(0, "nnz_row", 8, 8)
+        assert "csum" in inst.profile.__dict__
+        source.release(0)
+        assert "csum" not in inst.profile.__dict__
+        for dev in ("INTEL-XEON", "Tesla-A100"):
+            simulate_spmv(inst, "Naive-CSR", TESTBEDS[dev])
+            assert len(inst.profile) == spec.n_rows
+            assert "csum" not in inst.profile.__dict__
+            assert inst.profile._warp is None
 
 
 def _noise(device, fmt, matrices, seed=0, **kwargs):

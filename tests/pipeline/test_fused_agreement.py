@@ -8,8 +8,8 @@ engines (serial / crew), cache states (cold / warm / partial records)
 and every registered format, including the scalar fallback and
 capacity-gated cells.  The hypothesis
 section pins the ``stats_from_csr_batch`` contract itself: a batch entry
-equals the scalar ``stats_from_csr`` outcome (errors included) and is
-invariant under batch order.
+equals the format's scalar closed form (``tests/oracles/stats.py``),
+errors included, and is invariant under batch order.
 """
 
 import numpy as np
@@ -22,11 +22,14 @@ from repro.core.dataset import Dataset, fused_spec_table
 from repro.core.matrix import CSRStructBatch, csr_from_coo
 from repro.devices import get_device
 from repro.formats import FORMAT_REGISTRY, FormatError
-from repro.perfmodel.batch import _score_grid, simulate_grid
+from repro.perfmodel.batch import _score_grid
 from repro.perfmodel.fused import FusedSpecSource, ScoringRecord
 from repro.pipeline.engine import run_sweep
 
-from tests.oracles.sweep import instance_spec_table, instance_sweep
+from tests.oracles.stats import scalar_stats
+from tests.oracles.sweep import (
+    instance_grid, instance_spec_table, instance_sweep,
+)
 
 DEVICE_NAMES = ("AMD-EPYC-24", "Tesla-A100", "Alveo-U280")
 MAX_NNZ = 60_000
@@ -128,7 +131,7 @@ def test_fused_grid_bit_identity_and_skip_sets(golden_specs):
     # format_error cells alongside the capacity gate.
     formats = sorted(FORMAT_REGISTRY)
     instances = [dataset.instance(i) for i in range(n)]
-    ref = simulate_grid(instances, _devices(), formats=formats)
+    ref = instance_grid(instances, _devices(), formats=formats)
     source = FusedSpecSource(
         golden_specs, [f"golden[{i}]" for i in range(n)], max_nnz=MAX_NNZ
     )
@@ -234,7 +237,7 @@ def csr_matrix_lists(draw):
 
 def _scalar_outcome(cls, mat):
     try:
-        return cls.stats_from_csr(mat), None
+        return scalar_stats(cls, mat), None
     except FormatError as exc:
         return None, str(exc)
 
@@ -242,8 +245,9 @@ def _scalar_outcome(cls, mat):
 @given(mats=csr_matrix_lists())
 @settings(max_examples=30, deadline=None)
 def test_batch_stats_equal_scalar_stats(mats):
-    """Entry ``i`` of the batch equals the scalar call on matrix ``i`` —
-    including batch-of-1 and the exact refusal message (error parity)."""
+    """Entry ``i`` of the batch equals the scalar closed form on matrix
+    ``i`` — including batch-of-1 and the exact refusal message (error
+    parity)."""
     batch = CSRStructBatch.from_matrices(mats)
     for name in sorted(FORMAT_REGISTRY):
         cls = FORMAT_REGISTRY[name]

@@ -29,8 +29,7 @@ from repro.devices import TESTBEDS
 from repro.devices.parallel import RowProfile
 from repro.io.pack import Pack, append_entries
 from repro.perfmodel.batch import _score_grid
-from repro.perfmodel.fused import FusedSpecSource
-from repro.perfmodel.instance import MAX_PROFILE_ROWS
+from repro.perfmodel.fused import MAX_PROFILE_ROWS, FusedSpecSource
 from repro.pipeline import InstanceCache, run_sweep, spec_key
 from repro.pipeline.cache import PACK_NAME, decode_record, encode_record
 

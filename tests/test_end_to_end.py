@@ -21,7 +21,7 @@ from repro.ml import FormatSelector, KNeighborsRegressor
 
 from tests.oracles.selector import scalar_evaluate
 from tests.oracles.stats import materialised_format_stats
-from tests.oracles.sweep import instance_sweep, scalar_sweep
+from tests.oracles.sweep import derived, instance_sweep, scalar_sweep
 
 N_SPECS = 8
 MAX_NNZ = 20_000
@@ -45,7 +45,7 @@ def _chain(jobs=1, scalar=False, materialised=False, eval_batch=True,
         assert jobs == 1
         instances = list(dataset.instances())
         for inst in instances:
-            inst.format_stats = functools.partial(
+            derived(inst).format_stats = functools.partial(
                 materialised_format_stats, inst
             )
         table = instance_sweep(dataset, [TESTBEDS[DEVICE]],
