@@ -1,13 +1,14 @@
 """Service throughput floors — BENCH_service.json.
 
-``repro serve`` answers ``/select`` with one ``predict_gflops_batch``
-call per micro-batch, and that call routes every tree of every format
-in one stacked pass (``repro.ml.forest.ForestStack``).  This bench
-drives the real HTTP stack (loopback sockets, keep-alive connections,
-thread-per-request server) with a duration-based randomized load from
->= 8 concurrent clients, in two legs on the same fitted selector:
+``repro serve`` answers the ``/select`` requests it reads in one poll
+of its event loop with one ``predict_gflops_batch`` call, and that
+call routes every tree of every format in one stacked pass
+(``repro.ml.forest.ForestStack``).  This bench drives the real HTTP
+stack (loopback sockets, keep-alive connections, the one-thread
+event-loop server) with a duration-based randomized load from >= 8
+concurrent clients, in two legs on the same fitted selector:
 
-* ``batched`` — the production server (micro-batches, stacked router);
+* ``batched`` — the production server (batched calls, stacked router);
 * ``per_format`` — the same server with its predictions routed one
   format and one tree at a time (``tests/oracles/routing.py``), the
   routing the stacked router replaced.
@@ -44,7 +45,7 @@ from tests.oracles.routing import selector_predict_gflops_batch
 
 BENCH_PATH = RESULTS_DIR / "BENCH_service.json"
 
-# Acceptance floor: the production server (micro-batches, stacked
+# Acceptance floor: the production server (batched calls, stacked
 # router) must beat the same server routing per format and per tree by
 # at least this factor in sustained QPS.
 MIN_SPEEDUP = 3.0

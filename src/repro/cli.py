@@ -257,10 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--port", type=int, default=8077,
                      help="listen port (0 picks a free one)")
     srv.add_argument("--max-batch", type=int, default=64,
-                     help="most /select requests one micro-batch "
-                          "evaluates; requests queued during a flush "
-                          "share the next one (responses are "
-                          "bit-identical to unbatched calls)")
+                     help="most /select requests one batched "
+                          "evaluate answers; the requests read in one "
+                          "poll of the event loop share calls of at most "
+                          "this many (responses are bit-identical to "
+                          "unbatched calls)")
     srv.add_argument("--access-log", default="-", metavar="PATH",
                      help="structured JSON request log: a path, '-' "
                           "for stderr (default), or 'off'")
@@ -744,7 +745,7 @@ def _cmd_serve(args) -> int:
     host, port = service.address
     print(
         f"serving http://{host}:{port} — {len(table)} corpus rows, "
-        f"{origin}, micro-batch max={args.max_batch}"
+        f"{origin}, batch max={args.max_batch}"
     )
     print("endpoints: POST /select, GET /sweep, /healthz, /stats")
     try:

@@ -22,10 +22,11 @@ a versioned binary file with random access by content key::
 Opening a pack walks the chain from the header back to the first
 segment, checks every segment against the SHA-256 that names it, and
 parses each one's records with a single :func:`numpy.frombuffer` call,
-so lookups are a dict hit — no directory scans.  Blob reads come out of
-an ``mmap`` as zero-copy memoryviews (compressed entries are inflated on
-read); every read verifies the entry's SHA-256 before handing bytes
-out.
+so lookups are a dict hit — no directory scans.  Raw blobs come out of
+an ``mmap`` as zero-copy memoryviews; compressed ones are read with
+``os.pread`` and inflated, so a pack truncated under an open handle
+fails their reads with :class:`PackError`.  Every read verifies the
+entry's SHA-256 before handing bytes out.
 
 Write contract (docs/pack_store.md has the full derivation):
 
@@ -411,11 +412,27 @@ class Pack:
         return e
 
     # -- reads -----------------------------------------------------------
-    def raw(self, key: str) -> memoryview:
+    def _stored(self, e: PackEntry):
+        """``e``'s stored bytes.  A raw entry is a zero-copy view into
+        the map.  A deflated one is inflated into a copy anyway, so it
+        is read with ``os.pread``: a pack truncated under this handle
+        then raises :class:`PackError` instead of faulting the map."""
+        if not e.compressed:
+            return memoryview(self._mm)[e.offset:e.offset + e.csize]
+        data = os.pread(self._fh.fileno(), e.csize, e.offset)
+        if len(data) != e.csize:
+            raise PackError(
+                f"{self.path}: entry {e.key!r} reads {len(data)} of its "
+                f"{e.csize} bytes — the pack was truncated after it was "
+                "opened; quarantine it and regenerate it"
+            )
+        return data
+
+    def raw(self, key: str):
         """The entry's stored bytes (deflated or not), unverified — what
-        a quarantine copies out as evidence."""
-        e = self.entry(key)
-        return memoryview(self._mm)[e.offset:e.offset + e.csize]
+        a quarantine copies out as evidence.  Raises :class:`PackError`
+        when a deflated entry was truncated away."""
+        return self._stored(self.entry(key))
 
     def read(self, key: str, verify: bool = True):
         """Entry payload: a zero-copy memoryview into the map for raw
@@ -425,7 +442,7 @@ class Pack:
         a mismatch raises :class:`PackError` naming the entry.
         """
         e = self.entry(key)
-        view = memoryview(self._mm)[e.offset:e.offset + e.csize]
+        view = self._stored(e)
         if verify and hashlib.sha256(view).digest() != e.sha:
             raise PackError(
                 f"{self.path}: entry {key!r} fails its checksum — the "
@@ -647,7 +664,7 @@ def compact(src: Union[str, Path], dst: Union[str, Path]) -> int:
         with PackWriter.create(dst) as writer:
             for key in keys:
                 e = pack.entry(key)
-                raw = memoryview(pack._mm)[e.offset:e.offset + e.csize]
+                raw = pack.raw(key)
                 if hashlib.sha256(raw).digest() != e.sha:
                     raise PackError(
                         f"{src}: entry {key!r} fails its checksum — "

@@ -250,7 +250,11 @@ class InstanceCache:
             return decode_record(key, self._pack.read(name))
         except (PackError, OSError) + _DAMAGE:
             self._pack_bad.add(key)
-            self._quarantine_bytes(name, bytes(self._pack.raw(name)))
+            try:
+                evidence = bytes(self._pack.raw(name))
+            except (PackError, OSError):
+                evidence = None  # truncated away: nothing left to copy
+            self._quarantine_bytes(name, evidence)
             return None
 
     # -- quarantine ------------------------------------------------------
@@ -260,10 +264,13 @@ class InstanceCache:
         self.quarantined += 1
         quarantine(path, self.quarantine_dir)
 
-    def _quarantine_bytes(self, name: str, payload: bytes) -> None:
+    def _quarantine_bytes(self, name: str,
+                          payload: Optional[bytes]) -> None:
         """Copy a corrupt pack entry's bytes into ``quarantine/`` — one
-        counted incident."""
+        counted incident (``None``: no bytes are left to copy)."""
         self.quarantined += 1
+        if payload is None:
+            return
         target = _reserve(self.quarantine_dir, name)
         if target is None:
             return

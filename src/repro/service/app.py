@@ -23,7 +23,6 @@ import numpy as np
 from ..core.generator import MatrixSpec
 from ..core.table import SweepTable
 from ..ml.selector import FormatSelector, choose_formats
-from .batcher import MicroBatcher
 from .stats import ServiceStats
 
 __all__ = [
@@ -252,8 +251,9 @@ def _parse_select_payload(payload,
 class ServiceApp:
     """Loaded state plus endpoint logic (HTTP-agnostic).
 
-    ``select`` routes every request through the micro-batcher; a
-    response is identical to a direct call whatever batch it shares —
+    ``/select`` answers come from :meth:`evaluate` over whatever batch
+    of parsed payloads the server hands it (at most ``max_batch``); an
+    answer is identical to a direct call whatever batch it shares —
     batching is purely a throughput mechanism (see docs/service.md).
     """
 
@@ -264,13 +264,12 @@ class ServiceApp:
         max_batch: int = 64,
         stats: Optional[ServiceStats] = None,
     ) -> None:
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.selector = selector
         self.table = table
         self.stats = stats or ServiceStats()
         self.max_batch = max_batch
-        self._batcher = MicroBatcher(
-            self._evaluate_batch, max_batch=max_batch, stats=self.stats,
-        )
         self._sweep_cache: "OrderedDict[tuple, Tuple[bytes, str]]" = (
             OrderedDict()
         )
@@ -282,7 +281,12 @@ class ServiceApp:
         )
 
     # -- /select -------------------------------------------------------
-    def _evaluate_batch(self, features_seq: Sequence[dict]) -> List[dict]:
+    def parse_select(self, payload) -> dict:
+        """One ``/select`` body (already JSON-decoded) -> the feature
+        dict :meth:`evaluate` takes; raises :class:`BadRequest`."""
+        return _parse_select_payload(payload, self.selector.feature_keys)
+
+    def evaluate(self, features_seq: Sequence[dict]) -> List[dict]:
         """One batched evaluate; entry ``i`` is exactly what direct
         ``select_batch``/``predict_gflops_batch`` calls return for
         ``features_seq[i]`` (the selector's batch paths are
@@ -298,13 +302,6 @@ class ServiceApp:
                 "gflops": per_format,
             })
         return out
-
-    def select(self, payload) -> dict:
-        """Handle one ``/select`` body (already JSON-decoded)."""
-        features = _parse_select_payload(
-            payload, self.selector.feature_keys
-        )
-        return self._batcher.submit(features)
 
     # -- /sweep --------------------------------------------------------
     def _coerce_filter(self, name: str, raw: str):
@@ -435,8 +432,3 @@ class ServiceApp:
 
     def stats_snapshot(self) -> dict:
         return self.stats.snapshot()
-
-    # -- lifecycle -----------------------------------------------------
-    def close(self) -> None:
-        """Flush and stop the batcher (graceful-shutdown tail)."""
-        self._batcher.close()

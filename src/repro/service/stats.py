@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -50,7 +50,7 @@ class _Window:
 
 
 class ServiceStats:
-    """Counters and latency windows shared by every handler thread."""
+    """Counters and latency windows of one service."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -61,7 +61,6 @@ class ServiceStats:
         self._batch_flushes = 0
         self._batched_requests = 0
         self._max_batch = 0
-        self._batch_sizes: List[int] = []
         self._cache_hits = 0
         self._cache_misses = 0
 
@@ -83,14 +82,11 @@ class ServiceStats:
             window.add(ms)
 
     def record_batch(self, size: int) -> None:
-        """One batcher flush of ``size`` coalesced requests."""
+        """One batched evaluate of ``size`` ``/select`` requests."""
         with self._lock:
             self._batch_flushes += 1
             self._batched_requests += size
             self._max_batch = max(self._max_batch, size)
-            self._batch_sizes.append(size)
-            if len(self._batch_sizes) > LATENCY_WINDOW:
-                del self._batch_sizes[: -LATENCY_WINDOW]
 
     def record_cache(self, hit: bool) -> None:
         """One ``/sweep`` slice-cache probe."""

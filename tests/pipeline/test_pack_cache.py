@@ -6,8 +6,13 @@ to one pack, and every pack corruption mode must quarantine evidence
 (never delete) and leave the sweep output bit-identical.
 """
 
+import json
+import os
 import shutil
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +161,55 @@ class TestPackBackedCache:
         )
         assert len(evidence) == 1  # the record's raw bytes copied out
         assert evidence[0].endswith(".json")
+
+
+# Run in a child process: a reader that dies of SIGBUS must fail the
+# test, not kill the test runner.
+_TRUNCATED_UNDER_HANDLE = """
+import json, os, sys
+from tests.pipeline import test_pack_cache as t
+from tests.pipeline.golden import assert_bit_identical
+from repro.core.dataset import Dataset
+from repro.core.feature_space import build_dataset_specs
+from repro.pipeline import InstanceCache, run_sweep
+from repro.pipeline.cache import PACK_NAME
+
+cache_dir = sys.argv[1]
+dataset = Dataset(build_dataset_specs("tiny")[::12], max_nnz=t.MAX_NNZ)
+cold = run_sweep(dataset, t.DEVICES, cache_dir=cache_dir)
+pack_path = os.path.join(cache_dir, PACK_NAME)
+size = os.path.getsize(pack_path)
+cache = InstanceCache(cache_dir)
+os.truncate(pack_path, 200)
+again = run_sweep(dataset, t.DEVICES, cache=cache)
+assert_bit_identical(again, cold)
+print(json.dumps({"size": size, "quarantined": cache.quarantined,
+                  "hits_pack": cache.hits_pack}))
+"""
+
+
+class TestTruncatedUnderHandle:
+    def test_truncated_pack_is_quarantined_not_a_crash(self, tmp_path):
+        """A pack truncated under an open handle: every fetch past the
+        cut raises PackError inside the cache, which quarantines the
+        entry and rescores it, and the re-sweep equals the cold one."""
+        root = Path(__file__).resolve().parents[2]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(root / "src"), str(root),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-c", _TRUNCATED_UNDER_HANDLE,
+             str(tmp_path / "cache")],
+            capture_output=True, text=True, env=env, cwd=root,
+            timeout=300,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr[-2000:])
+        out = json.loads(proc.stdout.splitlines()[-1])
+        # Past the first page, so a mapped read would fault.
+        assert out["size"] > 2 * 4096
+        assert out["quarantined"] > 0
+        assert out["hits_pack"] == 0
 
 
 class TestLen:

@@ -1,8 +1,9 @@
 """Shared fixtures: a tiny per-format corpus, a trained selector, and a
-gate that holds the batcher's first flush open."""
+gate that holds the server's batched evaluate calls."""
 
+import json
+import socket
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -45,9 +46,7 @@ def trained_selector(corpus_table):
 
 @pytest.fixture
 def app(trained_selector, corpus_table):
-    app = ServiceApp(trained_selector, corpus_table)
-    yield app
-    app.close()
+    return ServiceApp(trained_selector, corpus_table)
 
 
 def feature_payloads(n, seed=0):
@@ -65,42 +64,113 @@ def feature_payloads(n, seed=0):
     return payloads
 
 
-class Gate:
-    """An ``evaluate`` wrapper whose first call blocks until :meth:`open`.
+# Time for requests sent while the loop is held at a Gate to reach the
+# server's sockets before the gate opens.
+SETTLE_S = 0.2
 
-    Requests submitted while that first flush is held queue up in the
-    batcher (:func:`wait_queued`) and share the next flush once the gate
-    opens, so tests coalesce requests without depending on timing.
+
+class Gate:
+    """Stands in for ``app.evaluate`` and records every call's batch
+    size; the first call blocks until :meth:`open`.
+
+    ``evaluate`` runs on the server's event-loop thread, so while the
+    first call is held the loop reads nothing: requests sent meanwhile
+    (given :data:`SETTLE_S` to arrive) wait in their sockets and are
+    all read in the loop's next poll, so tests coalesce requests
+    without racing the server's reads.
     """
 
     def __init__(self, evaluate):
         self._evaluate = evaluate
+        self.sizes = []
         self.entered = threading.Event()
         self._open = threading.Event()
 
-    def __call__(self, items):
+    def __call__(self, features_seq):
+        self.sizes.append(len(features_seq))
         if not self.entered.is_set():
             self.entered.set()
             self._open.wait(timeout=30)
-        return self._evaluate(items)
+        return self._evaluate(features_seq)
 
     def open(self) -> None:
         self._open.set()
 
 
-def gate_app(app) -> Gate:
-    """Hold ``app``'s next batched evaluate at a :class:`Gate`."""
-    gate = Gate(app._batcher._evaluate)
-    app._batcher._evaluate = gate
+def hold_evaluate(app, evaluate=None) -> Gate:
+    """Route ``app``'s batched evaluate calls through a :class:`Gate`
+    (around ``evaluate``, default the app's own)."""
+    gate = Gate(evaluate or app.evaluate)
+    app.evaluate = gate
     return gate
 
 
-def wait_queued(batcher, n, timeout=30.0) -> None:
-    """Block until at least ``n`` requests wait in ``batcher``'s queue."""
-    deadline = time.monotonic() + timeout
-    while True:
-        with batcher._cond:
-            if len(batcher._pending) >= n:
-                return
-        assert time.monotonic() < deadline, f"{n} requests never queued"
-        time.sleep(0.001)
+def expected_replies(selector, payloads):
+    """What direct ``select_batch``/``predict_gflops_batch`` calls
+    return for ``payloads``, in the shape of ``/select`` replies."""
+    chosen = selector.select_batch(payloads)
+    scores = selector.predict_gflops_batch(payloads)
+    out = []
+    for i, fmt in enumerate(chosen):
+        per_format = {f: float(col[i]) for f, col in scores.items()}
+        out.append({"format": fmt, "predicted_gflops": per_format[fmt],
+                    "gflops": per_format})
+    return out
+
+
+def select_request(features) -> bytes:
+    """One ``POST /select`` request for ``features``, as sent."""
+    body = json.dumps({"features": features}).encode()
+    return (b"POST /select HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)) + body
+
+
+class RawClient:
+    """A client on a plain socket, for what ``http.client`` will not
+    send: pipelined requests, odd framing, one byte at a time."""
+
+    def __init__(self, svc, timeout=30.0):
+        self.sock = socket.create_connection(svc.address, timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.file = self.sock.makefile("rb")
+
+    def send(self, data: bytes) -> None:
+        self.sock.sendall(data)
+
+    def reply(self):
+        """The next response: ``(status, headers, body)``, header
+        names lower-cased."""
+        line = self.file.readline()
+        if not line:
+            raise ConnectionError("server closed the connection")
+        status = int(line.split()[1])
+        headers = {}
+        while True:
+            line = self.file.readline()
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = self.file.read(int(headers.get("content-length", 0)))
+        return status, headers, body
+
+    def select_reply(self):
+        status, _, body = self.reply()
+        return status, json.loads(body)
+
+    def at_eof(self) -> bool:
+        """Whether the server has closed the connection (blocks until
+        it sends more or closes)."""
+        return self.file.read(1) == b""
+
+    def close(self) -> None:
+        self.file.close()
+        self.sock.close()
+
+
+def connect(svc) -> RawClient:
+    """A keep-alive connection the server has accepted and served."""
+    client = RawClient(svc)
+    client.send(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+    assert client.reply()[0] == 200
+    return client

@@ -1,10 +1,12 @@
 """Concurrency and lifecycle guarantees of the live service.
 
-The load-bearing test: N threads hammering ``POST /select`` through
-the micro-batcher receive responses bit-identical to serial direct
-library calls — batching is invisible to every individual client.
+The load-bearing test: N threads hammering ``POST /select`` on their
+own keep-alive connections receive responses bit-identical to serial
+direct library calls — batching is invisible to every individual
+client.
 """
 
+import http.client
 import json
 import os
 import signal
@@ -19,19 +21,34 @@ import pytest
 
 from repro.service import ReproService, ServiceApp
 
-from .conftest import corpus_rows, feature_payloads, gate_app, wait_queued
+from .conftest import SETTLE_S, corpus_rows, feature_payloads, \
+    hold_evaluate
 
 N_THREADS = 12
 REQUESTS_PER_THREAD = 6
 
 
-def _post_select(url, features):
-    req = urllib.request.Request(
-        url + "/select",
-        data=json.dumps({"features": features}).encode(),
+def _connect(svc):
+    """A keep-alive connection the server has accepted and served."""
+    host, port = svc.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    conn.request("GET", "/healthz")
+    resp = conn.getresponse()
+    resp.read()
+    assert resp.status == 200
+    return conn
+
+
+def _send_select(conn, features):
+    conn.request(
+        "POST", "/select", json.dumps({"features": features}).encode(),
+        {"Content-Type": "application/json"},
     )
-    with urllib.request.urlopen(req) as resp:
-        return json.loads(resp.read())
+
+
+def _reply(conn):
+    resp = conn.getresponse()
+    return resp.status, resp.getheader("Connection"), json.loads(resp.read())
 
 
 class TestBatchedBitIdentity:
@@ -39,10 +56,11 @@ class TestBatchedBitIdentity:
         self, trained_selector, corpus_table
     ):
         app = ServiceApp(trained_selector, corpus_table, max_batch=64)
-        # Hold the first flush until every other thread's first request
-        # is queued, so coalescing is guaranteed even when the test
-        # host is loaded; the bit-identity claim is timing-independent.
-        gate = gate_app(app)
+        # Hold the first evaluate until every other thread's first
+        # request is sent, so coalescing is guaranteed even when the
+        # test host is loaded; the bit-identity claim is
+        # timing-independent.
+        gate = hold_evaluate(app)
         payloads = feature_payloads(
             N_THREADS * REQUESTS_PER_THREAD, seed=42
         )
@@ -63,15 +81,25 @@ class TestBatchedBitIdentity:
 
         got = [None] * len(payloads)
         errors = []
+        sent = [threading.Event() for _ in range(N_THREADS)]
         with ReproService(app) as svc:
+            conns = [_connect(svc) for _ in range(N_THREADS)]
+
             def worker(thread_idx):
+                conn = conns[thread_idx]
                 lo = thread_idx * REQUESTS_PER_THREAD
-                for offset in range(REQUESTS_PER_THREAD):
-                    i = lo + offset
-                    try:
-                        got[i] = _post_select(svc.url, payloads[i])
-                    except Exception as exc:  # noqa: BLE001
-                        errors.append((i, exc))
+                try:
+                    for offset in range(REQUESTS_PER_THREAD):
+                        i = lo + offset
+                        _send_select(conn, payloads[i])
+                        sent[thread_idx].set()
+                        status, _, got[i] = _reply(conn)
+                        assert status == 200, got[i]
+                except Exception as exc:  # noqa: BLE001
+                    errors.append((thread_idx, exc))
+                finally:
+                    sent[thread_idx].set()
+                    conn.close()
 
             threads = [
                 threading.Thread(target=worker, args=(t,))
@@ -81,20 +109,24 @@ class TestBatchedBitIdentity:
             assert gate.entered.wait(timeout=30)
             for t in threads[1:]:
                 t.start()
-            wait_queued(app._batcher, N_THREADS - 1)
+            for event in sent:
+                assert event.wait(timeout=30)
+            time.sleep(SETTLE_S)
             gate.open()
             for t in threads:
-                t.join()
-        # A request is counted once its reply is written, so a client
-        # can return before its request is; leaving the block runs
-        # stop(), which joins every handler thread first.
+                t.join(timeout=60)
+                assert not t.is_alive()
+        # A request is counted once its reply is written; leaving the
+        # block runs stop(), which returns after the drain.
         stats = app.stats_snapshot()
 
         assert not errors
         # Bit-identical: == on floats round-tripped through JSON.
         assert got == expected
-        # The run actually exercised coalescing, not 72 solo batches.
-        assert stats["batcher"]["max_size"] > 1
+        # The held call made the other threads' first requests share
+        # one evaluate.
+        assert gate.sizes[:2] == [1, N_THREADS - 1]
+        assert stats["batcher"]["max_size"] >= N_THREADS - 1
         assert stats["endpoints"]["select"]["requests"] == len(payloads)
         assert stats["endpoints"]["select"]["errors"] == 0
 
@@ -103,36 +135,34 @@ class TestGracefulShutdown:
     def test_stop_waits_for_inflight_requests(
         self, trained_selector, corpus_table
     ):
-        # One /select is held inside a flush and a second is queued
+        # One /select is held inside an evaluate and a second is sent
         # behind it when stop() begins; the drain must answer both.
         app = ServiceApp(trained_selector, corpus_table, max_batch=64)
-        gate = gate_app(app)
+        gate = hold_evaluate(app)
         svc = ReproService(app).start()
         payloads = feature_payloads(2)
-        result = {}
-
-        def client(i):
-            result[i] = _post_select(svc.url, payloads[i])
-
-        clients = [
-            threading.Thread(target=client, args=(i,)) for i in range(2)
-        ]
-        clients[0].start()
+        conns = [_connect(svc) for _ in payloads]
+        _send_select(conns[0], payloads[0])
         assert gate.entered.wait(timeout=30)
-        clients[1].start()
-        wait_queued(app._batcher, 1)
+        _send_select(conns[1], payloads[1])
         stopper = threading.Thread(target=svc.stop)
         stopper.start()   # must drain, not sever
         assert svc._stopped.wait(timeout=30)
+        time.sleep(SETTLE_S)
         gate.open()
+        replies = []
+        for conn in conns:
+            replies.append(_reply(conn))
+            conn.close()
         stopper.join(timeout=30)
-        for t in clients:
-            t.join(timeout=5)
-            assert not t.is_alive()
         assert not stopper.is_alive()
-        assert [result[i]["format"] for i in range(2)] == [
+        assert [status for status, _, _ in replies] == [200, 200]
+        assert [body["format"] for _, _, body in replies] == [
             trained_selector.select(f) for f in payloads
         ]
+        # The request read during the drain was told the connection
+        # closes after its reply.
+        assert replies[1][1] == "close"
 
     def test_sigterm_drains_subprocess(self, tmp_path):
         pytest.importorskip("numpy")

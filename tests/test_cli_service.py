@@ -145,6 +145,14 @@ class TestTrain:
         assert rc == 2
 
 
+
+class TestServe:
+    def test_zero_max_batch_is_exit_2(self, corpus_npz, capsys):
+        rc = main(["serve", "--table", str(corpus_npz), "--port", "0",
+                   "--access-log", "off", "--max-batch", "0"])
+        assert rc == 2
+        assert "max_batch" in capsys.readouterr().err
+
 class TestOutputPathHardening:
     SWEEP = ["sweep", "--scale", "tiny", "--devices", "Tesla-A100",
              "--max-nnz", "5000"]
